@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import FixedPointError, ValidationError
 from .pendulum import PendulumParams
+from .simlab import _rk4
 
 __all__ = [
     "ErrorDecomp",
@@ -413,14 +414,7 @@ def varying_height_prediction(
             h = tt[i] - tt[i - 1]
             tau_hi = tt[i] - t0
 
-            def f(tau_loc: float, Pm: np.ndarray) -> np.ndarray:
-                return -Pm @ A_of(tau_loc)
-
-            k1 = f(tau_hi, Psi[i])
-            k2 = f(tau_hi - h / 2.0, Psi[i] - h / 2.0 * k1)
-            k3 = f(tau_hi - h / 2.0, Psi[i] - h / 2.0 * k2)
-            k4 = f(tau_hi - h, Psi[i] - h * k3)
-            Psi[i - 1] = Psi[i] - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Psi[i - 1] = _rk4(lambda tau, Pm: -Pm @ A_of(tau), tau_hi, Psi[i], -h)
         states = np.stack([x_c[i0:i1], L[i0:i1]], axis=1)
         L_hat = np.einsum("nj,nj->n", Psi[:, 1, :], states)
         dev.append((L_hat - L_hat[-1]) / mH)

@@ -183,8 +183,20 @@ class PlanarBiped:
         self.w_vec = self.A.T @ self.masses
         # Swing-foot position coefficients: p_sw = sum_j b_j u(theta_j).
         self.b_sw = np.array([l_sh, l_th, 0.0, -l_th, -l_sh])
+        self.I_diag = np.diag(self.inertias)
         self.M_map = _theta_map()
         self.M_inv = np.linalg.inv(self.M_map)
+        # Output-map coefficients (control.planar_outputs):
+        # h0 = P_sin sin(theta) + P_cos cos(theta) + P_lin q.
+        wm = self.w_vec / self.m_total
+        c_rel = wm - self.b_sw
+        self.P_sin = np.zeros((4, 5))
+        self.P_cos = np.zeros((4, 5))
+        self.P_lin = np.zeros((4, 5))
+        self.P_lin[0, :] = self.M_map[2, :]
+        self.P_cos[1, :] = wm
+        self.P_sin[2, :] = c_rel
+        self.P_cos[3, :] = c_rel
         # theta-reversal (leg swap) expressed on q: R = M^-1 P M.
         P = np.fliplr(np.eye(5))
         self.R_relabel = self.M_inv @ P @ self.M_map
@@ -219,9 +231,10 @@ class PlanarBiped:
         """
         if isinstance(source, dict):
             doc = source
+        elif isinstance(source, str) and source.lstrip().startswith("{"):
+            doc = json.loads(source)
         else:
-            text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-            doc = json.loads(text)
+            doc = json.loads(Path(source).read_text())
         try:
             links = doc["links"]
             parts = {
@@ -313,13 +326,17 @@ def _trig(model: PlanarBiped, q: np.ndarray):
     return theta, np.sin(theta), np.cos(theta)
 
 
+def _mass_matrix_theta(model: PlanarBiped, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """D_th = W * cos(theta_j - theta_k) + diag(I), in absolute angles."""
+    return model.W * (np.outer(c, c) + np.outer(s, s)) + model.I_diag
+
+
 def _dyn_terms(model: PlanarBiped, q: np.ndarray, dq: np.ndarray):
     """(D_q, coriolis vector C_q dq, G_q) plus the trig tuple, all exact."""
     theta, s, c = _trig(model, q)
     dtheta = model.M_map @ dq
-    cos_diff = np.outer(c, c) + np.outer(s, s)
     sin_diff = np.outer(s, c) - np.outer(c, s)
-    D_th = model.W * cos_diff + np.diag(model.inertias)
+    D_th = _mass_matrix_theta(model, s, c)
     cvec_th = (model.W * sin_diff) @ (dtheta * dtheta)
     G_th = -model.g * model.w_vec * s
     M = model.M_map
@@ -515,18 +532,17 @@ def _impact_solution(model: PlanarBiped, state_minus: BipedState):
         [M_e  -J^T] [xdot+  ]   [M_e xdot-]
         [J     0  ] [impulse] = [0        ]
 
-    Returns (dtheta_plus, v_base_plus, impulse).
+    Raises InfeasibleImpactError if the vertical impulse is negative (the
+    ground would have to pull).  Returns (state_plus, impulse) with the legs
+    already relabeled.
     """
     q, dq = state_minus.q, state_minus.dq
     theta, s, c = _trig(model, q)
     dtheta = model.M_map @ dq
-    cos_diff = np.outer(c, c) + np.outer(s, s)
-    sin_diff = np.outer(s, c) - np.outer(c, s)
-    D_th = model.W * cos_diff + np.diag(model.inertias)
     # Base-rotation coupling: columns w_j * u'(theta_j).
     S = np.vstack([model.w_vec * c, -model.w_vec * s])
     M_e = np.zeros((7, 7))
-    M_e[:5, :5] = D_th
+    M_e[:5, :5] = _mass_matrix_theta(model, s, c)
     M_e[:5, 5:] = S.T
     M_e[5:, :5] = S
     M_e[5:, 5:] = model.m_total * np.eye(2)
@@ -541,7 +557,15 @@ def _impact_solution(model: PlanarBiped, state_minus: BipedState):
     rhs = np.zeros(9)
     rhs[:7] = M_e @ np.concatenate([dtheta, [0.0, 0.0]])
     sol = _checked_solve(K, rhs, "impact_map")
-    return sol[:5], sol[5:7], sol[7:9]
+    dtheta_plus, impulse = sol[:5], sol[7:9]
+    if impulse[1] < -1e-9 * max(1.0, float(np.linalg.norm(impulse))):
+        raise InfeasibleImpactError(
+            f"impact_map: vertical impulse {impulse[1]:.6e} < 0 "
+            "(plastic contact infeasible)",
+            impulse=impulse,
+        )
+    state_plus = BipedState(model.R_relabel @ q, model.M_inv @ dtheta_plus[::-1])
+    return state_plus, impulse
 
 
 def impact_map(model: PlanarBiped, state_minus: BipedState) -> BipedState:
@@ -552,16 +576,7 @@ def impact_map(model: PlanarBiped, state_minus: BipedState) -> BipedState:
     InfeasibleImpactError if the computed vertical contact impulse is
     negative (the ground would have to pull).
     """
-    dtheta_plus, _v_base_plus, impulse = _impact_solution(model, state_minus)
-    if impulse[1] < -1e-9 * max(1.0, float(np.linalg.norm(impulse))):
-        raise InfeasibleImpactError(
-            f"impact_map: vertical impulse {impulse[1]:.6e} < 0 "
-            "(plastic contact infeasible)",
-            impulse=impulse,
-        )
-    q_plus = model.R_relabel @ state_minus.q
-    dq_plus = model.M_inv @ dtheta_plus[::-1]
-    return BipedState(q_plus, dq_plus)
+    return _impact_solution(model, state_minus)[0]
 
 
 def guard(model: PlanarBiped, state: BipedState) -> bool:

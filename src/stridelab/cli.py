@@ -36,6 +36,7 @@ from .analysis import (
     numeric_poincare_jacobian,
     prediction_fidelity,
 )
+from .biped import PlanarBiped
 from .control import GaitCommand, VirtualConstraintSpec
 from .errors import NumericalError, ValidationError
 from .estimate import kalman_demo_columns, riccati_steady_state
@@ -56,7 +57,6 @@ _T = 0.30
 _H = 0.6
 _Z_CL = 0.07
 _ALPHA = 0.4
-_MASS = 32.0
 
 
 def _gait(args, L_des: float | None = None, alpha: float | None = None) -> GaitCommand:
@@ -69,6 +69,11 @@ def _gait(args, L_des: float | None = None, alpha: float | None = None) -> GaitC
 
 def _constraints(args) -> VirtualConstraintSpec:
     return VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
+
+
+def _pendulum(args) -> PendulumParams:
+    """Point-mass model of the default five-link biped at height --H."""
+    return PendulumParams(m=PlanarBiped.default().m_total, H=args.H)
 
 
 def _maybe_write(args, name: str, header, rows) -> None:
@@ -121,7 +126,7 @@ def _parse_alpha_grid(spec: str) -> list[float]:
 
 def _cmd_poincare(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
-    params = PendulumParams(m=_MASS, H=args.H)
+    params = _pendulum(args)
     rows = []
     if args.plant == "ALIP":
         for a in alphas:
@@ -145,12 +150,7 @@ def _cmd_poincare(args) -> int:
         return 0
     # FIVE_LINK: warm up a rollout onto the orbit, polish the fixed point,
     # then take symmetric differences of the two-step return map.
-    model = ScenarioConfig(
-        plant="FIVE_LINK",
-        gait=_gait(args),
-        constraints=_constraints(args),
-        duration=0,
-    ).build_model()
+    model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
     for a in alphas:
         gait = _gait(args, alpha=a)
@@ -194,7 +194,7 @@ def _fidelity_config(args) -> ScenarioConfig:
 def _cmd_fidelity(args) -> int:
     cfg = _fidelity_config(args)
     trace = run_scenario(cfg)
-    params = PendulumParams(m=_MASS, H=args.H)
+    params = _pendulum(args)
     f_L, f_v = prediction_fidelity(trace, params, args.T)
     print(f"flatness_L={f_L:.6f} flatness_v={f_v:.6f} ratio={f_L / f_v:.4f}")
     if args.out:
@@ -220,7 +220,7 @@ def _cmd_error_decomp(args) -> int:
         ankle_amplitude=args.ankle_amplitude,
     )
     trace = run_scenario(cfg)
-    params = PendulumParams(m=_MASS, H=args.H)
+    params = _pendulum(args)
     t = trace.samples["t"]
     L_c = trace.samples["L_c"]
     dL_c = trace.samples["dL_c"]
@@ -247,7 +247,7 @@ def _cmd_error_decomp(args) -> int:
 
 
 def _cmd_bode(args) -> int:
-    params = PendulumParams(m=_MASS, H=args.H)
+    params = _pendulum(args)
     ell = params.ell
     omega = np.logspace(
         np.log10(ell * args.omega_min), np.log10(ell * args.omega_max), args.points
@@ -268,7 +268,7 @@ def _cmd_bode(args) -> int:
 
 
 def _cmd_kalman(args) -> int:
-    params = PendulumParams(m=_MASS, H=args.H)
+    params = _pendulum(args)
     seed = args.seed if args.seed is not None else 0
     cols = kalman_demo_columns(
         params,
@@ -360,8 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="swing clearance [m]")
     gaitish.add_argument("--alpha", type=float, default=_ALPHA,
                          help="per-step momentum-error contraction")
-    gaitish.add_argument("--step-size", dest="step_size", type=float, default=1e-3,
-                         help="integrator step [s]")
+
+    def add_step_size(p, default=1e-3):
+        # One action per subparser: a default shared through `gaitish` would
+        # be changed for every subcommand by one subparser's set_defaults.
+        p.add_argument("--step-size", dest="step_size", type=float, default=default,
+                       help=f"integrator step [s] (default {default:g})")
 
     p = sub.add_parser("simulate", parents=[common], help="run a scenario config")
     p.add_argument("config", help="path to a scenario JSON file")
@@ -381,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="five-link: fixed-point residual tolerance")
     p.add_argument("--delta", type=float, default=0.1,
                    help="five-link: symmetric-difference size")
+    add_step_size(p)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("predict-fidelity", parents=[common, gaitish],
@@ -390,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-velocity", type=float, default=2.0)
     p.add_argument("--z-amplitude", dest="z_amplitude", type=float, default=0.0,
                    help="in-step CoM height modulation amplitude [m]")
+    add_step_size(p)
     p.set_defaults(func=_cmd_fidelity)
 
     p = sub.add_parser("error-decomp", parents=[common, gaitish],
@@ -399,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-velocity", type=float, default=0.8)
     p.add_argument("--ankle-amplitude", type=float, default=0.0,
                    help="stance ankle torque amplitude [N m]")
-    p.set_defaults(func=_cmd_error_decomp, step_size=5e-5)
+    add_step_size(p, 5e-5)
+    p.set_defaults(func=_cmd_error_decomp)
 
     p = sub.add_parser("bode", parents=[common],
                        help="error-transfer magnitudes over a log frequency grid")
@@ -429,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-des", dest="l_des", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--initial-velocity", type=float, default=0.5)
+    add_step_size(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -383,37 +383,18 @@ def virtual_constraint_derivatives(
 # ---------------------------------------------------------------------------
 
 
-def _output_coeffs(model: PlanarBiped):
-    """Constant matrices so that h0 = P_sin sin(theta) + P_cos cos(theta) + P_lin q."""
-    wm = model.w_vec / model.m_total
-    c_rel = wm - model.b_sw
-    P_sin = np.zeros((4, 5))
-    P_cos = np.zeros((4, 5))
-    P_lin = np.zeros((4, 5))
-    P_lin[0, :] = model.M_map[2, :]
-    P_cos[1, :] = wm
-    P_sin[2, :] = c_rel
-    P_cos[3, :] = c_rel
-    return P_sin, P_cos, P_lin
-
-
 def planar_outputs(model: PlanarBiped, q) -> tuple[np.ndarray, np.ndarray]:
     """Output stack h0(q) and its Jacobian (4x5).
 
     h0 = (torso pitch, stance-foot->CoM z, swing-foot->CoM x, swing-foot->CoM z).
     """
-    q = np.asarray(q, dtype=float)
-    P_sin, P_cos, P_lin = _output_coeffs(model)
-    theta = model.M_map @ q
-    s, c = np.sin(theta), np.cos(theta)
-    h0 = P_sin @ s + P_cos @ c + P_lin @ q
-    J = (P_sin * c[None, :] - P_cos * s[None, :]) @ model.M_map + P_lin
+    h0, J, _ = _outputs_full(model, np.asarray(q, dtype=float), np.zeros(5))
     return h0, J
 
 
 def _outputs_full(model: PlanarBiped, q, dq):
     """h0, J, and Jdot*dq with exact trigonometric second-derivative terms."""
-    P_sin, P_cos, P_lin = _output_coeffs(model)
+    P_sin, P_cos, P_lin = model.P_sin, model.P_cos, model.P_lin
     theta = model.M_map @ q
     s, c = np.sin(theta), np.cos(theta)
     dtheta = model.M_map @ dq

@@ -30,7 +30,6 @@ from .control import (
     VirtualConstraintSpec,
     _io_torque_core,
     foot_placement_asymptotic,
-    foot_placement_vz_corrected,
     planar_outputs,
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
@@ -54,6 +53,19 @@ __all__ = [
 
 _PLANTS = ("ALIP", "LIP", "FIVE_LINK")
 _ARTIFACTS = ("trace", "per_step", "events")
+
+
+def _check_placement(owner: str, source: str, update: str) -> None:
+    """The one check of the placement options, for configs and controllers."""
+    if source not in ("L", "v"):
+        raise ValidationError(
+            f"{owner}.placement_source: must be 'L' or 'v' (got {source!r})"
+        )
+    if update not in ("continuous", "step_start"):
+        raise ValidationError(
+            f"{owner}.placement_update: must be 'continuous' or 'step_start' "
+            f"(got {update!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -152,16 +164,7 @@ class ScenarioConfig:
                     f"ScenarioConfig.outputs: unknown artifact name {name!r} "
                     f"(allowed: {_ARTIFACTS})"
                 )
-        if self.placement_source not in ("L", "v"):
-            raise ValidationError(
-                f"ScenarioConfig.placement_source: must be 'L' or 'v' "
-                f"(got {self.placement_source!r})"
-            )
-        if self.placement_update not in ("continuous", "step_start"):
-            raise ValidationError(
-                f"ScenarioConfig.placement_update: must be 'continuous' or "
-                f"'step_start' (got {self.placement_update!r})"
-            )
+        _check_placement("ScenarioConfig", self.placement_source, self.placement_update)
         for fname in ("ankle_amplitude", "z_amplitude"):
             v = getattr(self, fname)
             if not math.isfinite(v):
@@ -315,24 +318,9 @@ class WalkingController:
         z_profile: Callable[[float], Sequence[float]] | None = None,
         ankle_fn: Callable[[float], float] | None = None,
         placement_source: str = "L",
-        placement_law: str = "asymptotic",
         placement_update: str = "continuous",
     ):
-        if placement_source not in ("L", "v"):
-            raise ValidationError(
-                f"WalkingController: placement_source must be 'L' or 'v' "
-                f"(got {placement_source!r})"
-            )
-        if placement_law not in ("asymptotic", "vz"):
-            raise ValidationError(
-                f"WalkingController: placement_law must be 'asymptotic' or 'vz' "
-                f"(got {placement_law!r})"
-            )
-        if placement_update not in ("continuous", "step_start"):
-            raise ValidationError(
-                f"WalkingController: placement_update must be 'continuous' or "
-                f"'step_start' (got {placement_update!r})"
-            )
+        _check_placement("WalkingController", placement_source, placement_update)
         self.model = model
         self.gait = gait
         self.vc = constraints
@@ -340,7 +328,6 @@ class WalkingController:
         self.z_profile = z_profile
         self.ankle_fn = ankle_fn
         self.placement_source = placement_source
-        self.placement_law = placement_law
         self.placement_update = placement_update
         self.L_des = gait.L_des
         self._Kp = np.diag(constraints.Kp)
@@ -390,12 +377,6 @@ class WalkingController:
             return self._clamp(raw)
         L = float(D_q[0] @ dq)  # momentum conjugate to q0 = L about the contact
         L_hat = p.m * p.H * ell * sh * x_c + ch * L
-        if self.placement_law == "vz":
-            x_hat = ch * x_c + sh * L / (p.m * p.H * ell)
-            vz = -float(self.model.w_vec @ (s * dtheta)) / self.model.m_total
-            return self._clamp(
-                foot_placement_vz_corrected(p, L_hat, x_hat, vz, self.L_des, self.gait.T)
-            )
         return self._clamp(
             foot_placement_asymptotic(p, L_hat, self.L_des, self.gait.T, self.gait.alpha)
         )
@@ -428,12 +409,6 @@ class WalkingController:
             self.model, q, dq, terms, h_d, dh_d, ddh_d, self._Kp, self._Kd
         )
         return u, y, X
-
-    def torques(self, state: BipedState, tau: float) -> np.ndarray:
-        """Public single-shot evaluation (recomputes dynamics terms)."""
-        terms = bp._dyn_terms(self.model, state.q, state.dq)
-        u, _, _ = self.torques_from_terms(state.q, state.dq, tau, terms)
-        return u
 
     def ankle(self, tau: float) -> float:
         return float(self.ankle_fn(tau)) if self.ankle_fn is not None else 0.0
@@ -564,14 +539,20 @@ def _five_link_rhs(model, controller, tau, y):
     return np.concatenate([dq, ddq]), u, y_out
 
 
+def _rk4(f, tau, y, h, k1=None):
+    """One classic RK4 step of dy/dtau = f(tau, y) from (tau, y) by h; a
+    negative h steps backward.  k1 = f(tau, y) may be passed in if known."""
+    if k1 is None:
+        k1 = f(tau, y)
+    k2 = f(tau + h / 2.0, y + (h / 2.0) * k1)
+    k3 = f(tau + h / 2.0, y + (h / 2.0) * k2)
+    k4 = f(tau + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_advance(model, controller, tau, y, h, k1=None):
     """One RK4 step of the five-link closed loop from (tau, y) by h."""
-    if k1 is None:
-        k1 = _five_link_rhs(model, controller, tau, y)[0]
-    k2 = _five_link_rhs(model, controller, tau + h / 2.0, y + (h / 2.0) * k1)[0]
-    k3 = _five_link_rhs(model, controller, tau + h / 2.0, y + (h / 2.0) * k2)[0]
-    k4 = _five_link_rhs(model, controller, tau + h, y + h * k3)[0]
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(lambda t, x: _five_link_rhs(model, controller, t, x)[0], tau, y, h, k1)
 
 
 def _swing_z(model, y) -> float:
@@ -674,21 +655,13 @@ def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
     if recorder is not None:
         recorder(tau, y, 0.0, None, first=True)
     for i in range(n_full):
-        k1 = f(tau, y)
-        k2 = f(tau + h / 2.0, y + (h / 2.0) * k1)
-        k3 = f(tau + h / 2.0, y + (h / 2.0) * k2)
-        k4 = f(tau + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4(f, tau, y, h)
         tau = (i + 1) * h
         if recorder is not None:
             recorder(tau, y, ankle(tau), None)
     rem = T - tau
     if rem > 1e-12:
-        k1 = f(tau, y)
-        k2 = f(tau + rem / 2.0, y + (rem / 2.0) * k1)
-        k3 = f(tau + rem / 2.0, y + (rem / 2.0) * k2)
-        k4 = f(tau + rem, y + rem * k3)
-        y = y + (rem / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4(f, tau, y, rem)
         if recorder is not None:
             recorder(T, y, ankle(T), None)
     if is_alip:
@@ -753,17 +726,30 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     return trace
 
 
+def _steady_start(config: ScenarioConfig, params: PendulumParams) -> tuple[float, float]:
+    """(x_c0, v0): starting CoM abscissa and x-velocity.  v0 defaults to the
+    commanded speed L_des/(m H); x_c0 defaults to the step-start abscissa of
+    the steady gait whose steps begin and end at momentum m H v0."""
+    mH = params.m * params.H
+    v0 = config.initial_velocity
+    if v0 is None:
+        v0 = config.gait.L_des / mH
+    if config.initial_com_x is not None:
+        return config.initial_com_x, v0
+    L0 = mH * v0
+    if L0 == 0:
+        return 0.0, v0  # the formula below gives -0.0, written to CSV as "-0"
+    ell, T = params.ell, config.gait.T
+    return (1.0 - math.cosh(ell * T)) * L0 / (mH * ell * math.sinh(ell * T)), v0
+
+
 def _run_reduced(config: ScenarioConfig) -> HybridTrace:
     gait = config.gait
     vc = config.constraints
     model = config.build_model()
     params = PendulumParams(m=model.m_total, H=vc.H, g=model.g)
     mH = params.m * params.H
-    v0 = (
-        config.initial_velocity
-        if config.initial_velocity is not None
-        else gait.L_des / mH
-    )
+    x0, v0 = _steady_start(config, params)
     is_alip = config.plant == "ALIP"
 
     class _Ankle:
@@ -778,9 +764,7 @@ def _run_reduced(config: ScenarioConfig) -> HybridTrace:
     ell = params.ell
     chT = math.cosh(ell * gait.T)
     shT = math.sinh(ell * gait.T)
-    L0 = mH * v0
-    x0 = (1.0 - chT) * L0 / (mH * ell * shT) if abs(L0) > 0 else 0.0
-    state = AlipState(x_c=x0, L=L0) if is_alip else LipState(x_c=x0, v_c=v0)
+    state = AlipState(x_c=x0, L=mH * v0) if is_alip else LipState(x_c=x0, v_c=v0)
 
     buf = _SampleBuffer(_REDUCED_COLS)
     events: list[ImpactEvent] = []
@@ -868,19 +852,10 @@ def _initial_five_link_state(config: ScenarioConfig, model: PlanarBiped) -> Bipe
     gait = config.gait
     params = PendulumParams(m=model.m_total, H=vc.H, g=model.g)
     mH = params.m * params.H
-    v0 = (
-        config.initial_velocity
-        if config.initial_velocity is not None
-        else gait.L_des / mH
-    )
+    x_c0, v0 = _steady_start(config, params)
     ell = params.ell
-    chT, shT = math.cosh(ell * gait.T), math.sinh(ell * gait.T)
     L0 = mH * v0
-    if config.initial_com_x is not None:
-        x_c0 = config.initial_com_x
-    else:
-        x_c0 = (1.0 - chT) * L0 / (mH * ell * shT)
-    x_minus = chT * x_c0 + shT * L0 / (mH * ell)
+    x_minus = math.cosh(ell * gait.T) * x_c0 + math.sinh(ell * gait.T) * L0 / (mH * ell)
     swing_x = x_c0 - x_minus  # previous stance foot, now swing, in stance frame
     if abs(swing_x) < 0.04:
         swing_x = -0.04
@@ -953,8 +928,7 @@ def _run_five_link(config: ScenarioConfig) -> HybridTrace:
             model, controller, state, gait.T, config.integrator, recorder
         )
         cs_minus = bp.centroidal(model, state_minus)
-        dtheta_plus, _vb, impulse = bp._impact_solution(model, state_minus)
-        state_plus = bp.impact_map(model, state_minus)
+        state_plus, impulse = bp._impact_solution(model, state_minus)
         cs_plus = bp.centroidal(model, state_plus)
         p_sw = bp.swing_foot_position(model, state_minus.q)
         t_end = t_base + t_imp

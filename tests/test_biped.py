@@ -7,6 +7,7 @@ Everything numeric here is checked against either a finite-difference oracle
 or a conservation law only the correct dynamics satisfy.
 """
 
+import json
 import math
 
 import numpy as np
@@ -478,6 +479,16 @@ def test_json_round_trip():
     st = random_state(rng)
     assert np.max(np.abs(mass_matrix(clone, st.q) - mass_matrix(MODEL, st.q))) < 1e-15
     assert clone.g == MODEL.g
+
+
+def test_from_json_accepts_long_json_text_and_paths(tmp_path):
+    text = json.dumps(MODEL.to_json_dict(), indent=4)
+    assert len(text) > 255  # longer than a file name may be
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    for source in (text, path, str(path)):
+        clone = PlanarBiped.from_json(source)
+        assert clone.to_json_dict() == MODEL.to_json_dict()
 
 
 def test_from_json_missing_field_rejected():

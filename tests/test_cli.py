@@ -15,7 +15,7 @@ from stridelab import (
     ScenarioConfig,
     VirtualConstraintSpec,
 )
-from stridelab.cli import main
+from stridelab.cli import build_parser, main
 
 
 def write_config(tmp_path, **kw):
@@ -100,6 +100,19 @@ def test_poincare_bad_grid_exit_2(capsys):
     assert main(["poincare", "--alpha-grid", "0.5,1.0"]) == 2
     assert main(["poincare", "--alpha-grid", ""]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, step_size",
+    [
+        (["poincare", "--alpha-grid", "0.5"], 1e-3),
+        (["predict-fidelity"], 1e-3),
+        (["compare-lip-alip"], 1e-3),
+        (["error-decomp"], 5e-5),
+    ],
+)
+def test_step_size_defaults_per_subcommand(argv, step_size):
+    assert build_parser().parse_args(argv).step_size == step_size
 
 
 def test_error_decomp_identity_on_small_run(tmp_path, capsys):

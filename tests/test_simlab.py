@@ -130,8 +130,6 @@ def test_walking_controller_validation():
     with pytest.raises(ValidationError):
         WalkingController(model, gait, VC, placement_source="x")
     with pytest.raises(ValidationError):
-        WalkingController(model, gait, VC, placement_law="pd")
-    with pytest.raises(ValidationError):
         WalkingController(model, gait, VC, placement_update="later")
 
 
@@ -155,6 +153,24 @@ def test_reduced_deadbeat_lands_on_target_from_step_two():
     tr = run_scenario(cfg)
     for rec in tr.per_step[1:]:
         assert abs(rec.L_end_minus - 14.4) <= 1e-9
+
+
+@pytest.mark.parametrize("plant", ["ALIP", "LIP"])
+@pytest.mark.parametrize("x0", [0.0, -0.05])
+def test_reduced_initial_state_honors_initial_com_x(plant, x0):
+    tr = run_scenario(reduced_config(plant=plant, duration=1, initial_com_x=x0))
+    assert tr.samples["x_c"][0] == x0
+    assert abs(tr.samples["L"][0] - 14.4) < 1e-12
+
+
+def test_reduced_default_start_is_the_steady_gait():
+    # Unset initial_com_x: start where the period-one gait at L_des begins,
+    # so every step starts and ends at the same momentum.
+    tr = run_scenario(reduced_config(duration=2))
+    x_c = tr.samples["x_c"]
+    assert x_c[0] < 0.0
+    assert abs(tr.events[0].state_plus.x_c - x_c[0]) < 1e-9
+    assert abs(tr.per_step[0].L_end_minus - 14.4) < 1e-9
 
 
 def test_reduced_velocity_column_is_momentum_scaled():
