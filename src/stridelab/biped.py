@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_fields, check_keys, from_doc, number, to_doc
 from .errors import InfeasibleImpactError, SingularMatrixError, ValidationError
 from .pendulum import wedge
 
@@ -100,9 +101,7 @@ class LinkParams:
     inertia: float
 
     def __post_init__(self):
-        vals = (self.mass, self.length, self.com_offset, self.inertia)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"LinkParams: non-finite field in {vals}")
+        check_fields(self)
         if self.length <= 0:
             raise ValidationError(f"LinkParams: length must be > 0 (got {self.length})")
         if self.mass < 0 or self.inertia < 0:
@@ -112,6 +111,9 @@ class LinkParams:
                 f"LinkParams: com_offset must lie on the link "
                 f"(got {self.com_offset} for length {self.length})"
             )
+
+
+_LINKS = ("torso", "stance_thigh", "stance_shin", "swing_thigh", "swing_shin")
 
 
 def _theta_map() -> np.ndarray:
@@ -136,7 +138,8 @@ class PlanarBiped:
         swing_shin: LinkParams,
         g: float = 9.81,
     ):
-        if g < 0 or not math.isfinite(g):
+        g = number("PlanarBiped.gravity", g)
+        if g < 0:
             # g = 0 is allowed: a gravity-free chain is a useful sanity case.
             raise ValidationError(f"PlanarBiped: g must be >= 0 (got {g})")
         if stance_thigh != swing_thigh or stance_shin != swing_shin:
@@ -147,7 +150,7 @@ class PlanarBiped:
         self.torso = torso
         self.thigh = stance_thigh
         self.shin = stance_shin
-        self.g = float(g)
+        self.g = g
 
         l_sh, c_sh = stance_shin.length, stance_shin.com_offset
         l_th, c_th = stance_thigh.length, stance_thigh.com_offset
@@ -235,46 +238,17 @@ class PlanarBiped:
             doc = json.loads(source)
         else:
             doc = json.loads(Path(source).read_text())
-        try:
-            links = doc["links"]
-            parts = {
-                name: LinkParams(
-                    mass=float(links[name]["mass"]),
-                    length=float(links[name]["length"]),
-                    com_offset=float(links[name]["com_offset"]),
-                    inertia=float(links[name]["inertia"]),
-                )
-                for name in ("torso", "stance_thigh", "stance_shin", "swing_thigh", "swing_shin")
-            }
-        except KeyError as exc:
-            raise ValidationError(f"PlanarBiped.from_json: missing field {exc}") from exc
-        return cls(
-            parts["torso"],
-            parts["stance_thigh"],
-            parts["stance_shin"],
-            parts["swing_thigh"],
-            parts["swing_shin"],
-            g=float(doc.get("gravity", 9.81)),
-        )
+        check_keys(doc, "PlanarBiped", ("gravity", "links"), ("links",))
+        links = doc["links"]
+        check_keys(links, "PlanarBiped.links", _LINKS, _LINKS)
+        parts = [from_doc(LinkParams, links[n], f"PlanarBiped.links.{n}") for n in _LINKS]
+        return cls(*parts, g=doc.get("gravity", 9.81))
 
     def to_json_dict(self) -> dict:
-        def link_doc(lp: LinkParams) -> dict:
-            return {
-                "mass": lp.mass,
-                "length": lp.length,
-                "com_offset": lp.com_offset,
-                "inertia": lp.inertia,
-            }
-
+        links = (self.torso, self.thigh, self.shin, self.thigh, self.shin)
         return {
             "gravity": self.g,
-            "links": {
-                "torso": link_doc(self.torso),
-                "stance_thigh": link_doc(self.thigh),
-                "stance_shin": link_doc(self.shin),
-                "swing_thigh": link_doc(self.thigh),
-                "swing_shin": link_doc(self.shin),
-            },
+            "links": {name: to_doc(lp) for name, lp in zip(_LINKS, links)},
         }
 
 

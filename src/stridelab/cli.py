@@ -14,7 +14,7 @@ Every subcommand accepts `--out DIR` (write CSV artifacts there; metrics are
 always printed to stdout) and `--seed N` (overrides the config/demo seed
 where one is used).  Exit codes: 0 success, 2 validation failure (bad flags,
 malformed config), 3 numerical failure (singular matrix, infeasible impact,
-gait breakdown, non-convergent fixed point).
+gait breakdown or overflow, non-convergent fixed point).
 """
 
 from __future__ import annotations
@@ -450,10 +450,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    # OverflowError: a math.cosh/sinh/exp of an out-of-range argument.
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import Config, check_fields
 from .biped import PlanarBiped, BipedState, _dyn_terms, _checked_solve
 from .errors import NumericalError, ValidationError
 from .pendulum import PendulumParams
@@ -43,7 +44,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GaitCommand:
+class GaitCommand(Config):
     """Per-step gait command.
 
     Attributes:
@@ -64,11 +65,7 @@ class GaitCommand:
     delta_D: float = 0.0
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(v)
-            for v in (self.L_des, self.T, self.W, self.alpha, self.delta_D)
-        ):
-            raise ValidationError("GaitCommand: non-finite field")
+        check_fields(self)
         if self.T <= 0:
             raise ValidationError(f"GaitCommand: T must be > 0 (got {self.T})")
         if not 0.0 <= self.alpha < 1.0:
@@ -78,35 +75,14 @@ class GaitCommand:
         if self.W < 0:
             raise ValidationError(f"GaitCommand: W must be >= 0 (got {self.W})")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "L_des": self.L_des,
-            "T": self.T,
-            "W": self.W,
-            "alpha": self.alpha,
-            "parity": self.parity,
-            "delta_D": self.delta_D,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GaitCommand":
-        try:
-            return cls(
-                L_des=float(doc["L_des"]),
-                T=float(doc["T"]),
-                W=float(doc.get("W", 0.0)),
-                alpha=float(doc.get("alpha", 0.0)),
-                parity=int(doc.get("parity", 1)),
-                delta_D=float(doc.get("delta_D", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"GaitCommand.from_json: missing field {exc}") from exc
-
 
 def _gain_vec(name: str, k, default: float) -> np.ndarray:
     if k is None:
         return np.full(4, default)
-    arr = np.asarray(k, dtype=float)
+    try:
+        arr = np.asarray(k, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a number or 4 numbers (got {k!r})") from None
     if arr.ndim == 0:
         arr = np.full(4, float(arr))
     if arr.shape != (4,):
@@ -117,7 +93,7 @@ def _gain_vec(name: str, k, default: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VirtualConstraintSpec:
+class VirtualConstraintSpec(Config):
     """Virtual-constraint geometry and tracking gains.
 
     Attributes:
@@ -134,29 +110,13 @@ class VirtualConstraintSpec:
     Kd: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not (math.isfinite(self.H) and math.isfinite(self.z_cl)):
-            raise ValidationError("VirtualConstraintSpec: non-finite field")
+        check_fields(self)
         if not 0.0 < self.z_cl < self.H:
             raise ValidationError(
                 f"VirtualConstraintSpec: need 0 < z_cl < H (got z_cl={self.z_cl}, H={self.H})"
             )
         object.__setattr__(self, "Kp", _gain_vec("VirtualConstraintSpec.Kp", self.Kp, 100.0))
         object.__setattr__(self, "Kd", _gain_vec("VirtualConstraintSpec.Kd", self.Kd, 20.0))
-
-    def to_json_dict(self) -> dict:
-        return {"H": self.H, "z_cl": self.z_cl, "Kp": list(self.Kp), "Kd": list(self.Kd)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "VirtualConstraintSpec":
-        try:
-            return cls(
-                H=float(doc["H"]),
-                z_cl=float(doc["z_cl"]),
-                Kp=doc.get("Kp"),
-                Kd=doc.get("Kd"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"VirtualConstraintSpec.from_json: missing field {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import biped as bp
+from ._fields import Config, check_fields
 from .biped import BipedState, PlanarBiped
 from .control import (
     GaitCommand,
@@ -54,6 +55,11 @@ __all__ = [
 _PLANTS = ("ALIP", "LIP", "FIVE_LINK")
 _ARTIFACTS = ("trace", "per_step", "events")
 
+# The most RK4 steps a scenario may imply: duration * T / step_size, doubled
+# for the five-link plant, whose guard search may run to 2T.  Ten million is
+# over 30x the largest scenario in the tests, CLI defaults and benchmark.
+MAX_RK4_STEPS = 10_000_000
+
 
 def _check_placement(owner: str, source: str, update: str) -> None:
     """The one check of the placement options, for configs and controllers."""
@@ -69,7 +75,7 @@ def _check_placement(owner: str, source: str, update: str) -> None:
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Config):
     """Fixed-step RK4 settings: step_size [s] and the bisection tolerance on
     the impact time [s].  event_tolerance must be smaller than step_size."""
 
@@ -77,34 +83,16 @@ class IntegratorConfig:
     event_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        check_fields(self)
+        if not 0.0 < self.event_tolerance < self.step_size:
             raise ValidationError(
-                f"IntegratorConfig.step_size: must be positive (got {self.step_size})"
+                "IntegratorConfig: need 0 < event_tolerance < step_size (got "
+                f"event_tolerance={self.event_tolerance}, step_size={self.step_size})"
             )
-        if not (math.isfinite(self.event_tolerance) and self.event_tolerance > 0):
-            raise ValidationError(
-                f"IntegratorConfig.event_tolerance: must be positive "
-                f"(got {self.event_tolerance})"
-            )
-        if self.event_tolerance >= self.step_size:
-            raise ValidationError(
-                "IntegratorConfig.event_tolerance: must be smaller than step_size "
-                f"(got {self.event_tolerance} >= {self.step_size})"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {"step_size": self.step_size, "event_tolerance": self.event_tolerance}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IntegratorConfig":
-        return cls(
-            step_size=float(doc.get("step_size", 1e-4)),
-            event_tolerance=float(doc.get("event_tolerance", 1e-9)),
-        )
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Config):
     """Everything needed to reproduce a rollout.
 
     Attributes:
@@ -125,7 +113,7 @@ class ScenarioConfig:
         ankle_amplitude: stance-ankle disturbance u_a = A sin(2 pi tau / T).
         z_amplitude: if > 0, the commanded CoM height follows
             H + a + a sin(2 pi tau / T - pi/2) each step (five-link only).
-        model_doc: optional five-link model JSON override.
+        model_doc: optional five-link model document (JSON name "model").
         placement_source: "L" (momentum placement) or "v" (velocity placement).
         placement_update: "continuous" (re-evaluate the placement at every
             torque evaluation) or "step_start" (commit it once per step from
@@ -144,20 +132,16 @@ class ScenarioConfig:
     l_des_final: float | None = None
     ankle_amplitude: float = 0.0
     z_amplitude: float = 0.0
-    model_doc: dict | None = None
+    model_doc: dict | None = field(default=None, metadata={"json": "model"})
     placement_source: str = "L"
     placement_update: str = "continuous"
 
     def __post_init__(self):
+        check_fields(self)
         if self.plant not in _PLANTS:
             raise ValidationError(
                 f"ScenarioConfig.plant: must be one of {_PLANTS} (got {self.plant!r})"
             )
-        if not isinstance(self.duration, int) or self.duration < 0:
-            raise ValidationError(
-                f"ScenarioConfig.duration: must be an integer >= 0 (got {self.duration!r})"
-            )
-        object.__setattr__(self, "outputs", tuple(self.outputs))
         for name in self.outputs:
             if name not in _ARTIFACTS:
                 raise ValidationError(
@@ -165,68 +149,22 @@ class ScenarioConfig:
                     f"(allowed: {_ARTIFACTS})"
                 )
         _check_placement("ScenarioConfig", self.placement_source, self.placement_update)
-        for fname in ("ankle_amplitude", "z_amplitude"):
-            v = getattr(self, fname)
-            if not math.isfinite(v):
-                raise ValidationError(f"ScenarioConfig.{fname}: non-finite value")
         if self.z_amplitude < 0:
             raise ValidationError("ScenarioConfig.z_amplitude: must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "plant": self.plant,
-            "gait": self.gait.to_json_dict(),
-            "constraints": self.constraints.to_json_dict(),
-            "duration": self.duration,
-            "integrator": self.integrator.to_json_dict(),
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "ankle_amplitude": self.ankle_amplitude,
-            "z_amplitude": self.z_amplitude,
-            "placement_source": self.placement_source,
-            "placement_update": self.placement_update,
-        }
-        if self.initial_velocity is not None:
-            doc["initial_velocity"] = self.initial_velocity
-        if self.initial_com_x is not None:
-            doc["initial_com_x"] = self.initial_com_x
-        if self.l_des_final is not None:
-            doc["l_des_final"] = self.l_des_final
-        if self.model_doc is not None:
-            doc["model"] = self.model_doc
-        return doc
+        guard_span = 2.0 if self.plant == "FIVE_LINK" else 1.0
+        limit = MAX_RK4_STEPS / max(1.0, guard_span * self.gait.T / self.integrator.step_size)
+        if not 0 <= self.duration <= limit:
+            raise ValidationError(
+                f"ScenarioConfig.duration: must be in [0, {limit:.0f}] to stay within "
+                f"MAX_RK4_STEPS = {MAX_RK4_STEPS} (got {self.duration})"
+            )
 
     @classmethod
     def from_json(cls, doc) -> "ScenarioConfig":
+        """Parse a config from a JSON object or the path of a JSON file."""
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
-        if not isinstance(doc, dict):
-            raise ValidationError("ScenarioConfig.from_json: expected a JSON object")
-        missing = [k for k in ("plant", "gait", "constraints", "duration") if k not in doc]
-        if missing:
-            raise ValidationError(f"ScenarioConfig.from_json: missing fields {missing}")
-        duration = doc["duration"]
-        if isinstance(duration, float) and duration.is_integer():
-            duration = int(duration)
-        return cls(
-            plant=str(doc["plant"]),
-            gait=GaitCommand.from_json(doc["gait"]),
-            constraints=VirtualConstraintSpec.from_json(doc["constraints"]),
-            duration=duration,
-            integrator=IntegratorConfig.from_json(doc.get("integrator", {})),
-            seed=int(doc.get("seed", 0)),
-            outputs=tuple(doc.get("outputs", _ARTIFACTS)),
-            initial_velocity=(
-                float(doc["initial_velocity"]) if "initial_velocity" in doc else None
-            ),
-            initial_com_x=(float(doc["initial_com_x"]) if "initial_com_x" in doc else None),
-            l_des_final=(float(doc["l_des_final"]) if "l_des_final" in doc else None),
-            ankle_amplitude=float(doc.get("ankle_amplitude", 0.0)),
-            z_amplitude=float(doc.get("z_amplitude", 0.0)),
-            model_doc=doc.get("model"),
-            placement_source=str(doc.get("placement_source", "L")),
-            placement_update=str(doc.get("placement_update", "continuous")),
-        )
+        return super().from_json(doc)
 
     def build_model(self) -> PlanarBiped:
         return PlanarBiped.from_json(self.model_doc) if self.model_doc else PlanarBiped.default()
@@ -574,13 +512,13 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     it also receives `ydot=` (the state derivative at that point, so
     integrand-exact rates need no refactoring downstream).
     """
-    if isinstance(model, PlanarBiped):
-        # Divergence is detected by explicit finite/residual checks; silence
-        # the overflow warnings numpy would emit on the way there.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Divergence is detected by explicit finite/residual checks; silence the
+    # overflow warnings numpy would emit on the way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, PlanarBiped):
             return _integrate_step_five_link(model, controller, state, T, integrator, recorder)
-    if isinstance(model, PendulumParams):
-        return _integrate_step_reduced(model, controller, state, T, integrator, recorder)
+        if isinstance(model, PendulumParams):
+            return _integrate_step_reduced(model, controller, state, T, integrator, recorder)
     raise ValidationError(f"integrate_step: unsupported model type {type(model)!r}")
 
 
@@ -607,6 +545,8 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
             y_hi = y_next
             while hi - lo > cfg.event_tolerance:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # bracket one float wide: the tolerance is below resolution
                 y_mid = _rk4_advance(model, controller, tau, y, mid, k1=rhs)
                 if _swing_z(model, y_mid) <= 0.0:
                     hi, y_hi = mid, y_mid
@@ -664,6 +604,8 @@ def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
         y = _rk4(f, tau, y, rem)
         if recorder is not None:
             recorder(T, y, ankle(T), None)
+    if not np.all(np.isfinite(y)):
+        raise GaitFailureError(f"integrate_step: state diverged within the step (T = {T} s)")
     if is_alip:
         out = AlipState(x_c=float(y[0]), L=float(y[1]), tau=state.tau)
     else:
@@ -800,6 +742,8 @@ def _run_reduced(config: ScenarioConfig) -> HybridTrace:
         else:
             v_des = target / mH
             p = ((1.0 - gait.alpha) * v_des + (gait.alpha - chT) * v_minus) / (ell * shT)
+        if not math.isfinite(p):
+            raise GaitFailureError(f"step {k}: foot placement overflowed (p = {p})")
         if is_alip:
             state_plus = alip_reset(
                 state_minus, p_sw_x=p, p_st_x=state_minus.x_c, v_z=0.0, m=params.m

@@ -9,6 +9,7 @@ or a conservation law only the correct dynamics satisfy.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -496,6 +497,22 @@ def test_from_json_missing_field_rejected():
     del doc["links"]["torso"]
     with pytest.raises(ValidationError):
         PlanarBiped.from_json(doc)
+    # malformed, mistyped and unknown entries name the field at fault
+    links = MODEL.to_json_dict()["links"]
+    bad_torso = dict(links["torso"], mass=True)
+    bad = [
+        ({"gravity": True, "links": links}, "PlanarBiped.gravity"),
+        ({"gravity": "9.81", "links": links}, "PlanarBiped.gravity"),
+        ({"gravity": 9.81, "links": links, "g": 1}, "'g'"),
+        ({"links": [1]}, "PlanarBiped.links"),
+        ({"links": dict(links, torso=3)}, "PlanarBiped.links.torso"),
+        ({"links": dict(links, torso={"mass": 12.0})}, "PlanarBiped.links.torso"),
+        ({"links": dict(links, knee={})}, "'knee'"),
+        ({"links": dict(links, torso=bad_torso)}, "LinkParams.mass"),
+    ]
+    for doc, text in bad:
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            PlanarBiped.from_json(doc)
 
 
 def test_asymmetric_legs_rejected():

@@ -2,12 +2,20 @@
 cli.main, artifacts checked on disk, exit codes 0/2/3 pinned.
 """
 
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stridelab import (
     GaitCommand,
@@ -57,12 +65,113 @@ def test_simulate_seed_override(tmp_path):
     assert sidecar["config"]["seed"] == 5
 
 
+# A 2-step ALIP scenario at h = 1e-3: each bad-input case below mutates it.
+SMALL_ALIP = {
+    "plant": "ALIP",
+    "gait": {"L_des": 14.4, "T": 0.3},
+    "constraints": {"H": 0.6, "z_cl": 0.07},
+    "duration": 2,
+    "integrator": {"step_size": 1e-3},
+}
+
+
+def set_field(doc, path, value):
+    """doc[path[0]][path[1]]... = value, making objects on the way."""
+    node = doc
+    for key in path[:-1]:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[path[-1]] = value
+
+
+# (field path, value, exit code, text the one stderr line must contain)
+BAD_FIELDS = [
+    (("gait",), [1, 2], 2, "ScenarioConfig.gait"),
+    (("gait", "L_des"), "x", 2, "GaitCommand.L_des"),
+    (("seed",), "a", 2, "ScenarioConfig.seed"),
+    (("integrator",), [1], 2, "ScenarioConfig.integrator"),
+    (("outputs",), 5, 2, "ScenarioConfig.outputs"),
+    (("initial_velocity",), "fast", 2, "ScenarioConfig.initial_velocity"),
+    (("constraints", "Kp"), "abc", 2, "VirtualConstraintSpec.Kp"),
+    (("constraints", "Kp"), {"a": 1}, 2, "VirtualConstraintSpec.Kp"),
+    (("constraints",), None, 2, "ScenarioConfig.constraints"),
+    (("model",), [1], 2, "ScenarioConfig.model"),
+    (("model",), {"links": {"torso": 3}}, 2, "PlanarBiped.links"),
+    (("gait", "L_des"), True, 2, "GaitCommand.L_des"),
+    (("duration",), True, 2, "ScenarioConfig.duration"),
+    (("seed",), 1.5, 2, "ScenarioConfig.seed"),
+    (("gait", "parity"), 1.7, 2, "GaitCommand.parity"),
+    (("integrator", "step_size"), "1e-3", 2, "IntegratorConfig.step_size"),
+    (("gait", "L_dse"), 14.4, 2, "L_dse"),
+    (("initial_velocity",), float("nan"), 2, "ScenarioConfig.initial_velocity"),
+    (("initial_com_x",), float("inf"), 2, "ScenarioConfig.initial_com_x"),
+    (("l_des_final",), float("nan"), 2, "ScenarioConfig.l_des_final"),
+    (("plant",), "IP", 2, "ScenarioConfig.plant"),
+    (("duration",), -1, 2, "ScenarioConfig.duration"),
+    (("duration",), 2.5, 2, "ScenarioConfig.duration"),
+    (("model",), "model.json", 2, "ScenarioConfig.model"),
+    (("L_des",), 14.4, 2, "L_des"),
+    (("gait", "L_des"), 1e308, 3, "numerical failure"),
+]
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "missing.json")]) == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["simulate", str(broken)]) == 2
+    broken.write_bytes(b"\xff\xfe{")
+    assert main(["simulate", str(broken)]) == 2
     assert "validation error" in capsys.readouterr().err
+    path = tmp_path / "scenario.json"
+    for field_path, value, code, text in BAD_FIELDS:
+        doc = copy.deepcopy(SMALL_ALIP)
+        set_field(doc, field_path, value)
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == code, (field_path, value)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and text in lines[0], (field_path, value, lines)
+
+
+JUNK = [
+    "x", [1, 2], {"a": 1}, None, True, False, math.nan, math.inf, -math.inf,
+    1e308, -1e308, 0, -1, 1.5,
+]
+FUZZ_PATHS = [
+    ("plant",), ("gait",), ("gait", "L_des"), ("gait", "T"), ("gait", "W"),
+    ("gait", "alpha"), ("gait", "parity"), ("gait", "delta_D"), ("gait", "bogus"),
+    ("constraints",), ("constraints", "H"), ("constraints", "z_cl"),
+    ("constraints", "Kp"), ("constraints", "Kd"), ("duration",), ("integrator",),
+    ("integrator", "step_size"), ("integrator", "event_tolerance"), ("seed",),
+    ("outputs",), ("initial_velocity",), ("initial_com_x",), ("l_des_final",),
+    ("ankle_amplitude",), ("z_amplitude",), ("model",), ("placement_source",),
+    ("placement_update",), ("bogus",),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(JUNK)),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_simulate_fuzzed_config_fails_cleanly(edits):
+    doc = copy.deepcopy(SMALL_ALIP)
+    for path, value in edits:
+        set_field(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", str(path)])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 def test_simulate_unreachable_posture_exit_3(tmp_path, capsys):

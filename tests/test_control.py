@@ -615,6 +615,13 @@ def test_gait_command_validation():
         GaitCommand(L_des=1.0, T=0.3, W=-0.1)
     with pytest.raises(ValidationError):
         GaitCommand.from_json({"T": 0.3})
+    for bad in ({"L_des": "1"}, {"L_des": True}, {"L_des": math.nan}, {"T": None},
+                {"parity": 1.5}, {"parity": True}, {"Ldes": 1.0}):
+        with pytest.raises(ValidationError):
+            GaitCommand.from_json({"L_des": 1.0, "T": 0.3, **bad})
+    # ints widen to float, integral floats narrow to int
+    cmd = GaitCommand(L_des=14, T=0.3, parity=-1.0)
+    assert type(cmd.L_des) is float and type(cmd.parity) is int
 
 
 def test_constraint_spec_round_trip_and_defaults():

@@ -122,6 +122,13 @@ def test_scenario_validation():
         reduced_config(z_amplitude=-0.1)
     with pytest.raises(ValidationError):
         ScenarioConfig.from_json({"plant": "ALIP"})
+    # work beyond MAX_RK4_STEPS is refused when the config is built
+    with pytest.raises(ValidationError, match="MAX_RK4_STEPS"):
+        reduced_config(integrator=IntegratorConfig(step_size=1e-300, event_tolerance=1e-301))
+    with pytest.raises(ValidationError, match="MAX_RK4_STEPS"):
+        reduced_config(duration=10**12)
+    with pytest.raises(ValidationError, match="MAX_RK4_STEPS"):
+        reduced_config(duration=10**400)
 
 
 def test_walking_controller_validation():
@@ -290,6 +297,40 @@ def test_five_link_initial_state_honors_config():
     assert abs(s["x_c"][0]) < 1e-10
     assert abs(s["z_c"][0] - 0.6) < 1e-10
     assert abs(s["vx_c"][0] - 0.8) < 1e-8
+
+
+def test_event_tolerance_below_float_resolution_terminates():
+    # 1e-20 is below the spacing of floats near h = 1e-3: the bisection must
+    # stop at a one-float bracket rather than loop forever
+    def one_step(tol):
+        cfg = ScenarioConfig(
+            plant="FIVE_LINK",
+            gait=GaitCommand(L_des=14.4, T=0.3, alpha=0.4),
+            constraints=VC,
+            duration=1,
+            integrator=IntegratorConfig(step_size=1e-3, event_tolerance=tol),
+        )
+        return run_scenario(cfg).events[0].t
+
+    assert abs(one_step(1e-20) - one_step(1e-15)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduced_overflow_is_a_gait_failure():
+    with pytest.raises(GaitFailureError, match="diverged"):
+        run_scenario(reduced_config(gait=GaitCommand(L_des=1e308, T=0.3)))
+    # at rest on the contact the state stays finite, but no placement reaches
+    # a target this large within a 1 ms step
+    for source in ("L", "v"):
+        cfg = reduced_config(
+            gait=GaitCommand(L_des=1e308, T=1e-3),
+            integrator=IntegratorConfig(step_size=1e-4),
+            initial_velocity=0.0,
+            initial_com_x=0.0,
+            placement_source=source,
+        )
+        with pytest.raises(GaitFailureError, match="placement"):
+            run_scenario(cfg)
 
 
 def test_gait_failure_when_swing_never_lands():
