@@ -59,16 +59,28 @@ _Z_CL = 0.07
 _ALPHA = 0.4
 
 
-def _gait(args, L_des: float | None = None, alpha: float | None = None) -> GaitCommand:
-    return GaitCommand(
-        L_des=L_des if L_des is not None else args.l_des,
-        T=args.T,
-        alpha=alpha if alpha is not None else args.alpha,
-    )
+def _gait(args, alpha: float | None = None) -> GaitCommand:
+    alpha = alpha if alpha is not None else args.alpha
+    return GaitCommand(L_des=args.l_des, T=args.T, alpha=alpha)
 
 
 def _constraints(args) -> VirtualConstraintSpec:
     return VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
+
+
+def _scenario(args, plant: str = "FIVE_LINK", **extras) -> ScenarioConfig:
+    """The rollout the predict-fidelity, error-decomp and compare-lip-alip
+    subcommands run: the gait flags, --steps, --step-size and
+    --initial-velocity, plus each command's own config fields."""
+    return ScenarioConfig(
+        plant=plant,
+        gait=_gait(args),
+        constraints=_constraints(args),
+        duration=args.steps,
+        integrator=IntegratorConfig(step_size=args.step_size),
+        initial_velocity=args.initial_velocity,
+        **extras,
+    )
 
 
 def _pendulum(args) -> PendulumParams:
@@ -179,20 +191,8 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _fidelity_config(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        plant="FIVE_LINK",
-        gait=_gait(args),
-        constraints=_constraints(args),
-        duration=args.steps,
-        integrator=IntegratorConfig(step_size=args.step_size),
-        initial_velocity=args.initial_velocity,
-        z_amplitude=args.z_amplitude,
-    )
-
-
 def _cmd_fidelity(args) -> int:
-    cfg = _fidelity_config(args)
+    cfg = _scenario(args, z_amplitude=args.z_amplitude)
     trace = run_scenario(cfg)
     params = _pendulum(args)
     f_L, f_v = prediction_fidelity(trace, params, args.T)
@@ -210,15 +210,7 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_error_decomp(args) -> int:
-    cfg = ScenarioConfig(
-        plant="FIVE_LINK",
-        gait=_gait(args),
-        constraints=_constraints(args),
-        duration=args.steps,
-        integrator=IntegratorConfig(step_size=args.step_size),
-        initial_velocity=args.initial_velocity,
-        ankle_amplitude=args.ankle_amplitude,
-    )
+    cfg = _scenario(args, ankle_amplitude=args.ankle_amplitude)
     trace = run_scenario(cfg)
     params = _pendulum(args)
     t = trace.samples["t"]
@@ -299,15 +291,7 @@ def _cmd_kalman(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = ScenarioConfig(
-        plant=args.plant,
-        gait=_gait(args, L_des=args.l_des),
-        constraints=_constraints(args),
-        duration=args.steps,
-        integrator=IntegratorConfig(step_size=args.step_size),
-        initial_velocity=args.initial_velocity,
-        placement_update="step_start",
-    )
+    cfg = _scenario(args, args.plant, placement_update="step_start")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     res = lip_vs_alip_comparison(cfg)

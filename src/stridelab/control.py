@@ -32,6 +32,7 @@ __all__ = [
     "predict_L_end",
     "foot_placement_deadbeat",
     "foot_placement_asymptotic",
+    "foot_placement_velocity",
     "foot_placement_vz_corrected",
     "lateral_L_des",
     "turning_frame",
@@ -149,16 +150,20 @@ def foot_placement_deadbeat(
 
     Propagating (x_c+, L+) = (p, L_hat_end) one step:
         L(T) = m H ell sinh(ell T) p + cosh(ell T) L_hat_end = L_des
-        =>  p = (L_des - cosh(ell T) L_hat_end) / (m H ell sinh(ell T)).
+        =>  p = (L_des - cosh(ell T) L_hat_end) / (m H ell sinh(ell T)),
+    the asymptotic law at alpha = 0 (the same bits: (1 - 0) L_des and
+    (0 - cosh) L_hat_end are exact).
     """
-    if not all(math.isfinite(v) for v in (L_hat_end, L_des, T)):
-        raise ValidationError("foot_placement_deadbeat: non-finite input")
+    return foot_placement_asymptotic(params, L_hat_end, L_des, T, 0.0)
+
+
+def _check_placement_inputs(name: str, hat_end: float, des: float, T: float, alpha: float):
+    if not all(math.isfinite(v) for v in (hat_end, des, T, alpha)):
+        raise ValidationError(f"{name}: non-finite input")
     if T <= 0:
-        raise ValidationError(f"foot_placement_deadbeat: T must be > 0 (got {T})")
-    ell = params.ell
-    return (L_des - math.cosh(ell * T) * L_hat_end) / (
-        params.m * params.H * ell * math.sinh(ell * T)
-    )
+        raise ValidationError(f"{name}: T must be > 0 (got {T})")
+    if not 0.0 <= alpha < 1.0:
+        raise ValidationError(f"{name}: alpha must be in [0, 1) (got {alpha})")
 
 
 def foot_placement_asymptotic(
@@ -170,17 +175,27 @@ def foot_placement_asymptotic(
         p = ((1 - alpha) L_des + (alpha - cosh(ell T)) L_hat_end)
             / (m H ell sinh(ell T)).
     """
-    if not all(math.isfinite(v) for v in (L_hat_end, L_des, T, alpha)):
-        raise ValidationError("foot_placement_asymptotic: non-finite input")
-    if T <= 0:
-        raise ValidationError(f"foot_placement_asymptotic: T must be > 0 (got {T})")
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(
-            f"foot_placement_asymptotic: alpha must be in [0, 1) (got {alpha})"
-        )
+    _check_placement_inputs("foot_placement_asymptotic", L_hat_end, L_des, T, alpha)
     ell = params.ell
     return ((1.0 - alpha) * L_des + (alpha - math.cosh(ell * T)) * L_hat_end) / (
         params.m * params.H * ell * math.sinh(ell * T)
+    )
+
+
+def foot_placement_velocity(
+    params: PendulumParams, v_hat_end: float, v_des: float, T: float, alpha: float
+) -> float:
+    """The LIP controller's placement: the asymptotic law written on the CoM
+    velocity, v_{k+1} - v_des = alpha (v_k - v_des), from the predicted
+    end-of-step velocity v_hat_end.
+
+        p = ((1 - alpha) v_des + (alpha - cosh(ell T)) v_hat_end)
+            / (ell sinh(ell T)).
+    """
+    _check_placement_inputs("foot_placement_velocity", v_hat_end, v_des, T, alpha)
+    ell = params.ell
+    return ((1.0 - alpha) * v_des + (alpha - math.cosh(ell * T)) * v_hat_end) / (
+        ell * math.sinh(ell * T)
     )
 
 

@@ -1,6 +1,13 @@
 """Hybrid simulation workbench: fixed-step integration with impact events,
 scenario configs, walking controllers, and CSV/JSON artifact emission.
 
+One step loop: `run_scenario` walks ALIP, LIP and five-link scenarios through
+the same loop.  Each step sets its L_des target, runs `integrate_step` with
+the sample recorder, performs the foot exchange, and records one ImpactEvent
+and the StepRecord built from it.  What differs between plants lives in two
+private plant objects (point mass, five-link), each giving the start state,
+the sample row and the exchange.
+
 Determinism contract: fixed-step RK4 (default 1e-4 s) with bisection event
 refinement (default 1e-9 s), hand-rolled so step placement and event times
 are bit-reproducible across runs and platforms.  Reduced plants (ALIP / LIP)
@@ -17,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -31,6 +38,7 @@ from .control import (
     VirtualConstraintSpec,
     _io_torque_core,
     foot_placement_asymptotic,
+    foot_placement_velocity,
     planar_outputs,
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
@@ -307,12 +315,9 @@ class WalkingController:
             vx = float(self.model.w_vec @ (c * dtheta)) / self.model.m_total
             v_hat = ell * sh * x_c + ch * vx
             v_des = self.L_des / (p.m * p.H)
-            shT = math.sinh(ell * self.gait.T)
-            chT = math.cosh(ell * self.gait.T)
-            raw = ((1.0 - self.gait.alpha) * v_des + (self.gait.alpha - chT) * v_hat) / (
-                ell * shT
+            return self._clamp(
+                foot_placement_velocity(p, v_hat, v_des, self.gait.T, self.gait.alpha)
             )
-            return self._clamp(raw)
         L = float(D_q[0] @ dq)  # momentum conjugate to q0 = L about the contact
         L_hat = p.m * p.H * ell * sh * x_c + ch * L
         return self._clamp(
@@ -362,7 +367,7 @@ def _two_link_ik(hip, foot, l_th, l_sh):
     forward (+x).  Raises NumericalError if the target is out of reach."""
     w = np.asarray(hip, dtype=float) - np.asarray(foot, dtype=float)
     r = float(np.hypot(w[0], w[1]))
-    if r > l_th + l_sh - 1e-9 or r < abs(l_th - l_sh) + 1e-9:
+    if not abs(l_th - l_sh) + 1e-9 <= r <= l_th + l_sh - 1e-9:  # NaN fails too
         raise NumericalError(f"_two_link_ik: hip-foot distance {r:.4f} unreachable")
     phi = math.atan2(w[0], w[1])
     cos_a = (l_sh * l_sh + r * r - l_th * l_th) / (2.0 * l_sh * r)
@@ -652,6 +657,177 @@ class _SampleBuffer:
         return {c: arr[:, i].copy() for i, c in enumerate(self.columns)}
 
 
+def _ankle_fn(config: ScenarioConfig) -> Callable[[float], float] | None:
+    """The stance-ankle disturbance u_a = A sin(2 pi tau / T); None if A = 0."""
+    A, T = config.ankle_amplitude, config.gait.T
+    return (lambda tau: A * math.sin(2.0 * math.pi * tau / T)) if A else None
+
+
+def _steady_start(config: ScenarioConfig, params: PendulumParams) -> tuple[float, float, float]:
+    """(x_c0, v0, x_c_end): starting CoM abscissa and x-velocity, and the
+    abscissa the unforced ALIP reaches from them at T.  v0 defaults to the
+    commanded speed L_des/(m H); x_c0 defaults to the step-start abscissa of
+    the steady gait whose steps begin and end at momentum m H v0.  Raises
+    NumericalError, naming the config fields, if the start overflows."""
+    mH = params.m * params.H
+    v0 = config.initial_velocity
+    if v0 is None:
+        v0 = config.gait.L_des / mH
+    L0 = mH * v0
+    ell, T = params.ell, config.gait.T
+    try:
+        ch, sh = math.cosh(ell * T), math.sinh(ell * T)
+    except OverflowError:
+        ch = sh = math.inf
+    if config.initial_com_x is not None:
+        x_c0 = config.initial_com_x
+    elif L0 == 0:
+        x_c0 = 0.0  # the formula below gives -0.0, written to CSV as "-0"
+    else:
+        x_c0 = (1.0 - ch) * L0 / (mH * ell * sh)
+    x_c_end = ch * x_c0 + sh * L0 / (mH * ell)
+    if not all(math.isfinite(v) for v in (ch, L0, x_c0, x_c_end)):
+        raise NumericalError(
+            f"start state overflows (x_c0 = {x_c0}, L0 = {L0}, cosh(ell T) = {ch}): "
+            f"initial_velocity, constraints.H or gait.T out of range"
+        )
+    return x_c0, v0, x_c_end
+
+
+class _PointMassPlant:
+    """ALIP or LIP: the step switches on the clock at T, and the placement
+    law picks the landing point at the exchange from the pre-impact state."""
+
+    columns = _REDUCED_COLS
+
+    def __init__(self, config: ScenarioConfig):
+        model = config.build_model()
+        self.config = config
+        self.params = PendulumParams(m=model.m_total, H=config.constraints.H, g=model.g)
+        self.model = self.params  # what integrate_step integrates
+        self.mH = self.params.m * self.params.H
+        self.is_alip = config.plant == "ALIP"
+        self.ankle_fn = _ankle_fn(config)
+        # integrate_step reads the disturbance from the controller's ankle(tau)
+        self.controller = self if self.ankle_fn else None
+        self.L_des = config.gait.L_des
+
+    def ankle(self, tau: float) -> float:
+        return self.ankle_fn(tau)
+
+    def start(self):
+        x_c0, v0, _ = _steady_start(self.config, self.params)
+        return AlipState(x_c=x_c0, L=self.mH * v0) if self.is_alip else LipState(x_c=x_c0, v_c=v0)
+
+    def begin_step(self, state, L_des: float) -> None:
+        self.L_des = L_des
+
+    def row(self, tau, y, u, y_out, ydot):
+        if self.is_alip:
+            return y[0], y[1], y[1] / self.mH
+        return y[0], self.mH * y[1], y[1]
+
+    def exchange(self, s):
+        gait, mH = self.config.gait, self.mH
+        if self.is_alip:
+            L = s.L
+            v = L / mH
+        else:
+            v = s.v_c
+            L = mH * v
+        # The placement law follows placement_source on either plant; on a
+        # point mass L = m H v exactly, so the two laws coincide.
+        if self.config.placement_source == "L":
+            p = foot_placement_asymptotic(self.params, L, self.L_des, gait.T, gait.alpha)
+        else:
+            p = foot_placement_velocity(self.params, v, self.L_des / mH, gait.T, gait.alpha)
+        if not math.isfinite(p):
+            raise GaitFailureError(f"foot placement overflowed (p = {p})")
+        if self.is_alip:
+            plus = alip_reset(s, p_sw_x=p, p_st_x=s.x_c, v_z=0.0, m=self.params.m)
+            L_plus = plus.L
+        else:
+            plus, L_plus = LipState(x_c=p, v_c=v), L
+        return plus, L, L_plus, np.array([v, 0.0]), np.array([p - s.x_c, 0.0]), None, p
+
+
+class _FiveLinkPlant:
+    """The five-link biped under WalkingController: the step ends on the
+    touchdown guard, and the impact map gives the post-impact state."""
+
+    columns = _FIVE_COLS
+
+    def __init__(self, config: ScenarioConfig):
+        gait, vc = config.gait, config.constraints
+        self.config = config
+        self.model = config.build_model()
+        z_profile = (
+            SineHeightProfile(vc.H, config.z_amplitude, gait.T) if config.z_amplitude else None
+        )
+        self.controller = WalkingController(
+            self.model,
+            gait,
+            vc,
+            z_profile=z_profile,
+            ankle_fn=_ankle_fn(config),
+            placement_source=config.placement_source,
+            placement_update=config.placement_update,
+        )
+        self.params = self.controller.params
+
+    def start(self) -> BipedState:
+        x_c0, v0, x_c_end = _steady_start(self.config, self.params)
+        swing_x = x_c0 - x_c_end  # previous stance foot, now swing, in stance frame
+        if abs(swing_x) < 0.04:
+            swing_x = -0.04
+        return assemble_posture(
+            self.model,
+            com_x=x_c0,
+            com_z=self.params.H,
+            swing_foot_x=swing_x,
+            com_velocity=(v0, 0.0),
+        )
+
+    def begin_step(self, state: BipedState, L_des: float) -> None:
+        self.controller.set_target(L_des)
+        self.controller.on_step_start(state)
+
+    def row(self, tau, y, u, y_out, ydot):
+        model = self.model
+        q, dq = y[:5], y[5:]
+        cs = bp.centroidal(model, BipedState(q, dq))
+        # Analytic rate of the centroidal momentum: differentiate
+        # L_c = L - m*wedge(p_c, v_c) using dL/dt = m g x_c + u_a.
+        a_c = bp.com_acceleration(model, q, dq, ydot[5:])
+        dL_c = (
+            model.m_total * model.g * cs.p_c[0]
+            + self.controller.ankle(tau)
+            - model.m_total * wedge(cs.p_c, a_c)
+        )
+        return (
+            tuple(q)
+            + tuple(dq)
+            + (cs.p_c[0], cs.p_c[1], cs.v_c[0], cs.v_c[1], cs.L, cs.L_c, dL_c)
+            + tuple(y_out)
+            + tuple(u)
+        )
+
+    def exchange(self, s: BipedState):
+        model = self.model
+        cs_minus = bp.centroidal(model, s)
+        plus, impulse = bp._impact_solution(model, s)
+        p_sw = bp.swing_foot_position(model, s.q)
+        return (
+            plus,
+            float(cs_minus.L),
+            float(bp.centroidal(model, plus).L),
+            cs_minus.v_c.copy(),
+            np.array([-p_sw[0], -p_sw[1]]),
+            np.asarray(impulse, dtype=float),
+            float(self.controller.p_des),
+        )
+
+
 def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     """Execute a scenario and (optionally) write its artifacts.
 
@@ -659,259 +835,47 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     selected in config.outputs plus a scenario.json sidecar with the config
     echo and sha256 checksums.  Same config (and seed) => bit-identical files.
     """
-    if config.plant == "FIVE_LINK":
-        trace = _run_five_link(config)
-    else:
-        trace = _run_reduced(config)
-    if out_dir is not None:
-        _write_artifacts(config, trace, Path(out_dir))
-    return trace
-
-
-def _steady_start(config: ScenarioConfig, params: PendulumParams) -> tuple[float, float]:
-    """(x_c0, v0): starting CoM abscissa and x-velocity.  v0 defaults to the
-    commanded speed L_des/(m H); x_c0 defaults to the step-start abscissa of
-    the steady gait whose steps begin and end at momentum m H v0."""
-    mH = params.m * params.H
-    v0 = config.initial_velocity
-    if v0 is None:
-        v0 = config.gait.L_des / mH
-    if config.initial_com_x is not None:
-        return config.initial_com_x, v0
-    L0 = mH * v0
-    if L0 == 0:
-        return 0.0, v0  # the formula below gives -0.0, written to CSV as "-0"
-    ell, T = params.ell, config.gait.T
-    return (1.0 - math.cosh(ell * T)) * L0 / (mH * ell * math.sinh(ell * T)), v0
-
-
-def _run_reduced(config: ScenarioConfig) -> HybridTrace:
+    plant = (_FiveLinkPlant if config.plant == "FIVE_LINK" else _PointMassPlant)(config)
     gait = config.gait
-    vc = config.constraints
-    model = config.build_model()
-    params = PendulumParams(m=model.m_total, H=vc.H, g=model.g)
-    mH = params.m * params.H
-    x0, v0 = _steady_start(config, params)
-    is_alip = config.plant == "ALIP"
-
-    class _Ankle:
-        def __init__(self, amp, T):
-            self.amp, self.T = amp, T
-
-        def ankle(self, tau):
-            return self.amp * math.sin(2.0 * math.pi * tau / self.T)
-
-    ankle = _Ankle(config.ankle_amplitude, gait.T) if config.ankle_amplitude else None
-
-    ell = params.ell
-    chT = math.cosh(ell * gait.T)
-    shT = math.sinh(ell * gait.T)
-    state = AlipState(x_c=x0, L=mH * v0) if is_alip else LipState(x_c=x0, v_c=v0)
-
-    buf = _SampleBuffer(_REDUCED_COLS)
+    buf = _SampleBuffer(plant.columns)
+    vx_col = plant.columns.index("vx_c")
     events: list[ImpactEvent] = []
     per_step: list[StepRecord] = []
-    t_base = 0.0
+    state, t_base, k = plant.start(), 0.0, 0
+
+    def recorder(tau, y, u, y_out, ydot=None, first=False):
+        if first and k > 0:
+            return  # boundary sample already recorded by the previous step
+        buf.append((t_base + tau, k) + plant.row(tau, y, u, y_out, ydot))
+
     for k in range(config.duration):
-        step_samples: list[tuple[float, float, float]] = []
-
-        def recorder(tau, y, u_a, y_out, first=False, _k=k, _t0=t_base):
-            if first and _k > 0:
-                return  # boundary sample already recorded by the previous step
-            if is_alip:
-                x_c, L, vx = y[0], y[1], y[1] / mH
-            else:
-                x_c, vx, L = y[0], y[1], mH * y[1]
-            buf.append((_t0 + tau, _k, x_c, L, vx))
-            step_samples.append((tau, x_c, vx))
-
+        plant.begin_step(state, _step_target(gait, config.l_des_final, config.duration, k + 1))
+        n_before = len(buf.rows)
         state_minus, t_imp = integrate_step(
-            params, ankle, state, gait.T, config.integrator, recorder
+            plant.model, plant.controller, state, gait.T, config.integrator, recorder
         )
-        target = _step_target(gait, config.l_des_final, config.duration, k + 1)
-        if is_alip:
-            L_minus = float(state_minus.L)
-            v_minus = L_minus / mH
-        else:
-            v_minus = float(state_minus.v_c)
-            L_minus = mH * v_minus
-        # The placement LAW follows placement_source regardless of plant; on
-        # point-mass plants L = m H v exactly, so the two laws coincide.
-        if config.placement_source == "L":
-            p = foot_placement_asymptotic(params, L_minus, target, gait.T, gait.alpha)
-        else:
-            v_des = target / mH
-            p = ((1.0 - gait.alpha) * v_des + (gait.alpha - chT) * v_minus) / (ell * shT)
-        if not math.isfinite(p):
-            raise GaitFailureError(f"step {k}: foot placement overflowed (p = {p})")
-        if is_alip:
-            state_plus = alip_reset(
-                state_minus, p_sw_x=p, p_st_x=state_minus.x_c, v_z=0.0, m=params.m
-            )
-            L_plus = state_plus.L
-        else:
-            state_plus = LipState(x_c=p, v_c=v_minus)
-            L_plus = mH * v_minus
-        t_end = t_base + t_imp
-        events.append(
-            ImpactEvent(
-                step=k,
-                t=t_end,
-                state_minus=state_minus,
-                state_plus=state_plus,
-                L_minus=float(L_minus),
-                L_plus=float(L_plus),
-                v_c_minus=np.array(
-                    [L_minus / mH if is_alip else state_minus.v_c, 0.0]
-                ),
-                p_2to1=np.array([p - state_minus.x_c, 0.0]),
-                impulse=None,
-                placement=float(p),
-            )
-        )
-        mean_vx = float(np.mean([s[2] for s in step_samples])) if step_samples else 0.0
+        # exchange() returns the event's fields from state_plus on
+        state, *fields = plant.exchange(state_minus)
+        ev = ImpactEvent(k, t_base + t_imp, state_minus, state, *fields)
+        events.append(ev)
+        step_vx = [row[vx_col] for row in buf.rows[n_before:]]
+        mean_vx = float(np.mean(step_vx)) if step_vx else 0.0
         per_step.append(
-            StepRecord(
-                step=k,
-                t_start=t_base,
-                t_end=t_end,
-                L_end_minus=float(L_minus),
-                L_start_plus=float(L_plus),
-                placement=float(p),
-                mean_vx=mean_vx,
-            )
+            StepRecord(k, t_base, ev.t, ev.L_minus, ev.L_plus, ev.placement, mean_vx)
         )
-        state = state_plus
-        t_base = t_end
-    return HybridTrace(
-        samples=buf.as_dict(),
-        events=events,
-        per_step=per_step,
-        meta={"config": config.to_json_dict(), "params": {"m": params.m, "H": params.H}},
-    )
-
-
-def _initial_five_link_state(config: ScenarioConfig, model: PlanarBiped) -> BipedState:
-    vc = config.constraints
-    gait = config.gait
-    params = PendulumParams(m=model.m_total, H=vc.H, g=model.g)
-    mH = params.m * params.H
-    x_c0, v0 = _steady_start(config, params)
-    ell = params.ell
-    L0 = mH * v0
-    x_minus = math.cosh(ell * gait.T) * x_c0 + math.sinh(ell * gait.T) * L0 / (mH * ell)
-    swing_x = x_c0 - x_minus  # previous stance foot, now swing, in stance frame
-    if abs(swing_x) < 0.04:
-        swing_x = -0.04
-    return assemble_posture(
-        model,
-        com_x=x_c0,
-        com_z=vc.H,
-        swing_foot_x=swing_x,
-        com_velocity=(v0, 0.0),
-    )
-
-
-def _run_five_link(config: ScenarioConfig) -> HybridTrace:
-    model = config.build_model()
-    gait = config.gait
-    vc = config.constraints
-    z_profile = (
-        SineHeightProfile(vc.H, config.z_amplitude, gait.T) if config.z_amplitude else None
-    )
-    ankle_fn = (
-        (lambda tau: config.ankle_amplitude * math.sin(2.0 * math.pi * tau / gait.T))
-        if config.ankle_amplitude
-        else None
-    )
-    controller = WalkingController(
-        model,
-        gait,
-        vc,
-        z_profile=z_profile,
-        ankle_fn=ankle_fn,
-        placement_source=config.placement_source,
-        placement_update=config.placement_update,
-    )
-    state = _initial_five_link_state(config, model)
-    buf = _SampleBuffer(_FIVE_COLS)
-    events: list[ImpactEvent] = []
-    per_step: list[StepRecord] = []
-    t_base = 0.0
-    for k in range(config.duration):
-        controller.set_target(
-            _step_target(gait, config.l_des_final, config.duration, k + 1)
-        )
-        controller.on_step_start(state)
-        step_vx: list[float] = []
-
-        def recorder(tau, y, u, y_out, ydot=None, first=False, _k=k, _t0=t_base):
-            if first and _k > 0:
-                return
-            q, dq = y[:5], y[5:]
-            cs = bp.centroidal(model, BipedState(q, dq))
-            # Analytic rate of the centroidal momentum: differentiate
-            # L_c = L - m*wedge(p_c, v_c) using dL/dt = m g x_c + u_a.
-            a_c = bp.com_acceleration(model, q, dq, ydot[5:])
-            dL_c = (
-                model.m_total * model.g * cs.p_c[0]
-                + controller.ankle(tau)
-                - model.m_total * wedge(cs.p_c, a_c)
-            )
-            buf.append(
-                (_t0 + tau, _k)
-                + tuple(q)
-                + tuple(dq)
-                + (cs.p_c[0], cs.p_c[1], cs.v_c[0], cs.v_c[1], cs.L, cs.L_c, dL_c)
-                + tuple(y_out)
-                + tuple(u)
-            )
-            step_vx.append(float(cs.v_c[0]))
-
-        state_minus, t_imp = integrate_step(
-            model, controller, state, gait.T, config.integrator, recorder
-        )
-        cs_minus = bp.centroidal(model, state_minus)
-        state_plus, impulse = bp._impact_solution(model, state_minus)
-        cs_plus = bp.centroidal(model, state_plus)
-        p_sw = bp.swing_foot_position(model, state_minus.q)
-        t_end = t_base + t_imp
-        events.append(
-            ImpactEvent(
-                step=k,
-                t=t_end,
-                state_minus=state_minus,
-                state_plus=state_plus,
-                L_minus=float(cs_minus.L),
-                L_plus=float(cs_plus.L),
-                v_c_minus=cs_minus.v_c.copy(),
-                p_2to1=np.array([-p_sw[0], -p_sw[1]]),
-                impulse=np.asarray(impulse, dtype=float),
-                placement=float(controller.p_des),
-            )
-        )
-        per_step.append(
-            StepRecord(
-                step=k,
-                t_start=t_base,
-                t_end=t_end,
-                L_end_minus=float(cs_minus.L),
-                L_start_plus=float(cs_plus.L),
-                placement=float(controller.p_des),
-                mean_vx=float(np.mean(step_vx)) if step_vx else 0.0,
-            )
-        )
-        state = state_plus
-        t_base = t_end
-    return HybridTrace(
+        t_base = ev.t
+    trace = HybridTrace(
         samples=buf.as_dict(),
         events=events,
         per_step=per_step,
         meta={
             "config": config.to_json_dict(),
-            "params": {"m": model.m_total, "H": vc.H},
+            "params": {"m": plant.params.m, "H": plant.params.H},
         },
     )
+    if out_dir is not None:
+        _write_artifacts(config, trace, Path(out_dir))
+    return trace
 
 
 def make_five_link_return_map(
@@ -961,16 +925,14 @@ def lip_vs_alip_comparison(config: ScenarioConfig) -> dict:
     five-link it is positive and scales with the momentum carried by the
     legs.
     """
-    import dataclasses
-
     if config.plant == "FIVE_LINK" and config.initial_com_x is None:
         # Comparison protocol: start with the CoM centered over the contact.
-        config = dataclasses.replace(config, initial_com_x=0.0)
-    config = dataclasses.replace(config, placement_update="step_start")
+        config = replace(config, initial_com_x=0.0)
+    config = replace(config, placement_update="step_start")
     out: dict = {"plant": config.plant, "summary": {}}
     traces = {}
     for source in ("L", "v"):
-        cfg = dataclasses.replace(config, placement_source=source)
+        cfg = replace(config, placement_source=source)
         traces[source] = run_scenario(cfg)
     out["traces"] = traces
     for source in ("L", "v"):
@@ -997,22 +959,15 @@ def _placement_gap(config: ScenarioConfig, traces: dict) -> list[float]:
             abs(a.placement - b.placement)
             for a, b in zip(trace_L.per_step, traces["v"].per_step)
         ]
-    model = config.build_model()
-    twin = WalkingController(
-        model,
-        config.gait,
-        config.constraints,
-        placement_source="v",
-        placement_update="step_start",
+    twin = _FiveLinkPlant(
+        replace(config, placement_source="v", placement_update="step_start")
     )
-    states = [_initial_five_link_state(config, model)]
-    states += [ev.state_plus for ev in trace_L.events[:-1]]
+    states = [twin.start()] + [ev.state_plus for ev in trace_L.events[:-1]]
     gaps = []
     for k, (state, rec) in enumerate(zip(states, trace_L.per_step)):
-        twin.set_target(_step_target(config.gait, config.l_des_final, config.duration, k + 1))
-        terms = bp._dyn_terms(model, state.q, state.dq)
-        p_v = twin._placement(state.q, state.dq, terms, 0.0)
-        gaps.append(abs(rec.placement - p_v))
+        target = _step_target(config.gait, config.l_des_final, config.duration, k + 1)
+        twin.begin_step(state, target)
+        gaps.append(abs(rec.placement - twin.controller.p_des))
     return gaps
 
 

@@ -25,3 +25,41 @@ def test_every_trace_target_resolves():
     except tracing.MissingTarget as exc:
         pytest.fail(str(exc))
     assert len(tracer._swaps) == len(tracing.TARGETS)
+
+
+def traced_run(tracing, plant):
+    """Per-layer metrics of one 2-step run_scenario with every wrap target
+    installed."""
+    from stridelab import GaitCommand, IntegratorConfig, ScenarioConfig, VirtualConstraintSpec
+    from stridelab import simlab
+
+    cfg = ScenarioConfig(
+        plant=plant,
+        gait=GaitCommand(L_des=14.4, T=0.35, alpha=0.5),
+        constraints=VirtualConstraintSpec(H=0.6, z_cl=0.07),
+        duration=2,
+        integrator=IntegratorConfig(step_size=1e-3),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simlab.run_scenario(cfg)
+    finally:
+        tracer.uninstall()
+    return {name: m["value"] for name, m in tracer.layer_metrics(1, 0.0).items()}
+
+
+def test_traced_run_sees_every_step_and_sample():
+    # The tracer reads integrate_step's integrator and recorder from its
+    # positional arguments: a keyword call would break the traced benchmark
+    # (integrator) or lose the recorder's spans (recorder).
+    tracing = load_tracing()
+    alip = traced_run(tracing, "ALIP")
+    assert alip["simlab.integrate_step.calls"] == 2
+    assert alip["simlab.recorder.samples"] == 701  # 2 steps x 350 samples + t = 0
+    assert alip["simlab.recorder.us"] > 0
+    five = traced_run(tracing, "FIVE_LINK")
+    assert five["simlab.integrate_step.calls"] == 2
+    assert five["simlab.recorder.samples"] > 0
+    assert five["simlab.recorder.us"] > 0
+    assert five["simlab.rk4.event_calls"] > 0  # bisection advances were told apart

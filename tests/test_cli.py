@@ -85,7 +85,7 @@ def set_field(doc, path, value):
     node[path[-1]] = value
 
 
-# (field path, value, exit code, text the one stderr line must contain)
+# (field path, value, exit code, text the one stderr line must contain[, plant])
 BAD_FIELDS = [
     (("gait",), [1, 2], 2, "ScenarioConfig.gait"),
     (("gait", "L_des"), "x", 2, "GaitCommand.L_des"),
@@ -113,6 +113,14 @@ BAD_FIELDS = [
     (("model",), "model.json", 2, "ScenarioConfig.model"),
     (("L_des",), 14.4, 2, "L_des"),
     (("gait", "L_des"), 1e308, 3, "numerical failure"),
+    # start states that overflow: a numerical failure naming the fields
+    (("initial_velocity",), 1e308, 3, "initial_velocity"),
+    (("initial_velocity",), 1e308, 3, "initial_velocity", "LIP"),
+    (("constraints", "H"), 1e308, 3, "constraints.H"),
+    (("constraints", "H"), 1e308, 3, "constraints.H", "LIP"),
+    (("constraints", "H"), 1e308, 3, "constraints.H", "FIVE_LINK"),
+    (("gait", "T"), 1000.0, 3, "gait.T"),
+    (("gait", "T"), 1000.0, 3, "gait.T", "LIP"),
 ]
 
 
@@ -126,13 +134,15 @@ def test_simulate_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["simulate", str(broken)]) == 2
     assert "validation error" in capsys.readouterr().err
     path = tmp_path / "scenario.json"
-    for field_path, value, code, text in BAD_FIELDS:
+    for field_path, value, code, text, *plant in BAD_FIELDS:
         doc = copy.deepcopy(SMALL_ALIP)
+        if plant:
+            doc["plant"] = plant[0]
         set_field(doc, field_path, value)
         path.write_text(json.dumps(doc))
-        assert main(["simulate", str(path)]) == code, (field_path, value)
+        assert main(["simulate", str(path)]) == code, (field_path, value, plant)
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and text in lines[0], (field_path, value, lines)
+        assert len(lines) == 1 and text in lines[0], (field_path, value, plant, lines)
 
 
 JUNK = [

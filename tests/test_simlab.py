@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stridelab as sl
 from stridelab import (
@@ -29,6 +31,7 @@ from stridelab.biped import com_velocity
 from stridelab.errors import GaitFailureError
 from stridelab.simlab import (
     SineHeightProfile,
+    _two_link_ik,
     WalkingController,
     assemble_posture,
     integrate_step,
@@ -233,6 +236,76 @@ def test_ramp_walks_the_target_up_with_one_step_lag():
     assert all(b > a for a, b in zip(ends, ends[1:]))
     # the final step still chases the last rung: it ends one rung short
     assert abs(ends[-1] - (12.0 - rung)) <= 1e-9
+
+
+def check_step_bookkeeping(tr):
+    """What the one step loop promises on every plant: each step's event
+    and summary row agree, and the trace hands over at the event time."""
+    t, step, vx = tr.samples["t"], tr.samples["step"], tr.samples["vx_c"]
+    assert t[0] == 0.0 and tr.per_step[0].t_start == 0.0
+    for k, (ev, rec) in enumerate(zip(tr.events, tr.per_step, strict=True)):
+        assert ev.step == rec.step == k
+        assert ev.t == rec.t_end
+        if k + 1 < len(tr.per_step):
+            assert tr.per_step[k + 1].t_start == ev.t
+        assert (ev.L_minus, ev.L_plus, ev.placement) == (
+            rec.L_end_minus,
+            rec.L_start_plus,
+            rec.placement,
+        )
+        assert t[step == k][-1] == ev.t
+        assert rec.mean_vx == float(np.mean(vx[step == k]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    L_des=st.floats(-20.0, 20.0),
+    alpha=st.floats(0.0, 0.9),
+    v0=st.floats(-1.0, 1.0),
+    x0=st.none() | st.floats(-0.1, 0.1),
+    l_des_final=st.none() | st.floats(-20.0, 20.0),
+    ankle=st.floats(-3.0, 3.0),
+    source=st.sampled_from(["L", "v"]),
+)
+def test_point_mass_loop_bookkeeping_and_twins(L_des, alpha, v0, x0, l_des_final, ankle, source):
+    traces = {
+        plant: run_scenario(
+            reduced_config(
+                plant=plant,
+                gait=GaitCommand(L_des=L_des, T=0.3, alpha=alpha),
+                duration=2,
+                initial_velocity=v0,
+                initial_com_x=x0,
+                l_des_final=l_des_final,
+                ankle_amplitude=ankle,
+                placement_source=source,
+            )
+        )
+        for plant in ("ALIP", "LIP")
+    }
+    for tr in traces.values():
+        check_step_bookkeeping(tr)
+    # ALIP integrates (x_c, L), LIP integrates (x_c, v_c = L / m H): the same
+    # flow, so the twins agree up to rounding
+    for a, b in zip(traces["ALIP"].per_step, traces["LIP"].per_step, strict=True):
+        assert b.L_end_minus == pytest.approx(a.L_end_minus, rel=1e-9, abs=1e-12)
+        assert b.placement == pytest.approx(a.placement, rel=1e-9, abs=1e-12)
+
+
+def test_five_link_loop_bookkeeping():
+    cfg = ScenarioConfig(
+        plant="FIVE_LINK",
+        gait=GaitCommand(L_des=14.4, T=0.35, alpha=0.5),
+        constraints=VC,
+        duration=2,
+        integrator=IntegratorConfig(step_size=1e-3),
+        l_des_final=16.0,
+        ankle_amplitude=1.0,
+        placement_source="v",
+    )
+    tr = run_scenario(cfg)
+    check_step_bookkeeping(tr)
+    assert all(ev.impulse is not None for ev in tr.events)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +562,12 @@ def test_assemble_posture_unreachable_raises():
     model = PlanarBiped.default()
     with pytest.raises(NumericalError):
         assemble_posture(model, com_x=0.0, com_z=2.0, swing_foot_x=-0.1)
+
+
+def test_two_link_ik_rejects_non_finite_distance():
+    for hip in ((math.nan, 0.6), (math.inf, 0.6)):
+        with pytest.raises(NumericalError, match="unreachable"):
+            _two_link_ik(hip, (0.0, 0.0), 0.4, 0.4)
 
 
 def test_sine_height_profile_shape():
