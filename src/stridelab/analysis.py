@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FixedPointError, ValidationError
+from .errors import FixedPointError, NumericalError, ValidationError
 from .pendulum import PendulumParams
 from .simlab import _rk4
 
@@ -151,17 +151,27 @@ def _alip_step_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step affine return map x_{k+1} = M x_k + c on the section just
     after foot exchange, state (x_c, L), momentum-contraction placement."""
-    if T <= 0:
+    if not T > 0:
         raise ValidationError(f"alip_closed_loop_poincare: T must be > 0 (got {T})")
     if not 0.0 <= alpha < 1.0:
         raise ValidationError(
             f"alip_closed_loop_poincare: alpha must be in [0, 1) (got {alpha})"
         )
+    if not math.isfinite(L_des):
+        raise ValidationError(f"alip_closed_loop_poincare: L_des must be finite (got {L_des})")
     ell = params.ell
-    ch = math.cosh(ell * T)
-    b = params.m * params.H * ell * math.sinh(ell * T)
-    M = np.array([[alpha - ch, (alpha - ch) * ch / b], [b, ch]])
-    c = np.array([(1.0 - alpha) * L_des / b, 0.0])
+    try:
+        ch = math.cosh(ell * T)
+        b = params.m * params.H * ell * math.sinh(ell * T)
+        M = np.array([[alpha - ch, (alpha - ch) * ch / b], [b, ch]])
+        c = np.array([(1.0 - alpha) * L_des / b, 0.0])
+    except (OverflowError, ZeroDivisionError):
+        M = c = np.array([math.nan])
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
+        raise NumericalError(
+            f"alip_closed_loop_poincare: step map not finite (ell T = {ell * T:.6g}, "
+            f"L_des = {L_des:g})"
+        )
     return M, c
 
 
@@ -198,10 +208,15 @@ def alip_closed_loop_poincare(
             f"(got {steps_per_return})"
         )
     M, c = _alip_step_matrices(params, T, alpha, L_des)
-    ell = params.ell
-    b = params.m * params.H * ell * math.sinh(ell * T)
-    x_star = np.array([(1.0 - math.cosh(ell * T)) * L_des / b, L_des])
-    J = M if steps_per_return == 1 else M @ M
+    ch, b = float(M[1, 1]), float(M[1, 0])  # cosh(ell T), m H ell sinh(ell T)
+    x_star = np.array([(1.0 - ch) * L_des / b, L_des])
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = M if steps_per_return == 1 else M @ M
+    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(x_star))):
+        raise NumericalError(
+            f"alip_closed_loop_poincare: return map not finite (ell T = {params.ell * T:.6g}, "
+            f"L_des = {L_des:g})"
+        )
     # Closed-form spectrum, not np.linalg.eigvals: the one-step map has
     # trace alpha and determinant 0, and at alpha = 0 it is defective
     # (nilpotent), where a numeric eigensolver only manages ~sqrt(eps).

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,8 @@ _T = 0.30
 _H = 0.6
 _Z_CL = 0.07
 _ALPHA = 0.4
+# Cap on `bode --points`, so that no flag of bode asks for unbounded work.
+MAX_BODE_POINTS = 100_000
 
 
 def _gait(args, alpha: float | None = None) -> GaitCommand:
@@ -142,9 +145,12 @@ def _cmd_poincare(args) -> int:
     rows = []
     if args.plant == "ALIP":
         for a in alphas:
-            res = alip_closed_loop_poincare(
-                params, args.T, a, args.l_des, steps_per_return=args.steps_per_return
-            )
+            try:
+                res = alip_closed_loop_poincare(
+                    params, args.T, a, args.l_des, steps_per_return=args.steps_per_return
+                )
+            except NumericalError as exc:
+                raise NumericalError(f"{exc}: --T, --H or --l-des out of range") from None
             lam = res.eigenvalues
             dom = float(np.abs(lam[0]))
             print(
@@ -239,16 +245,34 @@ def _cmd_error_decomp(args) -> int:
 
 
 def _cmd_bode(args) -> int:
+    if not 1 <= args.points <= MAX_BODE_POINTS:
+        raise ValidationError(
+            f"bode: --points must be in [1, {MAX_BODE_POINTS}] (got {args.points})"
+        )
     params = _pendulum(args)
     ell = params.ell
-    omega = np.logspace(
-        np.log10(ell * args.omega_min), np.log10(ell * args.omega_max), args.points
-    )
-    g_alip = error_transfer_magnitude("ALIP", omega, params)
-    g_lip = error_transfer_magnitude("LIP", omega, params)
-    for w, label in ((ell / 100.0, "ell/100"), (ell, "ell"), (100.0 * ell, "100 ell")):
-        a = error_transfer_magnitude("ALIP", w, params)
-        l = error_transfer_magnitude("LIP", w, params)
+    lo, hi = ell * args.omega_min, ell * args.omega_max
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValidationError(
+            f"bode: ell * --omega-min and ell * --omega-max must be positive and finite "
+            f"(got {lo:g}, {hi:g}; ell = {ell:g} from --H)"
+        )
+    omega = np.logspace(np.log10(lo), np.log10(hi), args.points)
+    marks = {"ell/100": ell / 100.0, "ell": ell, "100 ell": 100.0 * ell}
+    # (omega * ell)^2 may overflow: checked below instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_alip = error_transfer_magnitude("ALIP", omega, params)
+        g_lip = error_transfer_magnitude("LIP", omega, params)
+        at_marks = [
+            (label, *(error_transfer_magnitude(kind, w, params) for kind in ("ALIP", "LIP")))
+            for label, w in marks.items()
+        ]
+    if not all(np.all(np.isfinite(g)) for g in (g_alip, g_lip, [m[1:] for m in at_marks])):
+        raise NumericalError(
+            f"bode: transfer magnitude overflows (omega up to {max(lo, hi, 100.0 * ell):g}): "
+            f"--omega-min, --omega-max or --H out of range"
+        )
+    for label, a, l in at_marks:
         print(f"omega = {label:>7}: ALIP gain = {a:.6g}  LIP gain = {l:.6g}")
     _maybe_write(
         args,

@@ -38,6 +38,7 @@ __all__ = [
     "wedge",
     "alip_derivative",
     "alip_transition",
+    "lip_derivative",
     "lip_transition",
     "polar_derivative",
     "transfer_angular_momentum",
@@ -152,6 +153,22 @@ class PolarPendulumState:
             raise ValidationError(f"PolarPendulumState: R must be > 0 (got {self.R})")
 
 
+def _alip_field(
+    mH: float, mg: float, x_c: float, L: float, u_a: float
+) -> tuple[float, float]:
+    """The ALIP vector field on plain floats (mH = m H, mg = m g): the one
+    place it is written, for alip_derivative and simlab's RK4."""
+    return L / mH, mg * x_c + u_a
+
+
+def _lip_field(
+    g_H: float, mH: float, x_c: float, v_c: float, u_a: float
+) -> tuple[float, float]:
+    """The LIP vector field on plain floats (g_H = g / H, mH = m H): the one
+    place it is written, for lip_derivative and simlab's RK4."""
+    return v_c, g_H * x_c + u_a / mH
+
+
 def alip_derivative(
     params: PendulumParams, s: AlipState, u_a: float = 0.0
 ) -> tuple[float, float]:
@@ -161,7 +178,17 @@ def alip_derivative(
     through the contact point, so only gravity and the ankle torque u_a move L.
     """
     _require_finite("alip_derivative", u_a)
-    return s.L / (params.m * params.H), params.m * params.g * s.x_c + u_a
+    return _alip_field(params.m * params.H, params.m * params.g, s.x_c, s.L, u_a)
+
+
+def lip_derivative(
+    params: PendulumParams, s: LipState, u_a: float = 0.0
+) -> tuple[float, float]:
+    """Time derivative (dx_c/dt, dv_c/dt) of the LIP, the ALIP's twin in
+    velocity coordinates: dx_c/dt = v_c; dv_c/dt = (g/H) x_c + u_a/(m H).
+    """
+    _require_finite("lip_derivative", u_a)
+    return _lip_field(params.g / params.H, params.m * params.H, s.x_c, s.v_c, u_a)
 
 
 def alip_transition(params: PendulumParams, s: AlipState, dt: float) -> AlipState:

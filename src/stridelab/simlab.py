@@ -11,20 +11,27 @@ the sample row and the exchange.
 Determinism contract: fixed-step RK4 (default 1e-4 s) with bisection event
 refinement (default 1e-9 s), hand-rolled so step placement and event times
 are bit-reproducible across runs and platforms.  Reduced plants (ALIP / LIP)
-switch steps on the clock at exactly T; the five-link plant switches on the
-touchdown guard, armed from mid-step onward so liftoff never retriggers it.
+switch steps on the clock at exactly T; they step on Python floats through
+pendulum's field cores, in _rk4's operation order (the same bits, no array
+per step).  The five-link plant switches on the touchdown guard, armed from
+mid-step onward so liftoff never retriggers it.  Samples are kept in one
+float array per column.
 
 Artifacts: trace.csv (per-sample), per_step.csv, events.csv, and a
-scenario.json sidecar echoing the config plus sha256 checksums of every file
-written.  Floats are written with 17 significant digits (lossless round-trip).
+scenario.json sidecar echoing the config plus the sha256 and size of every
+file, which write_csv computes as it writes the file in bounded chunks.
+Floats are written with 17 significant digits (lossless round-trip).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -43,6 +50,7 @@ from .control import (
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
 from .pendulum import AlipState, LipState, PendulumParams, alip_reset, wedge
+from .pendulum import _alip_field, _lip_field
 
 __all__ = [
     "IntegratorConfig",
@@ -514,8 +522,10 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
     torque.  `recorder(tau, y, u, y_out)` is called at every accepted grid
     point after the first (and at the event time); for the five-link plant
-    it also receives `ydot=` (the state derivative at that point, so
-    integrand-exact rates need no refactoring downstream).
+    `y` is the state ndarray [q; dq] and the recorder also receives `ydot=`
+    (the state derivative at that point, so integrand-exact rates need no
+    refactoring downstream); for reduced plants `y` is an (x_c, L) or
+    (x_c, v_c) tuple of floats.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
@@ -572,50 +582,47 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
 
 
 def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
-    is_alip = isinstance(state, AlipState)
-    if not is_alip and not isinstance(state, LipState):
+    m, H, g = params.m, params.H, params.g
+    if isinstance(state, AlipState):
+        field, c1, c2, x, v = _alip_field, m * H, m * g, state.x_c, state.L
+    elif isinstance(state, LipState):
+        field, c1, c2, x, v = _lip_field, g / H, m * H, state.x_c, state.v_c
+    else:
         raise ValidationError(
             f"integrate_step: reduced state must be AlipState or LipState "
             f"(got {type(state)!r})"
         )
-    mH = params.m * params.H
+    ankle = controller.ankle if controller is not None else (lambda tau: 0.0)
 
-    def ankle(tau):
-        return controller.ankle(tau) if controller is not None else 0.0
-
-    if is_alip:
-        def f(tau, y):
-            return np.array([y[1] / mH, params.m * params.g * y[0] + ankle(tau)])
-
-        y = np.array([state.x_c, state.L])
-    else:
-        def f(tau, y):
-            return np.array([y[1], (params.g / params.H) * y[0] + ankle(tau) / mH])
-
-        y = np.array([state.x_c, state.v_c])
+    def rk4(tau, x, v, h):
+        # _rk4 on Python floats, operation for operation: the same bits
+        h2 = h / 2.0
+        u2 = ankle(tau + h2)
+        a1, b1 = field(c1, c2, x, v, ankle(tau))
+        a2, b2 = field(c1, c2, x + h2 * a1, v + h2 * b1, u2)
+        a3, b3 = field(c1, c2, x + h2 * a2, v + h2 * b2, u2)
+        a4, b4 = field(c1, c2, x + h * a3, v + h * b3, ankle(tau + h))
+        h6 = h / 6.0
+        return x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
     h = cfg.step_size
     n_full = int(math.floor(T / h + 1e-12))
     tau = 0.0
     if recorder is not None:
-        recorder(tau, y, 0.0, None, first=True)
+        recorder(tau, (x, v), 0.0, None, first=True)
     for i in range(n_full):
-        y = _rk4(f, tau, y, h)
+        x, v = rk4(tau, x, v, h)
         tau = (i + 1) * h
         if recorder is not None:
-            recorder(tau, y, ankle(tau), None)
+            recorder(tau, (x, v), ankle(tau), None)
     rem = T - tau
     if rem > 1e-12:
-        y = _rk4(f, tau, y, rem)
+        x, v = rk4(tau, x, v, rem)
         if recorder is not None:
-            recorder(T, y, ankle(T), None)
-    if not np.all(np.isfinite(y)):
+            recorder(T, (x, v), ankle(T), None)
+    if not (math.isfinite(x) and math.isfinite(v)):
         raise GaitFailureError(f"integrate_step: state diverged within the step (T = {T} s)")
-    if is_alip:
-        out = AlipState(x_c=float(y[0]), L=float(y[1]), tau=state.tau)
-    else:
-        out = LipState(x_c=float(y[0]), v_c=float(y[1]), tau=state.tau)
-    return out, T
+    return type(state)(float(x), float(v), state.tau), T
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +650,25 @@ _FIVE_COLS = (
 
 
 class _SampleBuffer:
+    """Samples kept column by column, one float array per column."""
+
     def __init__(self, columns):
         self.columns = columns
-        self.rows: list[list[float]] = []
+        self.data = [array("d") for _ in columns]
+        self._appends = [col.append for col in self.data]
+
+    def __len__(self) -> int:
+        return len(self.data[0])
 
     def append(self, row):
-        self.rows.append([float(v) for v in row])
+        for append, v in zip(self._appends, row):
+            append(v)
+
+    def column(self, name: str, start: int = 0) -> np.ndarray:
+        return np.array(self.data[self.columns.index(name)][start:])
 
     def as_dict(self) -> dict:
-        if not self.rows:
-            return {c: np.empty(0) for c in self.columns}
-        arr = np.asarray(self.rows)
-        return {c: arr[:, i].copy() for i, c in enumerate(self.columns)}
+        return {c: np.array(col) for c, col in zip(self.columns, self.data)}
 
 
 def _ankle_fn(config: ScenarioConfig) -> Callable[[float], float] | None:
@@ -838,7 +852,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     plant = (_FiveLinkPlant if config.plant == "FIVE_LINK" else _PointMassPlant)(config)
     gait = config.gait
     buf = _SampleBuffer(plant.columns)
-    vx_col = plant.columns.index("vx_c")
     events: list[ImpactEvent] = []
     per_step: list[StepRecord] = []
     state, t_base, k = plant.start(), 0.0, 0
@@ -850,7 +863,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
 
     for k in range(config.duration):
         plant.begin_step(state, _step_target(gait, config.l_des_final, config.duration, k + 1))
-        n_before = len(buf.rows)
+        n_before = len(buf)
         state_minus, t_imp = integrate_step(
             plant.model, plant.controller, state, gait.T, config.integrator, recorder
         )
@@ -858,8 +871,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
         state, *fields = plant.exchange(state_minus)
         ev = ImpactEvent(k, t_base + t_imp, state_minus, state, *fields)
         events.append(ev)
-        step_vx = [row[vx_col] for row in buf.rows[n_before:]]
-        mean_vx = float(np.mean(step_vx)) if step_vx else 0.0
+        step_vx = buf.column("vx_c", n_before)
+        mean_vx = float(np.mean(step_vx)) if step_vx.size else 0.0
         per_step.append(
             StepRecord(k, t_base, ev.t, ev.L_minus, ev.L_plus, ev.placement, mean_vx)
         )
@@ -976,28 +989,52 @@ def _placement_gap(config: ScenarioConfig, traces: dict) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+_CSV_CHUNK_CELLS = 16384  # cells formatted at a time: bounds the text held in memory
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a CSV with 17-significant-digit floats and a fixed column order."""
-    import csv
+def _csv_text(rows) -> str:
+    """Rows as csv.writer writes them, numbers with 17 significant digits."""
+    import csv  # here, not at module level, to keep `import stridelab` cheap
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
+    return buf.getvalue()
 
+
+def _chunks(header, rows):
+    """The text of a CSV, chunk by chunk.  `rows` is an iterable of rows, or
+    a dict of equal-length numeric columns keyed by the header names, which
+    is formatted a column at a time."""
+    yield _csv_text([header])
+    n = max(1, _CSV_CHUNK_CELLS // max(1, len(header)))  # rows per chunk
+    if isinstance(rows, dict):
+        cols = [np.asarray(rows[name]) for name in header]
+        for i in range(0, max(map(len, cols), default=0), n):
+            # "%.17g" % v is format(float(v), ".17g") for a number v
+            cells = [list(map("%.17g".__mod__, col[i : i + n].tolist())) for col in cols]
+            yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+        return
+    it = iter(rows)
+    while chunk := list(islice(it, n)):
+        yield _csv_text(chunk)
+
+
+def write_csv(path, header: Sequence[str], rows) -> tuple[str, int]:
+    """Write a CSV (csv.writer layout, floats with 17 significant digits,
+    columns in header order) in bounded chunks, hashing as it writes.
+    `rows` is an iterable of rows or a dict of columns keyed by the header
+    names.  Returns (sha256 hex digest, byte count) of the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-
-
-def _trace_rows(trace: HybridTrace, columns):
-    cols = [trace.samples[c] for c in columns]
-    n = cols[0].shape[0] if cols else 0
-    for i in range(n):
-        yield [c[i] for c in cols]
+    digest, size = hashlib.sha256(), 0
+    with path.open("wb") as fh:
+        for text in _chunks(list(header), rows):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+            size += len(data)
+    return digest.hexdigest(), size
 
 
 _EVENT_COLS = (
@@ -1013,7 +1050,6 @@ _EVENT_COLS = (
     "impulse_z",
     "placement",
 )
-
 _PER_STEP_COLS = (
     "step",
     "t_start",
@@ -1028,26 +1064,23 @@ _PER_STEP_COLS = (
 def _write_artifacts(config: ScenarioConfig, trace: HybridTrace, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = _FIVE_COLS if config.plant == "FIVE_LINK" else _REDUCED_COLS
-    written: dict[str, Path] = {}
+    files: dict[str, dict] = {}
     if "trace" in config.outputs:
-        p = out_dir / "trace.csv"
-        write_csv(p, columns, _trace_rows(trace, columns))
-        written["trace.csv"] = p
+        sha, size = write_csv(out_dir / "trace.csv", columns, trace.samples)
+        files["trace.csv"] = {"sha256": sha, "bytes": size}
     if "per_step" in config.outputs:
-        p = out_dir / "per_step.csv"
-        write_csv(
-            p,
+        sha, size = write_csv(
+            out_dir / "per_step.csv",
             _PER_STEP_COLS,
             (
                 [r.step, r.t_start, r.t_end, r.L_end_minus, r.L_start_plus, r.placement, r.mean_vx]
                 for r in trace.per_step
             ),
         )
-        written["per_step.csv"] = p
+        files["per_step.csv"] = {"sha256": sha, "bytes": size}
     if "events" in config.outputs:
-        p = out_dir / "events.csv"
-        write_csv(
-            p,
+        sha, size = write_csv(
+            out_dir / "events.csv",
             _EVENT_COLS,
             (
                 [
@@ -1066,15 +1099,6 @@ def _write_artifacts(config: ScenarioConfig, trace: HybridTrace, out_dir: Path) 
                 for e in trace.events
             ),
         )
-        written["events.csv"] = p
-    sidecar = {
-        "config": config.to_json_dict(),
-        "files": {
-            name: {
-                "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-                "bytes": p.stat().st_size,
-            }
-            for name, p in written.items()
-        },
-    }
+        files["events.csv"] = {"sha256": sha, "bytes": size}
+    sidecar = {"config": config.to_json_dict(), "files": files}
     (out_dir / "scenario.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

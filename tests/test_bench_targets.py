@@ -27,9 +27,9 @@ def test_every_trace_target_resolves():
     assert len(tracer._swaps) == len(tracing.TARGETS)
 
 
-def traced_run(tracing, plant):
+def traced_run(tracing, plant, out_dir=None):
     """Per-layer metrics of one 2-step run_scenario with every wrap target
-    installed."""
+    installed, writing its artifacts to out_dir if given."""
     from stridelab import GaitCommand, IntegratorConfig, ScenarioConfig, VirtualConstraintSpec
     from stridelab import simlab
 
@@ -43,7 +43,7 @@ def traced_run(tracing, plant):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        simlab.run_scenario(cfg)
+        simlab.run_scenario(cfg, out_dir)
     finally:
         tracer.uninstall()
     return {name: m["value"] for name, m in tracer.layer_metrics(1, 0.0).items()}
@@ -63,3 +63,14 @@ def test_traced_run_sees_every_step_and_sample():
     assert five["simlab.recorder.samples"] > 0
     assert five["simlab.recorder.us"] > 0
     assert five["simlab.rk4.event_calls"] > 0  # bisection advances were told apart
+
+
+def test_traced_run_sees_the_writer_and_the_sample_buffer(tmp_path):
+    # The traced benchmark counts CSV bytes from write_csv's path argument,
+    # artifact time from _write_artifacts and samples from
+    # _SampleBuffer.as_dict: a writer that bypasses write_csv, or a buffer
+    # without as_dict, would read as zero there.
+    alip = traced_run(load_tracing(), "ALIP", tmp_path)
+    assert alip["simlab.write_csv.mb"] > 0
+    assert alip["simlab.artifacts.s"] > 0
+    assert alip["simlab.recorder.samples"] == 701

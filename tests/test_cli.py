@@ -23,7 +23,7 @@ from stridelab import (
     ScenarioConfig,
     VirtualConstraintSpec,
 )
-from stridelab.cli import build_parser, main
+from stridelab.cli import MAX_BODE_POINTS, build_parser, main
 
 
 def write_config(tmp_path, **kw):
@@ -298,6 +298,46 @@ def test_compare_lip_alip_point_mass(tmp_path, capsys):
     assert header == ["step", "placement_L", "placement_v",
                       "mean_vx_L", "mean_vx_v", "gap"]
     assert rows.shape[0] == 4
+
+
+POINCARE_ALIP = ["poincare", "--alpha-grid", "0.5"]
+
+# (argv, exit code, texts the one stderr line must contain)
+BAD_FLAGS = [
+    (POINCARE_ALIP + ["--T", "1000"], 3, ("--T", "--H")),
+    (POINCARE_ALIP + ["--H", "1e-300"], 3, ("--T", "--H")),
+    (POINCARE_ALIP + ["--T", "1e-320"], 3, ("--T",)),
+    (POINCARE_ALIP + ["--T", "5e-324", "--H", "1e10"], 3, ("--T",)),
+    (POINCARE_ALIP + ["--T", "90"], 3, ("--T",)),  # the step map overflows
+    (POINCARE_ALIP + ["--H", "1e-6", "--T", "0.1134"], 3, ("--T",)),  # only M @ M does
+    (POINCARE_ALIP + ["--T", "nan"], 2, ("T must be > 0",)),
+    (POINCARE_ALIP + ["--l-des", "inf"], 2, ("L_des",)),
+    (["bode", "--points", "-3"], 2, ("--points",)),
+    (["bode", "--points", "0"], 2, ("--points",)),
+    (["bode", "--points", str(MAX_BODE_POINTS + 1)], 2, ("--points",)),
+    (["bode", "--omega-max", "1e308"], 2, ("--omega-max",)),
+    (["bode", "--H", "1e-320"], 2, ("--H",)),
+    (["bode", "--omega-min", "0"], 2, ("--omega-min",)),
+    (["bode", "--omega-min", "-1"], 2, ("--omega-min",)),
+    (["bode", "--omega-min", "nan"], 2, ("--omega-min",)),
+    (["bode", "--omega-min", "1e300"], 3, ("--omega-max", "--H")),
+    (["bode", "--H", "1e-304", "--omega-max", "1"], 3, ("--H",)),  # overflows at 100 ell
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, texts", BAD_FLAGS)
+def test_analysis_bad_flags_fail_cleanly(argv, code, texts, capsys):
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert all(text in lines[0] for text in texts), lines
+
+
+@pytest.mark.filterwarnings("error")
+def test_bode_points_cap_is_accepted(capsys):
+    assert main(["bode", "--points", str(MAX_BODE_POINTS)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_subcommand_exits_via_argparse():

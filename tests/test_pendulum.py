@@ -22,6 +22,7 @@ from stridelab import (
     alip_energy,
     alip_reset,
     alip_transition,
+    lip_derivative,
     lip_transition,
     polar_derivative,
     transfer_angular_momentum,
@@ -84,6 +85,29 @@ def test_alip_derivative_hand_value():
     dx, dL = alip_derivative(PARAMS, AlipState(x_c=0.05, L=5.0), u_a=2.0)
     assert dx == pytest.approx(5.0 / 19.2, abs=1e-15)
     assert dL == pytest.approx(17.696, abs=1e-12)
+
+
+def test_lip_derivative_hand_value():
+    # m=32, H=0.6, x_c=0.05, v_c=0.5, u_a=2:
+    #   dx = 0.5, dv = (9.81/0.6)*0.05 + 2/19.2
+    dx, dv = lip_derivative(PARAMS, LipState(x_c=0.05, v_c=0.5), u_a=2.0)
+    assert dx == 0.5
+    assert dv == pytest.approx(9.81 / 0.6 * 0.05 + 2.0 / 19.2, abs=1e-14)
+
+
+def test_lip_derivative_is_the_alip_field_in_velocity_units():
+    mH = PARAMS.m * PARAMS.H
+    dx_a, dL = alip_derivative(PARAMS, AlipState(x_c=0.04, L=7.0), u_a=1.5)
+    dx_l, dv = lip_derivative(PARAMS, LipState(x_c=0.04, v_c=7.0 / mH), u_a=1.5)
+    assert dx_l == pytest.approx(dx_a, rel=1e-15)
+    assert dv == pytest.approx(dL / mH, rel=1e-14)
+
+
+def test_derivatives_reject_non_finite_ankle_torque():
+    with pytest.raises(ValidationError, match="alip_derivative"):
+        alip_derivative(PARAMS, AlipState(x_c=0.0, L=0.0), u_a=math.nan)
+    with pytest.raises(ValidationError, match="lip_derivative"):
+        lip_derivative(PARAMS, LipState(x_c=0.0, v_c=0.0), u_a=math.inf)
 
 
 # ---------------------------------------------------------------------------

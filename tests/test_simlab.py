@@ -3,9 +3,13 @@ five-link stepping against its own conservation laws and event bookkeeping,
 artifact determinism/round-trip, and the twin-placement comparison protocol.
 """
 
-import json
+import csv
+import dataclasses
 import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +31,12 @@ from stridelab import (
     alip_transition,
     transfer_angular_momentum,
 )
+from stridelab import simlab
 from stridelab.biped import com_velocity
 from stridelab.errors import GaitFailureError
 from stridelab.simlab import (
     SineHeightProfile,
+    _rk4,
     _two_link_ik,
     WalkingController,
     assemble_posture,
@@ -292,6 +298,100 @@ def test_point_mass_loop_bookkeeping_and_twins(L_des, alpha, v0, x0, l_des_final
         assert b.placement == pytest.approx(a.placement, rel=1e-9, abs=1e-12)
 
 
+def reference_reduced_step(params, controller, state, T, cfg, recorder):
+    """The reduced-plant step as an array RK4: simlab._rk4 on the ALIP and LIP
+    fields written inline, one numpy array per stage."""
+    mH = params.m * params.H
+
+    def ankle(tau):
+        return controller.ankle(tau) if controller is not None else 0.0
+
+    if isinstance(state, AlipState):
+        def f(tau, y):
+            return np.array([y[1] / mH, params.m * params.g * y[0] + ankle(tau)])
+
+        y = np.array([state.x_c, state.L])
+    else:
+        def f(tau, y):
+            return np.array([y[1], (params.g / params.H) * y[0] + ankle(tau) / mH])
+
+        y = np.array([state.x_c, state.v_c])
+    h = cfg.step_size
+    n_full = int(math.floor(T / h + 1e-12))
+    tau = 0.0
+    if recorder is not None:
+        recorder(tau, y, 0.0, None, first=True)
+    for i in range(n_full):
+        y = _rk4(f, tau, y, h)
+        tau = (i + 1) * h
+        if recorder is not None:
+            recorder(tau, y, ankle(tau), None)
+    rem = T - tau
+    assert rem > 1e-12  # the drawn h leaves a remainder step
+    y = _rk4(f, tau, y, rem)
+    if recorder is not None:
+        recorder(T, y, ankle(T), None)
+    assert np.all(np.isfinite(y))
+    return type(state)(float(y[0]), float(y[1]), state.tau), T
+
+
+def bits(v):
+    """A value with every float spelled out by float.hex (so -0.0 != 0.0)."""
+    if dataclasses.is_dataclass(v):
+        return tuple(bits(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if isinstance(v, np.ndarray):
+        return tuple(float(x).hex() for x in v.ravel())
+    return float(v).hex() if isinstance(v, float) else v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    plant=st.sampled_from(["ALIP", "LIP"]),
+    v0=st.none() | st.floats(-1.0, 1.5),
+    x0=st.none() | st.sampled_from([0.0, -0.0]) | st.floats(-0.1, 0.1),
+    L_des=st.sampled_from([0.0]) | st.floats(-20.0, 25.0),
+    l_des_final=st.none() | st.floats(-20.0, 25.0),
+    alpha=st.floats(0.0, 0.9),
+    ankle=st.sampled_from([0.0]) | st.floats(-3.0, 3.0),
+    source=st.sampled_from(["L", "v"]),
+    T=st.floats(0.2, 0.4),
+    n=st.integers(40, 300),
+    frac=st.floats(0.05, 0.95),
+    duration=st.integers(1, 3),
+)
+def test_float_stepping_is_bit_exact(
+    plant, v0, x0, L_des, l_des_final, alpha, ankle, source, T, n, frac, duration
+):
+    # h = T / (n + frac) does not divide T, so every step ends on a remainder
+    cfg = reduced_config(
+        plant=plant,
+        gait=GaitCommand(L_des=L_des, T=T, alpha=alpha),
+        duration=duration,
+        integrator=IntegratorConfig(step_size=T / (n + frac)),
+        initial_velocity=v0,
+        initial_com_x=x0,
+        l_des_final=l_des_final,
+        ankle_amplitude=ankle,
+        placement_source=source,
+    )
+    tr = run_scenario(cfg)
+    float_step = simlab._integrate_step_reduced
+    simlab._integrate_step_reduced = reference_reduced_step
+    try:
+        ref = run_scenario(cfg)
+    finally:
+        simlab._integrate_step_reduced = float_step
+    assert list(tr.samples) == list(ref.samples)
+    for name, col in tr.samples.items():
+        assert col.dtype == np.float64 and bits(col) == bits(ref.samples[name]), name
+    assert [bits(e) for e in tr.events] == [bits(e) for e in ref.events]
+    assert [bits(r) for r in tr.per_step] == [bits(r) for r in ref.per_step]
+    step = tr.samples["step"]
+    for k, rec in enumerate(tr.per_step):  # mean_vx as a mean over a list of floats
+        rows = [float(v) for v in tr.samples["vx_c"][step == k]]
+        assert bits(rec.mean_vx) == bits(float(np.mean(rows)))
+
+
 def test_five_link_loop_bookkeeping():
     cfg = ScenarioConfig(
         plant="FIVE_LINK",
@@ -471,6 +571,81 @@ def test_duration_zero_writes_headers_only(tmp_path):
         lines = (tmp_path / name).read_text().strip().splitlines()
         assert len(lines) == 1  # header only
     assert (tmp_path / "scenario.json").exists()
+
+
+def reference_csv(path, header, rows):
+    """The CSV as csv.writer writes it, numbers through format(float(v), ".17g")."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, 1 / 3]
+CSV_CASES = {
+    "empty": [],
+    "extremes": [EXTREMES[i : i + 3] for i in range(0, len(EXTREMES), 3)],
+    "ints_and_numpy": [
+        [0, -7, 2**53 + 1, True],
+        [np.float64(-0.0), np.int64(3), np.float32(0.1), np.float64(1e-300)],
+    ],
+    "strings": [
+        ["plain", 1.5, "a,b"],
+        ['say "hi"', -0.0, "two\nlines"],
+        ["", 5e-324, " lead"],
+    ],
+    "ragged_and_empty_rows": [[1.0, 2.0], [], [3.0], [""], [4.0, "x", 5.0]],
+    "many_chunks": [
+        [i * 0.1, -(i / 7.0), float(i), i] for i in range(3 * simlab._CSV_CHUNK_CELLS // 4 + 17)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_write_csv_matches_csv_writer(tmp_path, case):
+    rows = CSV_CASES[case]
+    width = max((len(r) for r in rows), default=3)
+    header = [f"c{i}" for i in range(width)]
+    sha, size = simlab.write_csv(tmp_path / "a.csv", header, iter(rows))
+    reference_csv(tmp_path / "ref.csv", header, rows)
+    blob = (tmp_path / "a.csv").read_bytes()
+    assert blob == (tmp_path / "ref.csv").read_bytes()
+    assert (sha, size) == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(EXTREMES),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=4),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(rows=st.lists(st.lists(CELLS, max_size=4), max_size=12), width=st.integers(1, 4))
+def test_write_csv_matches_csv_writer_on_generated_rows(rows, width):
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        got = simlab.write_csv(Path(tmp) / "a.csv", header, rows)
+        reference_csv(Path(tmp) / "ref.csv", header, rows)
+        blob = (Path(tmp) / "a.csv").read_bytes()
+        assert blob == (Path(tmp) / "ref.csv").read_bytes()
+    assert got == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+
+def test_write_csv_columns_match_rows(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * simlab._CSV_CHUNK_CELLS // 3 + 5  # three chunks
+    cols = {"t": np.arange(n) * 1e-4, "x": rng.standard_normal(n) * 1e300, "z": -np.zeros(n)}
+    cols["x"][:4] = [5e-324, -5e-324, 1e308, -1e308]
+    got = simlab.write_csv(tmp_path / "cols.csv", list(cols), cols)
+    reference_csv(tmp_path / "ref.csv", list(cols), zip(*cols.values()))
+    blob = (tmp_path / "cols.csv").read_bytes()
+    assert blob == (tmp_path / "ref.csv").read_bytes()
+    assert got == (hashlib.sha256(blob).hexdigest(), len(blob))
+    empty = {"t": np.empty(0), "x": np.empty(0)}
+    assert simlab.write_csv(tmp_path / "e.csv", ["t", "x"], empty)[1] == len(b"t,x\r\n")
 
 
 # ---------------------------------------------------------------------------
