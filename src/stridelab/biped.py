@@ -116,10 +116,6 @@ class LinkParams:
 _LINKS = ("torso", "stance_thigh", "stance_shin", "swing_thigh", "swing_shin")
 
 
-def _theta_map() -> np.ndarray:
-    return np.tril(np.ones((5, 5)))
-
-
 class PlanarBiped:
     """Immutable five-link model with precomputed structural constants.
 
@@ -187,7 +183,7 @@ class PlanarBiped:
         # Swing-foot position coefficients: p_sw = sum_j b_j u(theta_j).
         self.b_sw = np.array([l_sh, l_th, 0.0, -l_th, -l_sh])
         self.I_diag = np.diag(self.inertias)
-        self.M_map = _theta_map()
+        self.M_map = np.tril(np.ones((5, 5)))
         self.M_inv = np.linalg.inv(self.M_map)
         # Output-map coefficients (control.planar_outputs):
         # h0 = P_sin sin(theta) + P_cos cos(theta) + P_lin q.
@@ -203,10 +199,14 @@ class PlanarBiped:
         # theta-reversal (leg swap) expressed on q: R = M^-1 P M.
         P = np.fliplr(np.eye(5))
         self.R_relabel = self.M_inv @ P @ self.M_map
-        self.B_b = np.zeros((5, 4))
-        self.B_b[1:, :] = np.eye(4)
-        self.B_a = np.zeros(5)
-        self.B_a[0] = 1.0
+        # Joint torques B_b (5x4) and ankle torque B_a (5,), as read-only views
+        # of [B_b | drift | B_a], the right-hand block of the closed-loop
+        # mass-matrix solve: the tracking law copies it and writes the drift.
+        self.B_block = np.zeros((5, 6))
+        self.B_block[1:, :4] = np.eye(4)
+        self.B_block[0, 5] = 1.0
+        self.B_block.flags.writeable = False
+        self.B_b, self.B_a = self.B_block[:, :4], self.B_block[:, 5]
 
     @classmethod
     def default(cls) -> "PlanarBiped":
@@ -302,14 +302,14 @@ def _trig(model: PlanarBiped, q: np.ndarray):
 
 def _mass_matrix_theta(model: PlanarBiped, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """D_th = W * cos(theta_j - theta_k) + diag(I), in absolute angles."""
-    return model.W * (np.outer(c, c) + np.outer(s, s)) + model.I_diag
+    return model.W * (c[:, None] * c + s[:, None] * s) + model.I_diag
 
 
 def _dyn_terms(model: PlanarBiped, q: np.ndarray, dq: np.ndarray):
     """(D_q, coriolis vector C_q dq, G_q) plus the trig tuple, all exact."""
     theta, s, c = _trig(model, q)
     dtheta = model.M_map @ dq
-    sin_diff = np.outer(s, c) - np.outer(c, s)
+    sin_diff = s[:, None] * c - c[:, None] * s
     D_th = _mass_matrix_theta(model, s, c)
     cvec_th = (model.W * sin_diff) @ (dtheta * dtheta)
     G_th = -model.g * model.w_vec * s
@@ -334,7 +334,7 @@ def coriolis_matrix(model: PlanarBiped, q, dq) -> np.ndarray:
     dq = _as_vec5("coriolis_matrix.dq", dq)
     theta, s, c = _trig(model, q)
     dtheta = model.M_map @ dq
-    sin_diff = np.outer(s, c) - np.outer(c, s)
+    sin_diff = s[:, None] * c - c[:, None] * s
     C_th = model.W * sin_diff * dtheta[None, :]
     return model.M_map.T @ C_th @ model.M_map
 
@@ -371,12 +371,13 @@ def _checked_solve(D: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         x = np.linalg.solve(D, rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"{what}: singular matrix", cond=_cond_estimate(D))
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError(f"{what}: non-finite solve result", cond=_cond_estimate(D))
     # Cheap residual check to catch silently-garbage solves near singularity.
+    # A NaN or inf anywhere in x makes err NaN or inf, which fails it too.
     scale = np.abs(D) @ np.abs(x) + np.abs(rhs) + 1e-300
-    if np.max(np.abs(D @ x - rhs) / np.max(scale)) > 1e-8:
-        raise SingularMatrixError(f"{what}: ill-conditioned solve", cond=_cond_estimate(D))
+    err = np.abs(D @ x - rhs).max() / scale.max()
+    if not err <= 1e-8:
+        why = "ill-conditioned solve" if np.isfinite(x).all() else "non-finite solve result"
+        raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D))
     return x
 
 
@@ -422,13 +423,7 @@ def com_acceleration(model: PlanarBiped, q, dq, ddq) -> np.ndarray:
     q = _as_vec5("com_acceleration.q", q)
     dq = _as_vec5("com_acceleration.dq", dq)
     ddq = _as_vec5("com_acceleration.ddq", ddq)
-    _, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    ddtheta = model.M_map @ ddq
-    dt2 = dtheta * dtheta
-    ax = model.w_vec @ (c * ddtheta - s * dt2)
-    az = model.w_vec @ (-s * ddtheta - c * dt2)
-    return np.array([ax, az]) / model.m_total
+    return _centroidal_terms(model, q, dq, ddq)[4]
 
 
 def com_jacobian(model: PlanarBiped, q) -> np.ndarray:
@@ -467,10 +462,18 @@ def centroidal(model: PlanarBiped, state: BipedState) -> CentroidalState:
     L_c = L - m * wedge(p_c, v_c).  For the pinned model L also equals the
     momentum conjugate to q0 (cyclic coordinate), which tests cross-check.
     """
-    theta, s, c = _trig(model, state.q)
-    dtheta = model.M_map @ state.dq
-    U = np.vstack([s, c])            # columns u(theta_j)
-    Ud = np.vstack([c, -s]) * dtheta  # columns u'(theta_j) * dtheta_j
+    p_c, v_c, L, L_c, _ = _centroidal_terms(model, state.q, state.dq, None)
+    return CentroidalState(p_c=p_c, v_c=v_c, L=L, L_c=L_c)
+
+
+def _centroidal_terms(model: PlanarBiped, q, dq, ddq):
+    """Unchecked kernel of centroidal and com_acceleration, sharing one trig
+    evaluation: (p_c, v_c, L, L_c, a_c), with a_c None when ddq is None.
+    q, dq and ddq must be finite (5,) float arrays."""
+    theta, s, c = _trig(model, q)
+    dtheta = model.M_map @ dq
+    U = np.array([s, c])            # columns u(theta_j)
+    Ud = np.array([c, -s]) * dtheta  # columns u'(theta_j) * dtheta_j
     P_links = model.A @ U.T           # (5, 2) link CoM positions
     V_links = model.A @ Ud.T          # (5, 2) link CoM velocities
     wedges = P_links[:, 1] * V_links[:, 0] - P_links[:, 0] * V_links[:, 1]
@@ -478,7 +481,13 @@ def centroidal(model: PlanarBiped, state: BipedState) -> CentroidalState:
     p_c = (model.masses @ P_links) / model.m_total
     v_c = (model.masses @ V_links) / model.m_total
     L_c = L - model.m_total * wedge(p_c, v_c)
-    return CentroidalState(p_c=p_c, v_c=v_c, L=L, L_c=L_c)
+    if ddq is None:
+        return p_c, v_c, L, L_c, None
+    ddtheta = model.M_map @ ddq
+    dt2 = dtheta * dtheta
+    ax = model.w_vec @ (c * ddtheta - s * dt2)
+    az = model.w_vec @ (-s * ddtheta - c * dt2)
+    return p_c, v_c, L, L_c, np.array([ax, az]) / model.m_total
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,10 @@ _T = 0.30
 _H = 0.6
 _Z_CL = 0.07
 _ALPHA = 0.4
-# Cap on `bode --points`, so that no flag of bode asks for unbounded work.
+# Caps on the flags that set an amount of work, so that none asks for unbounded work.
 MAX_BODE_POINTS = 100_000
+MAX_ALPHA_POINTS = 1_000
+MAX_KALMAN_SAMPLES = 1_000_000
 
 
 def _gait(args, alpha: float | None = None) -> GaitCommand:
@@ -126,6 +128,10 @@ def _parse_alpha_grid(spec: str) -> list[float]:
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
+            if int(n) > MAX_ALPHA_POINTS:
+                raise ValidationError(
+                    f"poincare: --alpha-grid count must be at most {MAX_ALPHA_POINTS} (got {n})"
+                )
             values = np.linspace(float(lo), float(hi), int(n)).tolist()
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -284,6 +290,14 @@ def _cmd_bode(args) -> int:
 
 
 def _cmd_kalman(args) -> int:
+    if args.samples > MAX_KALMAN_SAMPLES:
+        raise ValidationError(
+            f"kalman-demo: --samples must be at most {MAX_KALMAN_SAMPLES} (got {args.samples})"
+        )
+    # The demo samples within each walking step; a longer interval would also
+    # let the sample times and the ALIP state overflow.
+    if not 0.0 < args.dt <= args.T:
+        raise ValidationError(f"kalman-demo: --dt must be in (0, --T] (got {args.dt:g})")
     params = _pendulum(args)
     seed = args.seed if args.seed is not None else 0
     cols = kalman_demo_columns(
@@ -351,8 +365,15 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors are one stderr line and exit 2, like every malformed input."""
+
+    def error(self, message):
+        self.exit(2, f"validation error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stridelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Config, check_fields
-from .biped import PlanarBiped, BipedState, _dyn_terms, _checked_solve
+from .biped import PlanarBiped, BipedState, _checked_solve, _dyn_terms, _trig, coriolis_matrix
 from .errors import NumericalError, ValidationError
 from .pendulum import PendulumParams
 
@@ -363,16 +363,16 @@ def planar_outputs(model: PlanarBiped, q) -> tuple[np.ndarray, np.ndarray]:
 
     h0 = (torso pitch, stance-foot->CoM z, swing-foot->CoM x, swing-foot->CoM z).
     """
-    h0, J, _ = _outputs_full(model, np.asarray(q, dtype=float), np.zeros(5))
+    q = np.asarray(q, dtype=float)
+    _, s, c = _trig(model, q)
+    h0, J, _ = _outputs_full(model, q, s, c, np.zeros(5))
     return h0, J
 
 
-def _outputs_full(model: PlanarBiped, q, dq):
-    """h0, J, and Jdot*dq with exact trigonometric second-derivative terms."""
+def _outputs_full(model: PlanarBiped, q, s, c, dtheta):
+    """h0, J, and Jdot*dq with exact trigonometric second-derivative terms,
+    from sin/cos of the absolute angles and their rates dtheta."""
     P_sin, P_cos, P_lin = model.P_sin, model.P_cos, model.P_lin
-    theta = model.M_map @ q
-    s, c = np.sin(theta), np.cos(theta)
-    dtheta = model.M_map @ dq
     h0 = P_sin @ s + P_cos @ c + P_lin @ q
     J = (P_sin * c[None, :] - P_cos * s[None, :]) @ model.M_map + P_lin
     dt2 = dtheta * dtheta
@@ -425,11 +425,10 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd):
     The drift column deliberately omits the ankle torque: the tracking law
     treats it as an unknown disturbance.
     """
-    D_q, cvec_q, G_q, _ = terms
-    h0, J, Jdot_dq = _outputs_full(model, q, dq)
-    rhs_block = np.concatenate(
-        [model.B_b, (-(cvec_q + G_q))[:, None], model.B_a[:, None]], axis=1
-    )
+    D_q, cvec_q, G_q, (_, s, c, dtheta) = terms
+    h0, J, Jdot_dq = _outputs_full(model, q, s, c, dtheta)
+    rhs_block = model.B_block.copy()
+    rhs_block[:, 4] = -(cvec_q + G_q)
     X = _checked_solve(D_q, rhs_block, "io_linearizing_torque (mass matrix)")
     A_dec = J @ X[:, :4]
     y = h0 - h_d
@@ -474,8 +473,6 @@ def passivity_tracking_torque(
             raise ValidationError(f"passivity_tracking_torque: non-finite {name}")
     kp = np.diag(_gain_vec("passivity_tracking_torque.kp", kp, 100.0))
     kd = np.diag(_gain_vec("passivity_tracking_torque.kd", kd, 20.0))
-
-    from .biped import coriolis_matrix  # local import keeps module top lean
 
     D_q, cvec_q, G_q, _ = _dyn_terms(model, state.q, state.dq)
     C_q = coriolis_matrix(model, state.q, state.dq)

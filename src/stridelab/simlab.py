@@ -47,6 +47,7 @@ from .control import (
     foot_placement_asymptotic,
     foot_placement_velocity,
     planar_outputs,
+    virtual_constraint_derivatives,
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
 from .pendulum import AlipState, LipState, PendulumParams, alip_reset, wedge
@@ -336,17 +337,12 @@ class WalkingController:
         return min(max(p_raw, -self._p_max), self._p_max)
 
     def _reference(self, s_phase: float, tau: float):
-        from .control import virtual_constraint_derivatives
-
         h_d, dh_d, ddh_d = virtual_constraint_derivatives(
             self.vc, self.gait, s_phase, self._h0_start, self.p_des
         )
         if self.z_profile is not None:
-            z, dz, ddz = self.z_profile(min(tau, self.gait.T))[:3]
-            h_d = h_d.copy()
-            dh_d = dh_d.copy()
-            ddh_d = ddh_d.copy()
-            h_d[1], dh_d[1], ddh_d[1] = z, dz, ddz
+            # virtual_constraint_derivatives returns fresh arrays.
+            h_d[1], dh_d[1], ddh_d[1] = self.z_profile(min(tau, self.gait.T))[:3]
         return h_d, dh_d, ddh_d
 
     def torques_from_terms(self, q, dq, tau, terms):
@@ -809,22 +805,18 @@ class _FiveLinkPlant:
     def row(self, tau, y, u, y_out, ydot):
         model = self.model
         q, dq = y[:5], y[5:]
-        cs = bp.centroidal(model, BipedState(q, dq))
+        # Every recorded y has passed integrate_step's finiteness check, so
+        # the row calls the unchecked kernel.
+        p_c, v_c, L, L_c, a_c = bp._centroidal_terms(model, q, dq, ydot[5:])
         # Analytic rate of the centroidal momentum: differentiate
         # L_c = L - m*wedge(p_c, v_c) using dL/dt = m g x_c + u_a.
-        a_c = bp.com_acceleration(model, q, dq, ydot[5:])
         dL_c = (
-            model.m_total * model.g * cs.p_c[0]
+            model.m_total * model.g * p_c[0]
             + self.controller.ankle(tau)
-            - model.m_total * wedge(cs.p_c, a_c)
+            - model.m_total * wedge(p_c, a_c)
         )
-        return (
-            tuple(q)
-            + tuple(dq)
-            + (cs.p_c[0], cs.p_c[1], cs.v_c[0], cs.v_c[1], cs.L, cs.L_c, dL_c)
-            + tuple(y_out)
-            + tuple(u)
-        )
+        return (*y.tolist(), *p_c.tolist(), *v_c.tolist(), L, L_c, dL_c, *y_out.tolist(),
+                *u.tolist())
 
     def exchange(self, s: BipedState):
         model = self.model

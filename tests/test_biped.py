@@ -17,14 +17,18 @@ import pytest
 import stridelab as sl
 from stridelab import (
     BipedState,
+    GaitCommand,
     InfeasibleImpactError,
     LinkParams,
     PlanarBiped,
+    SingularMatrixError,
     ValidationError,
+    VirtualConstraintSpec,
     transfer_angular_momentum,
     wedge,
 )
 from stridelab.biped import (
+    _checked_solve,
     centroidal,
     com_acceleration,
     com_jacobian,
@@ -43,7 +47,7 @@ from stridelab.biped import (
     swing_foot_velocity,
     total_energy,
 )
-from stridelab.simlab import assemble_posture
+from stridelab.simlab import WalkingController, _five_link_rhs, assemble_posture
 
 MODEL = PlanarBiped.default()
 
@@ -297,6 +301,32 @@ def test_forward_dynamics_validation():
         forward_dynamics(MODEL, st, np.zeros(3))
     with pytest.raises(ValidationError):
         forward_dynamics(MODEL, st, np.array([1.0, 2.0, np.nan, 0.0]))
+
+
+def test_checked_solve_failure_messages():
+    cases = [
+        (np.zeros((2, 2)), np.ones(2), "what: singular matrix", math.inf),
+        (np.eye(2), np.array([np.nan, 1.0]), "what: non-finite solve result", 1.0),
+        # x = (0, 1) is finite, but its residual is NaN: an inf in the matrix
+        # must not pass the residual check
+        (np.diag([np.inf, 1.0]), np.ones(2), "what: ill-conditioned solve", math.inf),
+    ]
+    for D, rhs, message, cond in cases:
+        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError) as exc:
+            _checked_solve(D, rhs, "what")
+        assert str(exc.value).startswith(message)
+        assert exc.value.cond == cond
+
+
+def test_five_link_rhs_singular_at_coincident_feet():
+    # Swing foot on the stance foot, every link upright: the output
+    # decoupling matrix is singular, and the closed-loop derivative says so.
+    gait = GaitCommand(L_des=14.4, T=0.35, alpha=0.5)
+    controller = WalkingController(MODEL, gait, VirtualConstraintSpec(H=0.6, z_cl=0.07))
+    controller.on_step_start(BipedState(np.zeros(5), np.zeros(5)))
+    message = "io_linearizing_torque (decoupling matrix): singular matrix"
+    with pytest.raises(SingularMatrixError, match=re.escape(message)):
+        _five_link_rhs(MODEL, controller, 0.1, np.zeros(10))
 
 
 # ---------------------------------------------------------------------------

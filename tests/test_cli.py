@@ -23,7 +23,13 @@ from stridelab import (
     ScenarioConfig,
     VirtualConstraintSpec,
 )
-from stridelab.cli import MAX_BODE_POINTS, build_parser, main
+from stridelab.cli import (
+    MAX_ALPHA_POINTS,
+    MAX_BODE_POINTS,
+    MAX_KALMAN_SAMPLES,
+    build_parser,
+    main,
+)
 
 
 def write_config(tmp_path, **kw):
@@ -322,6 +328,13 @@ BAD_FLAGS = [
     (["bode", "--omega-min", "nan"], 2, ("--omega-min",)),
     (["bode", "--omega-min", "1e300"], 3, ("--omega-max", "--H")),
     (["bode", "--H", "1e-304", "--omega-max", "1"], 3, ("--H",)),  # overflows at 100 ell
+    # Work caps: a count of 10**12 is rejected before anything is allocated
+    # (allocating it would raise MemoryError, not exit 2).
+    (["kalman-demo", "--samples", str(10**12)], 2, ("--samples", str(MAX_KALMAN_SAMPLES))),
+    (["poincare", "--alpha-grid", f"0:0.5:{10**12}"], 2, ("--alpha-grid", str(MAX_ALPHA_POINTS))),
+    (["kalman-demo", "--dt", "1e308", "--samples", "3"], 2, ("--dt",)),
+    (["kalman-demo", "--dt", "0"], 2, ("--dt",)),
+    (["kalman-demo", "--dt", "0.5", "--T", "0.3"], 2, ("--dt",)),
 ]
 
 
@@ -338,6 +351,29 @@ def test_analysis_bad_flags_fail_cleanly(argv, code, texts, capsys):
 def test_bode_points_cap_is_accepted(capsys):
     assert main(["bode", "--points", str(MAX_BODE_POINTS)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bode", "--points", "abc"],
+        ["kalman-demo", "--samples", "1.5"],
+        ["poincare", "--alpha-grid", "0.5", "--plant", "FOO"],
+        ["simulate"],
+        ["simulate", "cfg.json", "--bogus", "1"],
+    ],
+)
+def test_flag_parse_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error: stridelab"), lines
+
+
+def test_alpha_grid_cap_is_accepted(capsys):
+    assert main(["poincare", "--alpha-grid", f"0:0.5:{MAX_ALPHA_POINTS}"]) == 0
+    assert capsys.readouterr().out.count("alpha=") == MAX_ALPHA_POINTS
 
 
 def test_missing_subcommand_exits_via_argparse():

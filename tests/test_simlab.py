@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stridelab as sl
@@ -30,9 +30,18 @@ from stridelab import (
     VirtualConstraintSpec,
     alip_transition,
     transfer_angular_momentum,
+    wedge,
 )
 from stridelab import simlab
-from stridelab.biped import com_velocity
+from stridelab.biped import (
+    centroidal,
+    com_acceleration,
+    com_velocity,
+    coriolis_matrix,
+    gravity_vector,
+    mass_matrix,
+)
+from stridelab.control import planar_outputs, virtual_constraint_derivatives
 from stridelab.errors import GaitFailureError
 from stridelab.simlab import (
     SineHeightProfile,
@@ -763,3 +772,124 @@ def test_sine_height_profile_shape():
         dz_p = prof(tau + eps)[1]
         dz_m = prof(tau - eps)[1]
         assert abs((dz_p - dz_m) / (2 * eps) - prof(tau)[2]) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the five-link closed-loop derivative and the recorder row, against
+# references built here from the public dynamics terms
+# ---------------------------------------------------------------------------
+
+FIVE_GAIT = GaitCommand(L_des=14.4, T=0.35, alpha=0.5)
+
+five_link_states = st.builds(
+    dict,
+    com_x=st.floats(-0.15, 0.15),
+    com_z=st.floats(0.56, 0.64),
+    swing_foot_x=st.floats(0.08, 0.35) | st.floats(-0.35, -0.08),
+    swing_foot_z=st.floats(0.0, 0.08),
+    com_velocity=st.tuples(st.floats(0.2, 1.0), st.floats(-0.1, 0.1)),
+    torso_pitch=st.floats(-0.1, 0.1),
+)
+
+
+def five_link_plant(ankle, z_amplitude=0.0, source="L"):
+    return simlab._FiveLinkPlant(
+        ScenarioConfig(
+            plant="FIVE_LINK",
+            gait=FIVE_GAIT,
+            constraints=VC,
+            duration=1,
+            ankle_amplitude=ankle,
+            z_amplitude=z_amplitude,
+            placement_source=source,
+        )
+    )
+
+
+def posture(model, kw):
+    try:
+        return assemble_posture(model, **kw)
+    except NumericalError:
+        assume(False)
+
+
+def reference_closed_loop(controller, tau, q, dq):
+    """(ddq, u, y) of the input-output linearized closed loop, from
+    mass_matrix, coriolis_matrix, gravity_vector, planar_outputs and plain
+    solves: u makes J ddq + Jdot dq = ddh_d - Kd dy - Kp y with the ankle
+    torque left out (the tracking law treats it as unknown), and then
+    D ddq + C dq + G = B u + B_a u_a."""
+    model, gait = controller.model, controller.gait
+    D = mass_matrix(model, q)
+    h = coriolis_matrix(model, q, dq) @ dq + gravity_vector(model, q)
+    h0, J = planar_outputs(model, q)
+    # Jdot dq from the output map's definition h0 = P_sin sin(theta) +
+    # P_cos cos(theta) + P_lin q, with theta the running sum of q.
+    theta, dtheta = np.cumsum(q), np.cumsum(dq)
+    dt2 = dtheta * dtheta
+    Jdot_dq = -(model.P_sin @ (np.sin(theta) * dt2)) - model.P_cos @ (np.cos(theta) * dt2)
+    h_d, dh_d, ddh_d = virtual_constraint_derivatives(
+        controller.vc, gait, min(tau / gait.T, 1.0), controller._h0_start, controller.p_des
+    )
+    if controller.z_profile is not None:
+        h_d[1], dh_d[1], ddh_d[1] = controller.z_profile(min(tau, gait.T))
+    y = h0 - h_d
+    dy = J @ dq - dh_d
+    v = ddh_d - controller.vc.Kd * dy - controller.vc.Kp * y
+    B = np.vstack([np.zeros(4), np.eye(4)])
+    u = np.linalg.solve(J @ np.linalg.solve(D, B), v - Jdot_dq - J @ np.linalg.solve(D, -h))
+    rhs = B @ u - h
+    rhs[0] += controller.ankle(tau)
+    return np.linalg.solve(D, rhs), u, y
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    kw=five_link_states,
+    tau=st.floats(0.0, 0.35) | st.floats(0.35, 0.7),  # the guard search runs to 2T
+    ankle=st.floats(0.0, 1.5),
+    z_amplitude=st.sampled_from([0.0, 0.02]),
+    source=st.sampled_from(["L", "v"]),
+)
+def test_five_link_rhs_matches_reference(kw, tau, ankle, z_amplitude, source):
+    plant = five_link_plant(ankle, z_amplitude, source)
+    state = posture(plant.model, kw)
+    plant.begin_step(state, FIVE_GAIT.L_des)
+    y = np.concatenate([state.q, state.dq])
+    ydot, u, y_out = simlab._five_link_rhs(plant.model, plant.controller, tau, y)
+    ddq, u_ref, y_ref = reference_closed_loop(plant.controller, tau, state.q, state.dq)
+    assert np.array_equal(ydot[:5], state.dq)
+    assert rel_gap(ydot[5:], ddq) <= 1e-12
+    assert rel_gap(u, u_ref) <= 1e-12
+    assert rel_gap(y_out, y_ref) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    kw=five_link_states,
+    tau=st.floats(0.0, 0.7),
+    ankle=st.floats(0.0, 1.5),
+    ddq=st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5),
+)
+def test_five_link_row_matches_centroidal_bit_for_bit(kw, tau, ankle, ddq):
+    plant = five_link_plant(ankle)
+    model = plant.model
+    state = posture(model, kw)
+    y = np.concatenate([state.q, state.dq])
+    ydot = np.concatenate([state.dq, ddq])
+    u, y_out = np.arange(1.0, 5.0), np.arange(-4.0, 0.0)
+    row = plant.row(tau, y, u, y_out, ydot)
+    cs = centroidal(model, state)
+    a_c = com_acceleration(model, state.q, state.dq, ddq)
+    dL_c = (
+        model.m_total * model.g * cs.p_c[0]
+        + plant.controller.ankle(tau)
+        - model.m_total * wedge(cs.p_c, a_c)
+    )
+    expected = (*y, *cs.p_c, *cs.v_c, cs.L, cs.L_c, dL_c, *y_out, *u)
+    assert len(row) == len(plant.columns) - 2 == len(expected)  # t and step come first
+    assert np.array(row).tobytes() == np.array(expected).tobytes()
