@@ -227,6 +227,10 @@ def alip_closed_loop_poincare(
     )
 
 
+# Anderson history depth: how many past (x, F(x)) differences one update mixes.
+_ANDERSON_DEPTH = 5
+
+
 def find_fixed_point(
     step_map: Callable[[np.ndarray], np.ndarray],
     x0,
@@ -234,21 +238,63 @@ def find_fixed_point(
     max_iter: int = 200,
     damping: float = 0.8,
 ) -> np.ndarray:
-    """Damped fixed-point iteration x <- (1 - beta) x + beta F(x).
+    """Fixed point of F by Anderson acceleration (Walker & Ni, SIAM J. Numer.
+    Anal. 49(4), 2011), one map call per iteration.
 
-    Converges when ||F(x) - x||_inf <= tol; otherwise raises FixedPointError
-    carrying the final residual.
+    With g_k = F(x_k) - x_k and the columns dX, dF of the last m <= 5
+    differences of the iterates and of their images, gamma minimizes
+    ||g_k - (dF - dX) gamma||_2 and
+
+        x_{k+1} = (1 - beta) (x_k - dX gamma) + beta (F(x_k) - dF gamma),
+
+    where beta = damping is the mixing weight.  With an empty history this is
+    damped Picard iteration x <- (1 - beta) x + beta F(x).  Whenever the
+    residual grows, the history is dropped and the step is a plain damped
+    one, so a map whose residual keeps growing runs as Picard iteration.  A
+    difference whose residual change is below 1e-8 of its step is not kept:
+    along it F is the identity to rounding, and a fit to it would jump by
+    the inverse of that rounding (a map x + c with no fixed point would then
+    appear to converge once x is large enough to absorb c).
+
+    Converges when ||F(x_k) - x_k||_inf <= tol and returns F(x_k) of that
+    iterate; otherwise raises FixedPointError carrying the last residual,
+    after max_iter map calls or at once on a non-finite residual.
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"find_fixed_point: damping must be in (0, 1] (got {damping})")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"find_fixed_point: tol must be finite and > 0 (got {tol})")
+    if not max_iter >= 1:
+        raise ValidationError(f"find_fixed_point: max_iter must be >= 1 (got {max_iter})")
     x = np.asarray(x0, dtype=float).copy()
-    residual = math.inf
+    dX: list[np.ndarray] = []
+    dF: list[np.ndarray] = []
+    x_prev = f_prev = None
+    prev_residual = math.inf
     for _ in range(max_iter):
         fx = np.asarray(step_map(x), dtype=float)
         residual = float(np.max(np.abs(fx - x)))
+        if not math.isfinite(residual):
+            raise FixedPointError("find_fixed_point: non-finite residual", residual=residual)
         if residual <= tol:
             return fx
-        x = (1.0 - damping) * x + damping * fx
+        if residual > prev_residual:
+            dX.clear()
+            dF.clear()
+        elif x_prev is not None:
+            dx, df = x - x_prev, fx - f_prev
+            if np.linalg.norm(df - dx) > 1e-8 * np.linalg.norm(dx):
+                dX.append(dx)
+                dF.append(df)
+                if len(dX) > _ANDERSON_DEPTH:
+                    del dX[0], dF[0]
+        x_prev, f_prev, prev_residual = x, fx, residual
+        if dX:
+            DX, DF = np.column_stack(dX), np.column_stack(dF)
+            gamma = np.linalg.lstsq(DF - DX, fx - x, rcond=None)[0]
+            x = (1.0 - damping) * (x - DX @ gamma) + damping * (fx - DF @ gamma)
+        else:
+            x = (1.0 - damping) * x + damping * fx
     raise FixedPointError("find_fixed_point: no convergence", residual=residual)
 
 
@@ -272,19 +318,22 @@ def numeric_poincare_jacobian(
     x_star = np.asarray(x_star, dtype=float)
     if x_star.ndim != 1:
         raise ValidationError("numeric_poincare_jacobian: x_star must be a 1-D state")
+    single = np.ndim(deltas) == 0
+    delta_list = [float(deltas)] if single else [float(d) for d in deltas]
+    for d in delta_list:
+        if not (math.isfinite(d) and d > 0):
+            raise ValidationError(
+                f"numeric_poincare_jacobian: delta must be finite and > 0 (got {d})"
+            )
     if residual_tol is not None:
         res = float(np.max(np.abs(np.asarray(step_map(x_star), dtype=float) - x_star)))
-        if res > residual_tol:
+        if not res <= residual_tol:
             raise FixedPointError(
                 "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
             )
-    single = np.ndim(deltas) == 0
-    delta_list = [float(deltas)] if single else [float(d) for d in deltas]
     results = []
     n = x_star.size
     for d in delta_list:
-        if d <= 0:
-            raise ValidationError(f"numeric_poincare_jacobian: delta must be > 0 (got {d})")
         J = np.empty((n, n))
         for i in range(n):
             e = np.zeros(n)

@@ -174,6 +174,11 @@ def _cmd_poincare(args) -> int:
         return 0
     # FIVE_LINK: warm up a rollout onto the orbit, polish the fixed point,
     # then take symmetric differences of the two-step return map.
+    if args.warmup < 1:
+        raise ValidationError(f"poincare: --warmup must be >= 1 (got {args.warmup})")
+    for flag, value in (("--fp-tol", args.fp_tol), ("--delta", args.delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"poincare: {flag} must be finite and > 0 (got {value:g})")
     model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
     for a in alphas:
@@ -192,12 +197,22 @@ def _cmd_poincare(args) -> int:
         ret = make_five_link_return_map(
             model, gait, _constraints(args), integ, steps_per_return=2
         )
-        x_star = find_fixed_point(ret, x0, tol=args.fp_tol, damping=0.85)
+        fp_calls = 0
+
+        def counted(x):
+            nonlocal fp_calls
+            fp_calls += 1
+            return ret(x)
+
+        x_star = find_fixed_point(counted, x0, tol=args.fp_tol, damping=0.85)
         res = numeric_poincare_jacobian(
             ret, x_star, args.delta, steps_per_return=2, residual_tol=10 * args.fp_tol
         )
         dom = float(np.abs(res.eigenvalues[0]))
-        print(f"alpha={a:.3f} dominant={dom:.6f} (target alpha^2 = {a * a:.6f})")
+        print(
+            f"alpha={a:.3f} dominant={dom:.6f} (target alpha^2 = {a * a:.6f}) "
+            f"fp_calls={fp_calls}"
+        )
         rows.append((a, dom, a * a))
     _maybe_write(args, "poincare.csv", ("alpha", "dominant", "alpha_squared"), rows)
     return 0
@@ -299,6 +314,15 @@ def _cmd_kalman(args) -> int:
     if not 0.0 < args.dt <= args.T:
         raise ValidationError(f"kalman-demo: --dt must be in (0, --T] (got {args.dt:g})")
     params = _pendulum(args)
+    # The deadbeat placement cancels cosh(ell T) L against L_des; once cosh(ell T)
+    # reaches 1/eps that cancellation is lost and the demo's state grows until it
+    # overflows.
+    max_ell_T = math.acosh(1.0 / sys.float_info.epsilon)
+    if not params.ell * args.T < max_ell_T:
+        raise ValidationError(
+            f"kalman-demo: --T must be below {max_ell_T / params.ell:.6g} s at --H {args.H:g} "
+            f"(got {args.T:g}): cosh(ell T) must stay below 1/eps"
+        )
     seed = args.seed if args.seed is not None else 0
     cols = kalman_demo_columns(
         params,

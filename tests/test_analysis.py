@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stridelab as sl
 from stridelab import (
@@ -256,6 +258,112 @@ def test_find_fixed_point_matches_analytic_on_alip_map():
 def test_find_fixed_point_divergent_map_raises():
     with pytest.raises(FixedPointError):
         find_fixed_point(lambda x: 3.0 * x + 1.0, np.array([1.0]), max_iter=50)
+
+
+def unit_floats(size):
+    return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 10),
+    entries=unit_floats(100),
+    norm=st.floats(0.0, 0.95),
+    c=unit_floats(10),
+    x0=unit_floats(10),
+    damping=st.floats(0.3, 1.0),
+)
+def test_find_fixed_point_solves_contractive_affine_maps(n, entries, norm, c, x0, damping):
+    A = np.reshape(entries[: n * n], (n, n))
+    sigma = np.linalg.norm(A, 2)
+    M = A * (norm / sigma) if sigma > 0 else A  # spectral norm <= 0.95
+    c = 10.0 * np.array(c[:n])
+    c[0] = math.copysign(max(abs(c[0]), 1.0), c[0])  # ||x*||_2 >= ||c||_2 / 1.95 >= 0.51
+    x_star = np.linalg.solve(np.eye(n) - M, c)
+    x0 = 10.0 * np.array(x0[:n])
+    got = find_fixed_point(lambda x: M @ x + c, x0, tol=1e-12, damping=damping)
+    assert np.max(np.abs(got - x_star)) <= 1e-9 * np.max(np.abs(x_star))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 10),
+    c=st.lists(st.floats(1e-3, 10.0), min_size=10, max_size=10),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=10, max_size=10),
+    x0=unit_floats(10),
+    scale=st.sampled_from([1.0, 1e3, 1e6, 1e8]),
+    damping=st.floats(0.3, 1.0),
+)
+def test_find_fixed_point_translation_has_no_fixed_point(n, c, signs, x0, scale, damping):
+    # Far from the origin the secant differences are mostly rounding; the
+    # solver must not read a fixed point into them.
+    c = np.array(c[:n]) * np.array(signs[:n])
+    with pytest.raises(FixedPointError):
+        find_fixed_point(lambda x: x + c, scale * np.array(x0[:n]), damping=damping)
+
+
+def test_find_fixed_point_stops_on_nan_after_one_call():
+    calls = []
+
+    def nan_map(x):
+        calls.append(x)
+        return np.full_like(x, math.nan)
+
+    with pytest.raises(FixedPointError) as exc:
+        find_fixed_point(nan_map, np.zeros(3))
+    assert len(calls) == 1
+    assert math.isnan(exc.value.residual)
+
+
+def test_find_fixed_point_call_count_on_slow_linear_map():
+    # Two-step return map at alpha = 0.9: dominant eigenvalue 0.81.  Damped
+    # Picard iteration at damping 0.85 contracts by 1 - 0.85 (1 - 0.81) per
+    # call and needs about 100 calls to reach 1e-9 from here.
+    V = np.random.default_rng(5).standard_normal((10, 10))
+    M = V @ np.diag([0.81, 0.3] + [0.0] * 8) @ np.linalg.inv(V)
+    c = np.arange(1.0, 11.0)
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return M @ x + c
+
+    got = find_fixed_point(step, np.zeros(10), tol=1e-9, damping=0.85)
+    assert len(calls) < 20
+    assert np.max(np.abs(got - np.linalg.solve(np.eye(10) - M, c))) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "kwargs, text",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"damping": 0.0}, "damping"),
+    ],
+)
+def test_find_fixed_point_rejects_bad_settings_before_any_call(kwargs, text):
+    def never(x):
+        raise AssertionError("the map was called")
+
+    with pytest.raises(ValidationError, match=text):
+        find_fixed_point(never, np.zeros(2), **kwargs)
+
+
+def test_numeric_jacobian_rejects_nan_residual():
+    with pytest.raises(FixedPointError):
+        numeric_poincare_jacobian(lambda x: np.full_like(x, math.nan), np.zeros(2), 1e-4)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-4, math.nan, math.inf, [1e-4, math.nan]])
+def test_numeric_jacobian_rejects_bad_delta_before_any_call(delta):
+    def never(x):
+        raise AssertionError("the map was called")
+
+    with pytest.raises(ValidationError, match="delta"):
+        numeric_poincare_jacobian(never, np.zeros(2), delta)
 
 
 # ---------------------------------------------------------------------------

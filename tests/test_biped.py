@@ -13,6 +13,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stridelab as sl
 from stridelab import (
@@ -20,6 +22,7 @@ from stridelab import (
     GaitCommand,
     InfeasibleImpactError,
     LinkParams,
+    NumericalError,
     PlanarBiped,
     SingularMatrixError,
     ValidationError,
@@ -106,6 +109,35 @@ def test_mass_matrix_symmetric_positive_definite():
         assert np.min(np.linalg.eigvalsh(D)) > 0.0
 
 
+# Walking postures and rates, drawn through assemble_posture so that they stay
+# physical: stance foot at the origin, CoM and swing foot where a step puts them.
+postures = st.builds(
+    dict,
+    com_x=st.floats(-0.15, 0.15),
+    com_z=st.floats(0.52, 0.64),
+    swing_foot_x=st.floats(0.08, 0.35) | st.floats(-0.35, -0.08),
+    swing_foot_z=st.floats(0.0, 0.1),
+    com_velocity=st.tuples(st.floats(-1.5, 1.5), st.floats(-0.3, 0.3)),
+    torso_pitch=st.floats(-0.2, 0.2),
+    swing_foot_velocity=st.none() | st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+
+
+def drawn_state(kw):
+    try:
+        return assemble_posture(MODEL, **kw)
+    except NumericalError:
+        assume(False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(kw=postures)
+def test_mass_matrix_symmetric_positive_definite_generated(kw):
+    D = mass_matrix(MODEL, drawn_state(kw).q)
+    assert np.max(np.abs(D - D.T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(D)) > 0.0
+
+
 def test_mass_matrix_cyclic_in_q0():
     # q0 only rotates the whole chain; the kinetic-energy metric cannot see it.
     rng = np.random.default_rng(7)
@@ -125,6 +157,18 @@ def test_coriolis_skew_property():
     eps = 1e-6
     Dp = mass_matrix(MODEL, st.q + eps * st.dq)
     Dm = mass_matrix(MODEL, st.q - eps * st.dq)
+    Ddot_fd = (Dp - Dm) / (2 * eps)
+    assert np.max(np.abs(Ddot_fd - (C + C.T))) < 1e-6
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(kw=postures)
+def test_coriolis_skew_property_generated(kw):
+    state = drawn_state(kw)
+    C = coriolis_matrix(MODEL, state.q, state.dq)
+    eps = 1e-6
+    Dp = mass_matrix(MODEL, state.q + eps * state.dq)
+    Dm = mass_matrix(MODEL, state.q - eps * state.dq)
     Ddot_fd = (Dp - Dm) / (2 * eps)
     assert np.max(np.abs(Ddot_fd - (C + C.T))) < 1e-6
 

@@ -307,6 +307,7 @@ def test_compare_lip_alip_point_mass(tmp_path, capsys):
 
 
 POINCARE_ALIP = ["poincare", "--alpha-grid", "0.5"]
+POINCARE_FIVE_LINK = POINCARE_ALIP + ["--plant", "FIVE_LINK"]
 
 # (argv, exit code, texts the one stderr line must contain)
 BAD_FLAGS = [
@@ -335,6 +336,14 @@ BAD_FLAGS = [
     (["kalman-demo", "--dt", "1e308", "--samples", "3"], 2, ("--dt",)),
     (["kalman-demo", "--dt", "0"], 2, ("--dt",)),
     (["kalman-demo", "--dt", "0.5", "--T", "0.3"], 2, ("--dt",)),
+    # The deadbeat demo loses its cancellation, then overflows, on long steps.
+    (["kalman-demo", "--T", "1e308", "--dt", "1e308", "--samples", "3"], 2, ("--T",)),
+    (["kalman-demo", "--T", "1000", "--dt", "1000", "--samples", "3"], 2, ("--T",)),
+    (POINCARE_FIVE_LINK + ["--delta", "nan"], 2, ("--delta",)),
+    (POINCARE_FIVE_LINK + ["--delta", "0"], 2, ("--delta",)),
+    (POINCARE_FIVE_LINK + ["--fp-tol", "0"], 2, ("--fp-tol",)),
+    (POINCARE_FIVE_LINK + ["--fp-tol", "nan"], 2, ("--fp-tol",)),
+    (POINCARE_FIVE_LINK + ["--warmup", "0"], 2, ("--warmup",)),
 ]
 
 
@@ -345,6 +354,17 @@ def test_analysis_bad_flags_fail_cleanly(argv, code, texts, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert all(text in lines[0] for text in texts), lines
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in BAD_FLAGS if argv[:5] == POINCARE_FIVE_LINK]
+)
+def test_poincare_five_link_flags_checked_before_warmup(argv, monkeypatch, capsys):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a rollout ran before the flags were checked")
+
+    monkeypatch.setattr("stridelab.cli.run_scenario", no_rollout)
+    assert main(argv) == 2
 
 
 @pytest.mark.filterwarnings("error")
