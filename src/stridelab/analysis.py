@@ -179,11 +179,12 @@ def alip_closed_loop_step_map(
     params: PendulumParams, T: float, alpha: float, L_des: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The closed-loop one-step map as a plain callable (for feeding the
-    numeric Jacobian machinery its own exactly-known test case)."""
+    numeric Jacobian machinery its own exactly-known test case).  It maps one
+    state (2,), or each row of a (k, 2) stack."""
     M, c = _alip_step_matrices(params, T, alpha, L_des)
 
     def step(x: np.ndarray) -> np.ndarray:
-        return M @ np.asarray(x, dtype=float) + c
+        return np.asarray(x, dtype=float) @ M.T + c
 
     return step
 
@@ -312,8 +313,15 @@ def numeric_poincare_jacobian(
     per perturbation size -- the insensitivity of the dominant eigenvalue
     across that list is the practical check that the linearization is
     trustworthy).  If residual_tol is not None, ||F(x*) - x*||_inf is checked
-    first and a FixedPointError (with the residual) raised when x_star is not
-    actually on a periodic orbit.
+    first, in one call on the 1-D state, and a FixedPointError (with the
+    residual) raised when x_star is not actually on a periodic orbit.
+
+    Stack contract: step_map maps one state (n,) to its image, and a (k, n)
+    stack of states to the (k, n) stack of their images, row by row.  Every
+    x* +- delta e_i, for all deltas, goes to the map as one stack of
+    2 n len(deltas) rows, so a map that integrates its rows together pays
+    for all of them at once.  A map that returns any other shape for the
+    stack raises ValidationError.
     """
     x_star = np.asarray(x_star, dtype=float)
     if x_star.ndim != 1:
@@ -331,16 +339,20 @@ def numeric_poincare_jacobian(
             raise FixedPointError(
                 "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
             )
-    results = []
     n = x_star.size
-    for d in delta_list:
-        J = np.empty((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = d
-            fp = np.asarray(step_map(x_star + e), dtype=float)
-            fm = np.asarray(step_map(x_star - e), dtype=float)
-            J[:, i] = (fp - fm) / (2.0 * d)
+    eye = np.eye(n)
+    # Rows: x* + d e_i for i < n, then x* - d e_i, for each d in turn.
+    points = np.concatenate([x_star + sign * d * eye for d in delta_list for sign in (1, -1)])
+    images = np.asarray(step_map(points), dtype=float)
+    if images.shape != points.shape:
+        raise ValidationError(
+            f"numeric_poincare_jacobian: the map must return one image per row of a "
+            f"(k, n) stack of states; it returned shape {images.shape} for a stack "
+            f"of shape {points.shape}"
+        )
+    results = []
+    for d, (fp, fm) in zip(delta_list, images.reshape(-1, 2, n, n)):
+        J = ((fp - fm) / (2.0 * d)).T
         eig = np.linalg.eigvals(J)
         eig = eig[np.argsort(-np.abs(eig))]
         results.append(

@@ -295,28 +295,44 @@ class CentroidalState:
 # ---------------------------------------------------------------------------
 
 
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for one vector v, or for each row of a stack of vectors v (N, n);
+    A is one matrix or a stack of N matrices."""
+    if v.ndim == 1:
+        return A.dot(v)  # the same product as A @ v, with less call overhead
+    if A.ndim == 2:
+        return v.dot(A.T)
+    return (A @ v[..., None])[..., 0]
+
+
+# _trig, _mass_matrix_theta, _dyn_terms and _checked_solve take one state, q
+# and dq of shape (5,), or a stack of N states, (N, 5), and then return a
+# stack of each result.
+
+
 def _trig(model: PlanarBiped, q: np.ndarray):
-    theta = model.M_map @ q
+    theta = _mv(model.M_map, q)
     return theta, np.sin(theta), np.cos(theta)
 
 
 def _mass_matrix_theta(model: PlanarBiped, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """D_th = W * cos(theta_j - theta_k) + diag(I), in absolute angles."""
-    return model.W * (c[:, None] * c + s[:, None] * s) + model.I_diag
+    cc = c[..., :, None] * c[..., None, :]
+    return model.W * (cc + s[..., :, None] * s[..., None, :]) + model.I_diag
 
 
 def _dyn_terms(model: PlanarBiped, q: np.ndarray, dq: np.ndarray):
     """(D_q, coriolis vector C_q dq, G_q) plus the trig tuple, all exact."""
     theta, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    sin_diff = s[:, None] * c - c[:, None] * s
+    dtheta = _mv(model.M_map, dq)
+    sin_diff = s[..., :, None] * c[..., None, :] - c[..., :, None] * s[..., None, :]
     D_th = _mass_matrix_theta(model, s, c)
-    cvec_th = (model.W * sin_diff) @ (dtheta * dtheta)
+    cvec_th = _mv(model.W * sin_diff, dtheta * dtheta)
     G_th = -model.g * model.w_vec * s
     M = model.M_map
     D_q = M.T @ D_th @ M
-    cvec_q = M.T @ cvec_th
-    G_q = M.T @ G_th
+    cvec_q = _mv(M.T, cvec_th)
+    G_q = _mv(M.T, G_th)
     return D_q, cvec_q, G_q, (theta, s, c, dtheta)
 
 
@@ -358,27 +374,39 @@ def total_energy(model: PlanarBiped, state: BipedState) -> float:
 
 
 def _cond_estimate(D: np.ndarray) -> float:
+    """Condition number of D, the worst one over a stack."""
     if not np.all(np.isfinite(D)):
         return float("inf")
     try:
-        return float(np.linalg.cond(D))
+        return float(np.max(np.linalg.cond(D)))
     except np.linalg.LinAlgError:
         return float("inf")
 
 
 def _checked_solve(D: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """x with D x = rhs, for one system, D (n, n) with rhs (n,) or (n, k), or
+    for a stack of them, D (N, n, n) with rhs (N, n) or (N, n, k).  Each
+    system must meet the relative residual bound."""
+    stacked = D.ndim > 2
+    # np.linalg.solve reads a stack of vectors as one matrix: give each
+    # system's vector a column of its own.
+    b = rhs[..., None] if stacked and rhs.ndim < D.ndim else rhs
     try:
-        x = np.linalg.solve(D, rhs)
+        x = np.linalg.solve(D, b)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"{what}: singular matrix", cond=_cond_estimate(D))
     # Cheap residual check to catch silently-garbage solves near singularity.
     # A NaN or inf anywhere in x makes err NaN or inf, which fails it too.
-    scale = np.abs(D) @ np.abs(x) + np.abs(rhs) + 1e-300
-    err = np.abs(D @ x - rhs).max() / scale.max()
-    if not err <= 1e-8:
-        why = "ill-conditioned solve" if np.isfinite(x).all() else "non-finite solve result"
-        raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D))
-    return x
+    axes = (-2, -1) if stacked else None  # the entries of one system
+    scale = np.abs(D) @ np.abs(x) + np.abs(b) + 1e-300
+    err = np.abs(D @ x - b).max(axis=axes) / scale.max(axis=axes)
+    if not (err.max() if stacked else err) <= 1e-8:
+        bad = ~(err <= 1e-8)
+        why = "ill-conditioned solve" if np.isfinite(x[bad]).all() else "non-finite solve result"
+        if stacked:
+            why += f" in lane {int(np.argmax(bad))} of {len(D)}"
+        raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D[bad]))
+    return x[..., 0] if b is not rhs else x
 
 
 def forward_dynamics(model: PlanarBiped, state: BipedState, u, u_a: float = 0.0) -> np.ndarray:

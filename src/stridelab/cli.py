@@ -43,11 +43,13 @@ from .errors import NumericalError, ValidationError
 from .estimate import kalman_demo_columns, riccati_steady_state
 from .pendulum import PendulumParams
 from .simlab import (
+    MAX_RK4_STEPS,
     IntegratorConfig,
     ScenarioConfig,
     lip_vs_alip_comparison,
     make_five_link_return_map,
     run_scenario,
+    _max_duration,
     write_csv,
 )
 
@@ -73,16 +75,29 @@ def _constraints(args) -> VirtualConstraintSpec:
     return VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
 
 
+def _check_steps(flag: str, steps: int, plant: str, T: float, step_size: float) -> None:
+    """Reject a step count whose rollout could exceed MAX_RK4_STEPS, naming
+    the flags that set the work, before any rollout runs."""
+    limit = _max_duration(plant, T, step_size)
+    if not 0 <= steps <= limit:
+        raise ValidationError(
+            f"{flag} {steps} at --T {T:g} and --step-size {step_size:g} must be "
+            f"in [0, {limit:.0f}] to stay within MAX_RK4_STEPS = {MAX_RK4_STEPS}"
+        )
+
+
 def _scenario(args, plant: str = "FIVE_LINK", **extras) -> ScenarioConfig:
     """The rollout the predict-fidelity, error-decomp and compare-lip-alip
     subcommands run: the gait flags, --steps, --step-size and
     --initial-velocity, plus each command's own config fields."""
+    integ = IntegratorConfig(step_size=args.step_size)  # a positive step first
+    _check_steps(f"{args.command}: --steps", args.steps, plant, args.T, integ.step_size)
     return ScenarioConfig(
         plant=plant,
         gait=_gait(args),
         constraints=_constraints(args),
         duration=args.steps,
-        integrator=IntegratorConfig(step_size=args.step_size),
+        integrator=integ,
         initial_velocity=args.initial_velocity,
         **extras,
     )
@@ -181,6 +196,7 @@ def _cmd_poincare(args) -> int:
             raise ValidationError(f"poincare: {flag} must be finite and > 0 (got {value:g})")
     model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
+    _check_steps("poincare: --warmup", args.warmup, "FIVE_LINK", args.T, integ.step_size)
     for a in alphas:
         gait = _gait(args, alpha=a)
         warm_cfg = ScenarioConfig(

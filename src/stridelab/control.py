@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Config, check_fields
-from .biped import PlanarBiped, BipedState, _checked_solve, _dyn_terms, _trig, coriolis_matrix
+from .biped import (
+    PlanarBiped,
+    BipedState,
+    _checked_solve,
+    _dyn_terms,
+    _mv,
+    _trig,
+    coriolis_matrix,
+)
 from .errors import NumericalError, ValidationError
 from .pendulum import PendulumParams
 
@@ -157,8 +165,13 @@ def foot_placement_deadbeat(
     return foot_placement_asymptotic(params, L_hat_end, L_des, T, 0.0)
 
 
-def _check_placement_inputs(name: str, hat_end: float, des: float, T: float, alpha: float):
-    if not all(math.isfinite(v) for v in (hat_end, des, T, alpha)):
+def _finite(v) -> bool:
+    """True when v, a number or an array of lanes' values, is finite throughout."""
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+
+
+def _check_placement_inputs(name: str, hat_end, des: float, T: float, alpha: float):
+    if not (all(math.isfinite(v) for v in (des, T, alpha)) and _finite(hat_end)):
         raise ValidationError(f"{name}: non-finite input")
     if T <= 0:
         raise ValidationError(f"{name}: T must be > 0 (got {T})")
@@ -170,7 +183,9 @@ def foot_placement_asymptotic(
     params: PendulumParams, L_hat_end: float, L_des: float, T: float, alpha: float
 ) -> float:
     """Placement contracting the end-of-step momentum error by alpha per step:
-    L_{k+1} - L_des = alpha (L_k - L_des).  alpha = 0 is deadbeat.
+    L_{k+1} - L_des = alpha (L_k - L_des).  alpha = 0 is deadbeat.  L_hat_end
+    may be an array of lanes' predictions; p is then the array of their
+    placements.
 
         p = ((1 - alpha) L_des + (alpha - cosh(ell T)) L_hat_end)
             / (m H ell sinh(ell T)).
@@ -187,7 +202,7 @@ def foot_placement_velocity(
 ) -> float:
     """The LIP controller's placement: the asymptotic law written on the CoM
     velocity, v_{k+1} - v_des = alpha (v_k - v_des), from the predicted
-    end-of-step velocity v_hat_end.
+    end-of-step velocity v_hat_end (a number, or an array of lanes' values).
 
         p = ((1 - alpha) v_des + (alpha - cosh(ell T)) v_hat_end)
             / (ell sinh(ell T)).
@@ -315,7 +330,9 @@ def virtual_constraint_derivatives(
 
     Analytic derivatives of the same rows as virtual_constraint_reference;
     p_des is treated as frozen for differentiation (its slow drift as the
-    prediction refines is feedback's job, not the feedforward's).
+    prediction refines is feedback's job, not the feedforward's).  For N lanes
+    at one phase, h0_start is (N, 4) and p_des (N,), and each of the three
+    is (N, 4).
     """
     if not math.isfinite(s):
         raise ValidationError("virtual_constraint_reference: non-finite phase")
@@ -323,34 +340,30 @@ def virtual_constraint_derivatives(
         raise ValidationError(
             f"virtual_constraint_reference: phase s must be in [0, 1] (got {s})"
         )
-    if not math.isfinite(p_des):
+    if not _finite(p_des):
         raise ValidationError("virtual_constraint_reference: non-finite p_des")
     h0_start = np.asarray(h0_start, dtype=float)
-    if h0_start.shape != (4,):
+    if h0_start.shape != getattr(p_des, "shape", ()) + (4,):
         raise ValidationError(
-            f"virtual_constraint_reference: h0_start must have shape (4,), got {h0_start.shape}"
+            "virtual_constraint_reference: h0_start must have shape (4,), or (N, 4) for "
+            f"N lanes' p_des, got {h0_start.shape}"
         )
     T = cmd.T
-    swx0 = h0_start[2]
+    swx0 = h0_start.T[2]  # a number for one state, a lane per entry for N
     mid = 0.5 * (swx0 + p_des)
     half = 0.5 * (swx0 - p_des)
     cpi = math.cos(math.pi * s)
     spi = math.sin(math.pi * s)
-    h_d = np.array(
-        [
-            0.0,
-            spec.H,
-            mid + half * cpi,
-            4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl),
-        ]
-    )
-    dh_d = np.array(
-        [0.0, 0.0, -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T]
-    )
-    ddh_d = np.array(
-        [0.0, 0.0, -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T)]
-    )
-    return h_d, dh_d, ddh_d
+    h_d = (0.0, spec.H, mid + half * cpi, 4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl))
+    dh_d = (0.0, 0.0, -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T)
+    ddh_d = (0.0, 0.0, -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T))
+    if h0_start.ndim == 1:
+        return np.array(h_d), np.array(dh_d), np.array(ddh_d)
+    out = np.empty((3,) + h0_start.shape)  # a row per lane
+    for k, row in enumerate((h_d, dh_d, ddh_d)):
+        for j, value in enumerate(row):
+            out[k, :, j] = value
+    return out[0], out[1], out[2]
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +384,13 @@ def planar_outputs(model: PlanarBiped, q) -> tuple[np.ndarray, np.ndarray]:
 
 def _outputs_full(model: PlanarBiped, q, s, c, dtheta):
     """h0, J, and Jdot*dq with exact trigonometric second-derivative terms,
-    from sin/cos of the absolute angles and their rates dtheta."""
+    from sin/cos of the absolute angles and their rates dtheta; for a stack
+    of states, a stack of each."""
     P_sin, P_cos, P_lin = model.P_sin, model.P_cos, model.P_lin
-    h0 = P_sin @ s + P_cos @ c + P_lin @ q
-    J = (P_sin * c[None, :] - P_cos * s[None, :]) @ model.M_map + P_lin
+    h0 = _mv(P_sin, s) + _mv(P_cos, c) + _mv(P_lin, q)
+    J = (P_sin * c[..., None, :] - P_cos * s[..., None, :]) @ model.M_map + P_lin
     dt2 = dtheta * dtheta
-    Jdot_dq = -(P_sin @ (s * dt2)) - (P_cos @ (c * dt2))
+    Jdot_dq = -_mv(P_sin, s * dt2) - _mv(P_cos, c * dt2)
     return h0, J, Jdot_dq
 
 
@@ -423,18 +437,22 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd):
     simulation loop can finish the closed-loop acceleration as
     ddq = X[:, :4] u + X[:, 4] + X[:, 5] u_a without a second factorization.
     The drift column deliberately omits the ankle torque: the tracking law
-    treats it as an unknown disturbance.
+    treats it as an unknown disturbance.  For a stack of states (q, dq and
+    terms stacked, the references (N, 4)) each result is stacked.
     """
     D_q, cvec_q, G_q, (_, s, c, dtheta) = terms
     h0, J, Jdot_dq = _outputs_full(model, q, s, c, dtheta)
-    rhs_block = model.B_block.copy()
-    rhs_block[:, 4] = -(cvec_q + G_q)
+    if cvec_q.ndim == 1:
+        rhs_block = model.B_block.copy()
+    else:
+        rhs_block = np.repeat(model.B_block[None], len(cvec_q), axis=0)
+    rhs_block[..., 4] = -(cvec_q + G_q)
     X = _checked_solve(D_q, rhs_block, "io_linearizing_torque (mass matrix)")
-    A_dec = J @ X[:, :4]
+    A_dec = J @ X[..., :4]
     y = h0 - h_d
-    dy = J @ dq - dh_d
-    v = ddh_d - Kd @ dy - Kp @ y
-    rhs = v - Jdot_dq - J @ X[:, 4]
+    dy = _mv(J, dq) - dh_d
+    v = ddh_d - _mv(Kd, dy) - _mv(Kp, y)
+    rhs = v - Jdot_dq - _mv(J, X[..., 4])
     u = _checked_solve(A_dec, rhs, "io_linearizing_torque (decoupling matrix)")
     return u, X, y, dy
 

@@ -25,6 +25,7 @@ Floats are written with 17 significant digits (lossless round-trip).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
@@ -76,6 +77,13 @@ _ARTIFACTS = ("trace", "per_step", "events")
 # for the five-link plant, whose guard search may run to 2T.  Ten million is
 # over 30x the largest scenario in the tests, CLI defaults and benchmark.
 MAX_RK4_STEPS = 10_000_000
+
+
+def _max_duration(plant: str, T: float, step_size: float) -> float:
+    """The most steps a scenario of this plant, step duration and RK4 step
+    may run within MAX_RK4_STEPS."""
+    guard_span = 2.0 if plant == "FIVE_LINK" else 1.0
+    return MAX_RK4_STEPS / max(1.0, guard_span * T / step_size)
 
 
 def _check_placement(owner: str, source: str, update: str) -> None:
@@ -168,8 +176,7 @@ class ScenarioConfig(Config):
         _check_placement("ScenarioConfig", self.placement_source, self.placement_update)
         if self.z_amplitude < 0:
             raise ValidationError("ScenarioConfig.z_amplitude: must be >= 0")
-        guard_span = 2.0 if self.plant == "FIVE_LINK" else 1.0
-        limit = MAX_RK4_STEPS / max(1.0, guard_span * self.gait.T / self.integrator.step_size)
+        limit = _max_duration(self.plant, self.gait.T, self.integrator.step_size)
         if not 0 <= self.duration <= limit:
             raise ValidationError(
                 f"ScenarioConfig.duration: must be in [0, {limit:.0f}] to stay within "
@@ -262,7 +269,9 @@ class WalkingController:
     four-output virtual-constraint tracker.
 
     Holds the per-step context (step-start outputs, current placement target,
-    per-step L_des); one instance belongs to exactly one rollout.
+    per-step L_des); one instance belongs to exactly one rollout.  For a
+    stack of N states stepping in lockstep (lanes) the context is per lane:
+    `_h0_start` is (N, 4) and `p_des` is (N,).
     """
 
     def __init__(
@@ -301,37 +310,53 @@ class WalkingController:
     def set_target(self, L_des: float) -> None:
         self.L_des = float(L_des)
 
-    def on_step_start(self, state: BipedState) -> None:
-        h0, _ = planar_outputs(self.model, state.q)
+    def on_step_start(self, state) -> None:
+        """Start a step from a BipedState, or from an (N, 10) stack of
+        [q; dq] rows, one per lane."""
+        if isinstance(state, BipedState):
+            q, dq = state.q, state.dq
+        else:
+            q, dq = state[:, :5], state[:, 5:]
+        h0, _ = planar_outputs(self.model, q)
         self._h0_start = h0.copy()
         if self.placement_update == "step_start":
             # Decide the whole step's placement from the fresh post-impact
             # state; the reference curve then stays fixed for the step.
-            terms = bp._dyn_terms(self.model, state.q, state.dq)
-            self.p_des = self._placement(state.q, state.dq, terms, 0.0)
+            terms = bp._dyn_terms(self.model, q, dq)
+            self.p_des = self._placement(q, dq, terms, 0.0)
         else:
-            self.p_des = float(h0[2])  # refined immediately by the first torque eval
+            # refined immediately by the first torque eval
+            self.p_des = float(h0[2]) if h0.ndim == 1 else h0[:, 2].copy()
 
-    def _placement(self, q: np.ndarray, dq: np.ndarray, terms, tau: float) -> float:
+    def _lanes(self, idx) -> "WalkingController":
+        """This controller cut to the lanes idx (an index array or mask); an
+        int gives the single-state controller of that one lane."""
+        lanes = copy.copy(self)
+        lanes._h0_start, lanes.p_des = self._h0_start[idx], self.p_des[idx]
+        return lanes
+
+    def _placement(self, q: np.ndarray, dq: np.ndarray, terms, tau: float):
         D_q = terms[0]
         _, s, c, dtheta = terms[3]
         p = self.params
-        x_c = float(self.model.w_vec @ s) / self.model.m_total
+        w, m_total = self.model.w_vec, self.model.m_total
+        x_c = s.dot(w) / m_total
         remaining = max(self.gait.T - tau, 0.0)
         ell = p.ell
         sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
         if self.placement_source == "v":
-            vx = float(self.model.w_vec @ (c * dtheta)) / self.model.m_total
+            vx = (c * dtheta).dot(w) / m_total
             v_hat = ell * sh * x_c + ch * vx
             v_des = self.L_des / (p.m * p.H)
-            return self._clamp(
-                foot_placement_velocity(p, v_hat, v_des, self.gait.T, self.gait.alpha)
-            )
-        L = float(D_q[0] @ dq)  # momentum conjugate to q0 = L about the contact
-        L_hat = p.m * p.H * ell * sh * x_c + ch * L
-        return self._clamp(
-            foot_placement_asymptotic(p, L_hat, self.L_des, self.gait.T, self.gait.alpha)
-        )
+            p_raw = foot_placement_velocity(p, v_hat, v_des, self.gait.T, self.gait.alpha)
+        else:
+            # momentum conjugate to q0 = L about the contact
+            L = D_q[0].dot(dq) if q.ndim == 1 else np.einsum("ni,ni->n", D_q[:, 0], dq)
+            L_hat = p.m * p.H * ell * sh * x_c + ch * L
+            p_raw = foot_placement_asymptotic(p, L_hat, self.L_des, self.gait.T, self.gait.alpha)
+        if q.ndim == 1:
+            return self._clamp(float(p_raw))
+        return np.array([self._clamp(v) for v in p_raw.tolist()])  # lane by lane
 
     def _clamp(self, p_raw: float) -> float:
         return min(max(p_raw, -self._p_max), self._p_max)
@@ -342,7 +367,7 @@ class WalkingController:
         )
         if self.z_profile is not None:
             # virtual_constraint_derivatives returns fresh arrays.
-            h_d[1], dh_d[1], ddh_d[1] = self.z_profile(min(tau, self.gait.T))[:3]
+            h_d[..., 1], dh_d[..., 1], ddh_d[..., 1] = self.z_profile(min(tau, self.gait.T))[:3]
         return h_d, dh_d, ddh_d
 
     def torques_from_terms(self, q, dq, tau, terms):
@@ -477,13 +502,14 @@ def assemble_posture(
 
 def _five_link_rhs(model, controller, tau, y):
     """Closed-loop derivative; returns (ydot, u, y_out) sharing one mass-matrix
-    solve between controller and plant."""
-    q, dq = y[:5], y[5:]
+    solve between controller and plant.  y is one state [q; dq], or an
+    (N, 10) stack of lanes at the same tau, and then each result is stacked."""
+    q, dq = y[..., :5], y[..., 5:]
     terms = bp._dyn_terms(model, q, dq)
     u, y_out, X = controller.torques_from_terms(q, dq, tau, terms)
     u_a = controller.ankle(tau)
-    ddq = X[:, :4] @ u + X[:, 4] + X[:, 5] * u_a
-    return np.concatenate([dq, ddq]), u, y_out
+    ddq = bp._mv(X[..., :4], u) + X[..., 4] + X[..., 5] * u_a
+    return np.concatenate([dq, ddq], axis=-1), u, y_out
 
 
 def _rk4(f, tau, y, h, k1=None):
@@ -502,9 +528,10 @@ def _rk4_advance(model, controller, tau, y, h, k1=None):
     return _rk4(lambda t, x: _five_link_rhs(model, controller, t, x)[0], tau, y, h, k1)
 
 
-def _swing_z(model, y) -> float:
-    theta = model.M_map @ y[:5]
-    return float(model.b_sw @ np.cos(theta))
+def _swing_z(model, y):
+    """Swing-foot height of one state (a float), or of each row of a stack."""
+    z = np.cos(bp._mv(model.M_map, y[..., :5])).dot(model.b_sw)
+    return float(z) if y.ndim == 1 else z
 
 
 def integrate_step(model, controller, state, T, integrator: IntegratorConfig, recorder=None):
@@ -513,7 +540,12 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     Five-link (PlanarBiped) plants run closed-loop RK4 and locate the
     touchdown guard crossing by bisection to integrator.event_tolerance; the
     guard is armed at tau >= T/2 (the swing trajectory peaks mid-step).  If no
-    impact occurs by 2T a GaitFailureError is raised.  Reduced plants (pass
+    impact occurs by 2T a GaitFailureError is raised.  The five-link `state`
+    is a BipedState, or an (N, 10) stack of [q; dq] rows (lanes) under a
+    controller that holds N lanes' context: the lanes step in lockstep on
+    one tau grid, a lane leaves the stack at its own guard crossing, which
+    is bisected on that lane alone, and the result is the (N, 10) stack of
+    pre-switch states with the (N,) switch times.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
     torque.  `recorder(tau, y, u, y_out)` is called at every accepted grid
@@ -521,7 +553,7 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     `y` is the state ndarray [q; dq] and the recorder also receives `ydot=`
     (the state derivative at that point, so integrand-exact rates need no
     refactoring downstream); for reduced plants `y` is an (x_c, L) or
-    (x_c, v_c) tuple of floats.
+    (x_c, v_c) tuple of floats.  A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
@@ -534,9 +566,20 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
 
 
 def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
+    stacked = not isinstance(state, BipedState)
+    if stacked and not (np.ndim(state) == 2 and np.shape(state)[1] == 10 and recorder is None):
+        raise ValidationError(
+            "integrate_step: a five-link state is a BipedState, or an (N, 10) stack "
+            "of lanes without a recorder"
+        )
     h = cfg.step_size
     tau = 0.0
-    y = np.concatenate([state.q, state.dq])
+    y = state if stacked else np.concatenate([state.q, state.dq])
+    # The rows of y are the lanes still stepping; lanes[i] is row i's place
+    # in the result, which holds each crossed lane's pre-switch state and time.
+    lanes = np.arange(len(y) if stacked else 1)
+    y_sw, t_sw = np.empty((len(lanes), 10)), np.empty(len(lanes))
+    caller = controller  # keeps every lane's p_des; `controller` drops crossed lanes
     rhs, u, y_out = _five_link_rhs(model, controller, tau, y)
     if recorder is not None:
         recorder(tau, y, u, y_out, ydot=rhs, first=True)
@@ -549,25 +592,37 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
             )
         tau_next = tau + h
         pz_next = _swing_z(model, y_next)
-        armed = tau_next >= 0.5 * T and pz_prev > 0.0
-        if armed and pz_next <= 0.0:
-            # Bisect the sub-step length until the crossing time is pinned.
-            lo, hi = 0.0, h
-            y_hi = y_next
-            while hi - lo > cfg.event_tolerance:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break  # bracket one float wide: the tolerance is below resolution
-                y_mid = _rk4_advance(model, controller, tau, y, mid, k1=rhs)
-                if _swing_z(model, y_mid) <= 0.0:
-                    hi, y_hi = mid, y_mid
-                else:
-                    lo = mid
-            t_event = tau + hi
-            rhs_e, u_e, y_out_e = _five_link_rhs(model, controller, t_event, y_hi)
-            if recorder is not None:
-                recorder(t_event, y_hi, u_e, y_out_e, ydot=rhs_e)
-            return BipedState(y_hi[:5], y_hi[5:]), t_event
+        if tau_next >= 0.5 * T and np.any(hit := (pz_prev > 0.0) & (pz_next <= 0.0)):
+            for i in np.flatnonzero(hit):
+                # Bisect the lane's sub-step length until the crossing time is
+                # pinned, on that one lane's state.
+                lane = controller._lanes(i) if stacked else controller
+                y0, k1 = y.reshape(-1, 10)[i], rhs.reshape(-1, 10)[i]
+                lo, hi = 0.0, h
+                y_hi = y_next.reshape(-1, 10)[i]
+                while hi - lo > cfg.event_tolerance:
+                    mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:
+                        break  # bracket one float wide: the tolerance is below resolution
+                    y_mid = _rk4_advance(model, lane, tau, y0, mid, k1=k1)
+                    if _swing_z(model, y_mid) <= 0.0:
+                        hi, y_hi = mid, y_mid
+                    else:
+                        lo = mid
+                t_event = tau + hi
+                rhs_e, u_e, y_out_e = _five_link_rhs(model, lane, t_event, y_hi)
+                if recorder is not None:
+                    recorder(t_event, y_hi, u_e, y_out_e, ydot=rhs_e)
+                y_sw[lanes[i]], t_sw[lanes[i]] = y_hi, t_event
+                if stacked:
+                    caller.p_des[lanes[i]] = lane.p_des  # the placement at the lane's event
+            if not stacked:
+                return BipedState(y_hi[:5], y_hi[5:]), t_event
+            keep = ~hit
+            if not keep.any():
+                return y_sw, t_sw
+            lanes, controller = lanes[keep], controller._lanes(keep)
+            y_next, pz_next = y_next[keep], pz_next[keep]
         rhs, u, y_out = _five_link_rhs(model, controller, tau_next, y_next)
         if recorder is not None:
             recorder(tau_next, y_next, u, y_out, ydot=rhs)
@@ -892,19 +947,39 @@ def make_five_link_return_map(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The (q, dq) -> (q, dq) return map on the just-after-impact section.
 
-    Each invocation runs its own controller context (fresh per-step state),
-    so the callable is safe to evaluate at perturbed points in any order.
+    The map takes one state of shape (10,) and returns its image, or a stack
+    of k states of shape (k, 10) and returns the (k, 10) stack of their
+    images, row for row.  A stack runs as one lockstep integration of k
+    lanes, each to its own touchdown; its rows equal the map of each row
+    alone to rounding.  Each invocation runs its own controller context
+    (fresh per-step state), so the callable is safe to evaluate at perturbed
+    points in any order.
     """
+
+    def impact(y: np.ndarray) -> np.ndarray:
+        plus = bp.impact_map(model, BipedState(y[:5], y[5:]))
+        return np.concatenate([plus.q, plus.dq])
 
     def step_map(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        state = BipedState(x[:5], x[5:])
+        stacked = x.ndim == 2
+        if not stacked:
+            state = BipedState(x[:5], x[5:])
+        elif len(x) and x.shape[1] == 10 and np.all(np.isfinite(x)):
+            state = x
+        else:
+            raise ValidationError(
+                f"return map: expected a state (10,) or a finite stack (k, 10), got {x.shape}"
+            )
         controller = WalkingController(model, gait, constraints)
         for _ in range(steps_per_return):
             controller.on_step_start(state)
             state_minus, _ = integrate_step(model, controller, state, gait.T, integrator)
-            state = bp.impact_map(model, state_minus)
-        return np.concatenate([state.q, state.dq])
+            if stacked:
+                state = np.array([impact(y) for y in state_minus])
+            else:
+                state = bp.impact_map(model, state_minus)
+        return state if stacked else np.concatenate([state.q, state.dq])
 
     return step_map
 

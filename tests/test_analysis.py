@@ -233,6 +233,41 @@ def test_numeric_jacobian_delta_sequence_returns_list():
     assert max(doms) - min(doms) < 1e-6  # the map is affine: delta-independent
 
 
+def test_alip_step_map_maps_each_row_of_a_stack():
+    step = alip_closed_loop_step_map(PARAMS, 0.3, 0.5, 14.4)
+    X = np.array([[0.1, 14.0], [-0.2, 15.5], [0.0, 0.0]])
+    images = step(X)
+    assert images.shape == X.shape
+    for x, image in zip(X, images):
+        assert np.max(np.abs(image - step(x))) <= 1e-12 * max(1.0, np.max(np.abs(image)))
+
+
+def test_numeric_jacobian_makes_one_residual_call_and_one_stacked_call():
+    T, L_des, alpha = 0.3, 14.4, 0.5
+    step = alip_closed_loop_step_map(PARAMS, T, alpha, L_des)
+    x_star = alip_closed_loop_poincare(PARAMS, T, alpha, L_des).fixed_point
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return step(x)
+
+    numeric_poincare_jacobian(counted, x_star, [1e-3, 1e-4])
+    assert shapes == [(2,), (8, 2)]  # x*, then x* +- d e_i for both deltas
+
+
+def test_numeric_jacobian_rejects_a_map_that_only_maps_one_state():
+    # x -> x / 2 + (1, 0), written on the entries of one state: handed the
+    # stack of perturbed states it returns two rows, not one per row.
+    def one_state_only(x):
+        return np.array([0.5 * x[0] + 1.0, 0.5 * x[1]])
+
+    x_star = np.array([2.0, 0.0])
+    assert np.array_equal(one_state_only(x_star), x_star)
+    with pytest.raises(ValidationError, match="one image per row"):
+        numeric_poincare_jacobian(one_state_only, x_star, 1e-4)
+
+
 def test_numeric_jacobian_rejects_non_fixed_point():
     step = alip_closed_loop_step_map(PARAMS, 0.3, 0.5, 14.4)
     with pytest.raises(FixedPointError):

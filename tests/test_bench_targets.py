@@ -6,6 +6,7 @@ the test suite, not only a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -74,3 +75,37 @@ def test_traced_run_sees_the_writer_and_the_sample_buffer(tmp_path):
     assert alip["simlab.write_csv.mb"] > 0
     assert alip["simlab.artifacts.s"] > 0
     assert alip["simlab.recorder.samples"] == 701
+
+
+def test_traced_lane_map_hands_the_hooks_floats():
+    # Two hooks of the traced benchmark take one lane's numbers: the _clamp
+    # hook tests `result != args[1]` as a bool, and the _rk4_advance hook
+    # compares args[4], the step length, with a float.  A lane path that
+    # handed either one an array would raise here.
+    from stridelab import GaitCommand, IntegratorConfig, ScenarioConfig, VirtualConstraintSpec
+    from stridelab import simlab
+
+    cfg = ScenarioConfig(
+        plant="FIVE_LINK",
+        gait=GaitCommand(L_des=14.4, T=0.35, alpha=0.5),
+        constraints=VirtualConstraintSpec(H=0.6, z_cl=0.07),
+        duration=1,
+        integrator=IntegratorConfig(step_size=1e-3),
+    )
+    start = simlab._FiveLinkPlant(cfg).start()
+    x0 = np.concatenate([start.q, start.dq])
+    step_map = simlab.make_five_link_return_map(
+        cfg.build_model(), cfg.gait, cfg.constraints, cfg.integrator, steps_per_return=1
+    )
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        images = step_map(x0 + np.outer([0.0, 0.02, -0.02], np.ones(10)))
+    finally:
+        tracer.uninstall()
+    assert images.shape == (3, 10)
+    metrics = {name: m["value"] for name, m in tracer.layer_metrics(1, 0.0).items()}
+    assert metrics["simlab.integrate_step.calls"] == 1
+    assert metrics["simlab.rk4.event_calls"] > 0  # each lane's bisection
+    assert metrics["simlab.rhs.calls"] > 0

@@ -271,6 +271,22 @@ def test_power_balance_with_torques():
     assert abs((E[-1] - E[0]) - work) < 1e-6 * max(1.0, abs(E[-1] - E[0]))
 
 
+torques = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(kw=postures, u=torques, u_a=st.floats(-2.0, 2.0))
+def test_power_balance_with_torques_generated(kw, u, u_a):
+    # dE/dt = dq_b . u + dq0 u_a over a short constant-torque rollout.
+    state = drawn_state(kw)
+    u = np.array(u)
+    ts, qs, dqs = rollout(MODEL, state, lambda t: u, 0.03, h=1e-4, u_a_fn=lambda t: u_a)
+    E = [total_energy(MODEL, BipedState(qs[i], dqs[i])) for i in (0, -1)]
+    power = dqs[:, 1:] @ u + dqs[:, 0] * u_a
+    work = np.trapezoid(power, ts)
+    assert abs((E[1] - E[0]) - work) < 1e-6 * max(1.0, abs(E[1] - E[0]))
+
+
 def test_L_dot_equals_gravity_moment_plus_ankle():
     # Along any rollout, the contact-point angular momentum obeys
     # dL/dt = m g x_c + u_a, torques or not.  Checked by central differences.
@@ -360,6 +376,24 @@ def test_checked_solve_failure_messages():
             _checked_solve(D, rhs, "what")
         assert str(exc.value).startswith(message)
         assert exc.value.cond == cond
+        # The same system as lane 1 of a stack, behind a well-posed lane 0:
+        # the bound holds per lane, and cond is the failing lane's.
+        D_stack, rhs_stack = np.array([np.eye(2), D]), np.array([np.ones(2), rhs])
+        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError) as exc:
+            _checked_solve(D_stack, rhs_stack, "what")
+        assert str(exc.value).startswith(message)
+        assert "singular" in message or "in lane 1 of 2" in str(exc.value)
+        assert exc.value.cond == cond
+
+
+def test_checked_solve_on_a_stack_solves_each_system():
+    rng = np.random.default_rng(5)
+    D = rng.normal(size=(3, 5, 5)) + 5.0 * np.eye(5)
+    for rhs in (rng.normal(size=(3, 5)), rng.normal(size=(3, 5, 6))):
+        x = _checked_solve(D, rhs, "what")
+        assert x.shape == rhs.shape
+        for i in range(3):
+            assert np.max(np.abs(x[i] - _checked_solve(D[i], rhs[i], "what"))) <= 1e-12
 
 
 def test_five_link_rhs_singular_at_coincident_feet():
@@ -504,6 +538,33 @@ def test_impact_conserves_L_about_new_contact():
         out = impact_map(MODEL, st)
         L_plus = centroidal(MODEL, out).L
         assert abs(L_plus - L_pred) <= 1e-9 * max(1.0, abs(L_pred))
+
+
+touchdowns = st.builds(
+    dict,
+    com_x=st.floats(-0.1, 0.15),
+    com_z=st.floats(0.54, 0.64),
+    swing_foot_x=st.floats(0.1, 0.35),
+    swing_foot_z=st.just(0.0),
+    com_velocity=st.tuples(st.floats(0.0, 1.5), st.floats(-0.3, 0.3)),
+    torso_pitch=st.floats(-0.2, 0.2),
+    swing_foot_velocity=st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, -0.05)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(kw=touchdowns)
+def test_impact_conserves_L_about_new_contact_generated(kw):
+    st_minus = drawn_state(kw)
+    try:
+        out = impact_map(MODEL, st_minus)
+    except InfeasibleImpactError:
+        assume(False)
+    cs_minus = centroidal(MODEL, st_minus)
+    p_2to1 = -swing_foot_position(MODEL, st_minus.q)  # old contact in new-contact frame
+    L_pred = transfer_angular_momentum(cs_minus.L, p_2to1, cs_minus.v_c, MODEL.m_total)
+    L_plus = centroidal(MODEL, out).L
+    assert abs(L_plus - L_pred) <= 1e-9 * max(1.0, abs(L_pred))
 
 
 def test_impact_level_ground_zero_vz_keeps_L():

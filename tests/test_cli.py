@@ -344,6 +344,11 @@ BAD_FLAGS = [
     (POINCARE_FIVE_LINK + ["--fp-tol", "0"], 2, ("--fp-tol",)),
     (POINCARE_FIVE_LINK + ["--fp-tol", "nan"], 2, ("--fp-tol",)),
     (POINCARE_FIVE_LINK + ["--warmup", "0"], 2, ("--warmup",)),
+    # Rollouts past MAX_RK4_STEPS are rejected naming the flags that set the work.
+    (POINCARE_FIVE_LINK + ["--warmup", "100000"], 2, ("--warmup", "--T", "--step-size")),
+    (["compare-lip-alip", "--steps", "100000000"], 2, ("compare-lip-alip: --steps", "--T")),
+    (["error-decomp", "--T", "1e308"], 2, ("error-decomp: --steps", "--T 1e+308")),
+    (["predict-fidelity", "--steps", "-1"], 2, ("predict-fidelity: --steps -1",)),
 ]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stridelab as sl
@@ -893,3 +893,112 @@ def test_five_link_row_matches_centroidal_bit_for_bit(kw, tau, ankle, ddq):
     expected = (*y, *cs.p_c, *cs.v_c, cs.L, cs.L_c, dL_c, *y_out, *u)
     assert len(row) == len(plant.columns) - 2 == len(expected)  # t and step come first
     assert np.array(row).tobytes() == np.array(expected).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lanes: a stack of states steps as one, and each row matches its single state
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    kws=st.lists(five_link_states, min_size=1, max_size=4),
+    tau=st.floats(0.0, 0.7),
+    ankle=st.floats(0.0, 1.5),
+    z_amplitude=st.sampled_from([0.0, 0.02]),
+    source=st.sampled_from(["L", "v"]),
+    update=st.sampled_from(["continuous", "step_start"]),
+)
+def test_stacked_rhs_rows_match_single_states(kws, tau, ankle, z_amplitude, source, update):
+    plant = five_link_plant(ankle, z_amplitude, source)
+    plant.controller.placement_update = update
+    states = [posture(plant.model, kw) for kw in kws]
+    Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
+    lanes = plant.controller
+    lanes.on_step_start(Y)
+    ydot, u, y_out = simlab._five_link_rhs(plant.model, lanes, tau, Y)
+    assert ydot.shape == Y.shape and u.shape == y_out.shape == (len(Y), 4)
+    for i, state in enumerate(states):
+        one = five_link_plant(ankle, z_amplitude, source).controller
+        one.placement_update = update
+        one.on_step_start(state)
+        ydot_1, u_1, y_out_1 = simlab._five_link_rhs(plant.model, one, tau, Y[i])
+        assert rel_gap(ydot[i], ydot_1) <= 1e-12
+        assert rel_gap(u[i], u_1) <= 1e-12
+        assert abs(lanes.p_des[i] - one.p_des) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def orbit_map():
+    """A one-step five-link return map and a post-impact state on its gait."""
+    cfg = ScenarioConfig(
+        plant="FIVE_LINK",
+        gait=FIVE_GAIT,
+        constraints=VC,
+        duration=2,
+        integrator=IntegratorConfig(step_size=1e-3),
+    )
+    plus = run_scenario(cfg).events[-1].state_plus
+    step_map = simlab.make_five_link_return_map(
+        cfg.build_model(), FIVE_GAIT, VC, cfg.integrator, steps_per_return=1
+    )
+    return step_map, np.concatenate([plus.q, plus.dq]), cfg
+
+
+# Faster or slower stance-shin rates move each touchdown by several 1 ms grid
+# steps.
+SPREAD_LANES = np.outer([0.0, 0.3, -0.3], np.eye(10)[5])
+
+
+def test_stacked_lanes_cross_at_different_grid_steps(orbit_map):
+    _, x0, cfg = orbit_map
+    X = x0 + SPREAD_LANES
+    model = cfg.build_model()
+    lanes = WalkingController(model, FIVE_GAIT, VC)
+    lanes.on_step_start(X)
+    y_minus, t_minus = integrate_step(model, lanes, X, FIVE_GAIT.T, cfg.integrator)
+    assert y_minus.shape == X.shape and t_minus.shape == (3,)
+    assert len(set(np.floor(t_minus / cfg.integrator.step_size))) == 3
+    for i, (x, y, t) in enumerate(zip(X, y_minus, t_minus)):
+        one = WalkingController(model, FIVE_GAIT, VC)
+        state = sl.BipedState(x[:5], x[5:])
+        one.on_step_start(state)
+        s_1, t_1 = integrate_step(model, one, state, FIVE_GAIT.T, cfg.integrator)
+        assert abs(t - t_1) <= 1e-12
+        assert np.max(np.abs(y - np.concatenate([s_1.q, s_1.dq]))) <= 1e-12 * np.max(np.abs(y))
+        assert abs(lanes.p_des[i] - one.p_des) <= 1e-12  # the placement at each event
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@example(offsets=[[0.01] * 10])  # a stack of one
+@example(offsets=SPREAD_LANES.tolist())  # lanes crossing in three different grid steps
+@given(
+    offsets=st.lists(
+        st.lists(st.floats(-0.05, 0.05), min_size=10, max_size=10), min_size=1, max_size=3
+    )
+)
+def test_stacked_map_rows_match_single_states(orbit_map, offsets):
+    step_map, x0, _ = orbit_map
+    X = x0 + np.array(offsets)
+    images = step_map(X)
+    assert images.shape == X.shape
+    for x, image in zip(X, images):
+        alone = step_map(x)
+        assert np.max(np.abs(image - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+def test_stacked_map_rejects_bad_stacks(orbit_map):
+    step_map, x0, _ = orbit_map
+    for bad in (np.zeros((0, 10)), np.zeros((2, 9)), np.full((2, 10), np.nan)):
+        with pytest.raises(ValidationError, match="stack"):
+            step_map(bad)
+    model = PlanarBiped.default()
+    with pytest.raises(ValidationError, match="recorder"):
+        integrate_step(
+            model,
+            WalkingController(model, FIVE_GAIT, VC),
+            x0[None],
+            FIVE_GAIT.T,
+            IntegratorConfig(step_size=1e-3),
+            lambda *args, **kwargs: None,
+        )
