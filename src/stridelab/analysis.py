@@ -313,15 +313,14 @@ def numeric_poincare_jacobian(
     per perturbation size -- the insensitivity of the dominant eigenvalue
     across that list is the practical check that the linearization is
     trustworthy).  If residual_tol is not None, ||F(x*) - x*||_inf is checked
-    first, in one call on the 1-D state, and a FixedPointError (with the
-    residual) raised when x_star is not actually on a periodic orbit.
+    before any column is formed, and a FixedPointError (with the residual)
+    raised when x_star is not actually on a periodic orbit.
 
-    Stack contract: step_map maps one state (n,) to its image, and a (k, n)
-    stack of states to the (k, n) stack of their images, row by row.  Every
-    x* +- delta e_i, for all deltas, goes to the map as one stack of
-    2 n len(deltas) rows, so a map that integrates its rows together pays
-    for all of them at once.  A map that returns any other shape for the
-    stack raises ValidationError.
+    Stack contract: step_map maps a (k, n) stack of states to the (k, n)
+    stack of their images, row by row.  x* and every x* +- delta e_i, for all
+    deltas, go to the map as one stack of 1 + 2 n len(deltas) rows, so a map
+    that integrates its rows together pays for all of them at once.  A map
+    that returns any other shape for the stack raises ValidationError.
     """
     x_star = np.asarray(x_star, dtype=float)
     if x_star.ndim != 1:
@@ -333,16 +332,10 @@ def numeric_poincare_jacobian(
             raise ValidationError(
                 f"numeric_poincare_jacobian: delta must be finite and > 0 (got {d})"
             )
-    if residual_tol is not None:
-        res = float(np.max(np.abs(np.asarray(step_map(x_star), dtype=float) - x_star)))
-        if not res <= residual_tol:
-            raise FixedPointError(
-                "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
-            )
     n = x_star.size
     eye = np.eye(n)
-    # Rows: x* + d e_i for i < n, then x* - d e_i, for each d in turn.
-    points = np.concatenate([x_star + sign * d * eye for d in delta_list for sign in (1, -1)])
+    # Rows: x*, then x* + d e_i for i < n, then x* - d e_i, for each d in turn.
+    points = np.vstack([x_star] + [x_star + sign * d * eye for d in delta_list for sign in (1, -1)])
     images = np.asarray(step_map(points), dtype=float)
     if images.shape != points.shape:
         raise ValidationError(
@@ -350,8 +343,14 @@ def numeric_poincare_jacobian(
             f"(k, n) stack of states; it returned shape {images.shape} for a stack "
             f"of shape {points.shape}"
         )
+    if residual_tol is not None:
+        res = float(np.max(np.abs(images[0] - x_star)))
+        if not res <= residual_tol:
+            raise FixedPointError(
+                "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
+            )
     results = []
-    for d, (fp, fm) in zip(delta_list, images.reshape(-1, 2, n, n)):
+    for d, (fp, fm) in zip(delta_list, images[1:].reshape(-1, 2, n, n)):
         J = ((fp - fm) / (2.0 * d)).T
         eig = np.linalg.eigvals(J)
         eig = eig[np.argsort(-np.abs(eig))]

@@ -80,8 +80,6 @@ __all__ = [
     "guard",
 ]
 
-_COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -199,14 +197,11 @@ class PlanarBiped:
         # theta-reversal (leg swap) expressed on q: R = M^-1 P M.
         P = np.fliplr(np.eye(5))
         self.R_relabel = self.M_inv @ P @ self.M_map
-        # Joint torques B_b (5x4) and ankle torque B_a (5,), as read-only views
-        # of [B_b | drift | B_a], the right-hand block of the closed-loop
-        # mass-matrix solve: the tracking law copies it and writes the drift.
-        self.B_block = np.zeros((5, 6))
-        self.B_block[1:, :4] = np.eye(4)
-        self.B_block[0, 5] = 1.0
-        self.B_block.flags.writeable = False
-        self.B_b, self.B_a = self.B_block[:, :4], self.B_block[:, 5]
+        # Joint torques B_b (5x4) and ankle torque B_a (5,), read-only; row 0
+        # of B_b is zero: q0, the stance-ankle angle, is unactuated.
+        self.B_b = np.vstack([np.zeros(4), np.eye(4)])
+        self.B_a = np.eye(5)[0]
+        self.B_b.flags.writeable = self.B_a.flags.writeable = False
 
     @classmethod
     def default(cls) -> "PlanarBiped":
@@ -383,30 +378,36 @@ def _cond_estimate(D: np.ndarray) -> float:
         return float("inf")
 
 
-def _checked_solve(D: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _checked_solve(D: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
     """x with D x = rhs, for one system, D (n, n) with rhs (n,) or (n, k), or
     for a stack of them, D (N, n, n) with rhs (N, n) or (N, n, k).  Each
-    system must meet the relative residual bound."""
-    stacked = D.ndim > 2
+    system must meet the relative residual bound.  `what` names the system in
+    an error, or is a pair of names for a pair of systems on the axis before
+    each matrix (after the lanes', if any)."""
+    lead = D.shape[:-2]
     # np.linalg.solve reads a stack of vectors as one matrix: give each
     # system's vector a column of its own.
-    b = rhs[..., None] if stacked and rhs.ndim < D.ndim else rhs
+    b = rhs[..., None] if lead and rhs.ndim < D.ndim else rhs
     try:
         x = np.linalg.solve(D, b)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(f"{what}: singular matrix", cond=_cond_estimate(D))
-    # Cheap residual check to catch silently-garbage solves near singularity.
-    # A NaN or inf anywhere in x makes err NaN or inf, which fails it too.
-    axes = (-2, -1) if stacked else None  # the entries of one system
-    scale = np.abs(D) @ np.abs(x) + np.abs(b) + 1e-300
-    err = np.abs(D @ x - b).max(axis=axes) / scale.max(axis=axes)
-    if not (err.max() if stacked else err) <= 1e-8:
+        bad, why = np.linalg.det(D) == 0, "singular matrix"  # the same LU as the solve's
+    else:
+        # Cheap residual check to catch silently-garbage solves near singularity.
+        # A NaN or inf anywhere in x makes err NaN or inf, which fails it too.
+        axes, mul = ((-2, -1), np.matmul) if lead else (None, np.dot)  # one system's entries
+        scale = mul(np.abs(D), np.abs(x)) + np.abs(b) + 1e-300
+        err = np.abs(mul(D, x) - b).max(axis=axes) / scale.max(axis=axes)
+        if err.max() <= 1e-8:
+            return x[..., 0] if b is not rhs else x
         bad = ~(err <= 1e-8)
         why = "ill-conditioned solve" if np.isfinite(x[bad]).all() else "non-finite solve result"
-        if stacked:
-            why += f" in lane {int(np.argmax(bad))} of {len(D)}"
-        raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D[bad]))
-    return x[..., 0] if b is not rhs else x
+    first = np.unravel_index(np.argmax(bad), lead)  # the first failing system
+    if not isinstance(what, str):
+        what, first, lead = what[first[-1]], first[:-1], lead[:-1]
+    if lead:
+        why += f" in lane {first[0]} of {lead[0]}"
+    raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D[bad] if bad.any() else D))
 
 
 def forward_dynamics(model: PlanarBiped, state: BipedState, u, u_a: float = 0.0) -> np.ndarray:

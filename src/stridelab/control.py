@@ -405,11 +405,11 @@ def io_linearizing_torque(
 ) -> np.ndarray:
     """Input-output linearizing torque for the four-output stack.
 
-    Solves A u = v - Jdot dq - J ddq_drift with A = J D^-1 B the decoupling
-    matrix and v = ddh_d - Kd (J dq - dh_d) - Kp (h0 - h_d), yielding output
-    error dynamics ddy + Kd dy + Kp y = 0.  Raises SingularMatrixError with a
-    condition estimate if the decoupling matrix degenerates (e.g. a fully
-    straightened knee).
+    u makes J ddq + Jdot dq = v = ddh_d - Kd (J dq - dh_d) - Kp (h0 - h_d),
+    so the output errors obey ddy + Kd dy + Kp y = 0 (see _io_torque_core).
+    Raises SingularMatrixError with a condition estimate if the decoupling
+    matrix J D^-1 B degenerates (e.g. a fully straightened knee), which is
+    when [D_0; J] does: det [D_0; J] = det D det(J D^-1 B).
     """
     h_d = np.asarray(h_d, dtype=float)
     dh_d = np.asarray(dh_d, dtype=float)
@@ -424,37 +424,39 @@ def io_linearizing_torque(
     Kp = np.diag(_gain_vec("io_linearizing_torque.Kp", Kp, 100.0))
     Kd = np.diag(_gain_vec("io_linearizing_torque.Kd", Kd, 20.0))
     terms = _dyn_terms(model, state.q, state.dq)
-    u, _, _, _ = _io_torque_core(
-        model, state.q, state.dq, terms, h_d, dh_d, ddh_d, Kp, Kd
-    )
+    u, _, _ = _io_torque_core(model, state.q, state.dq, terms, h_d, dh_d, ddh_d, Kp, Kd)
     return u
 
 
-def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd):
-    """Torque plus the shared mass-matrix solve block.
+def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
+    """(u, ddq, y): the tracking torque, the closed-loop acceleration under u
+    and the stance-ankle torque u_a, and the output error, from one solve.
 
-    Returns (u, X, y, dy) with X = D^-1 [B_b | -(C dq + G) | B_a] (5x6), so a
-    simulation loop can finish the closed-loop acceleration as
-    ddq = X[:, :4] u + X[:, 4] + X[:, 5] u_a without a second factorization.
-    The drift column deliberately omits the ankle torque: the tracking law
-    treats it as an unknown disturbance.  For a stack of states (q, dq and
-    terms stacked, the references (N, 4)) each result is stacked.
+    Row 0 of B is zero, so the acceleration ddq0 the law commands, u_a left
+    out as unknown to it, solves [D_0; J] ddq0 = [-(C dq + G)_0; v - Jdot dq],
+    and u = D_1: ddq0 + (C dq + G)_1:.  A nonzero u_a adds u_a D^-1 e_0, with
+    D as the second system of a pair in the same solve.  For a stack of
+    states (q, dq and terms stacked, the references (N, 4)) each result is
+    stacked.
     """
     D_q, cvec_q, G_q, (_, s, c, dtheta) = terms
     h0, J, Jdot_dq = _outputs_full(model, q, s, c, dtheta)
-    if cvec_q.ndim == 1:
-        rhs_block = model.B_block.copy()
-    else:
-        rhs_block = np.repeat(model.B_block[None], len(cvec_q), axis=0)
-    rhs_block[..., 4] = -(cvec_q + G_q)
-    X = _checked_solve(D_q, rhs_block, "io_linearizing_torque (mass matrix)")
-    A_dec = J @ X[..., :4]
+    h = cvec_q + G_q
     y = h0 - h_d
-    dy = _mv(J, dq) - dh_d
-    v = ddh_d - _mv(Kd, dy) - _mv(Kp, y)
-    rhs = v - Jdot_dq - _mv(J, X[..., 4])
-    u = _checked_solve(A_dec, rhs, "io_linearizing_torque (decoupling matrix)")
-    return u, X, y, dy
+    v = ddh_d - _mv(Kd, _mv(J, dq) - dh_d) - _mv(Kp, y)
+    lead = q.shape[:-1] + ((2,) if u_a else ())
+    K, r = np.empty(lead + (5, 5)), np.zeros(lead + (5,))
+    K_law, r_law = (K[..., 0, :, :], r[..., 0, :]) if u_a else (K, r)
+    K_law[..., 0, :], K_law[..., 1:, :] = D_q[..., 0, :], J
+    r_law[..., 0], r_law[..., 1:] = -h[..., 0], v - Jdot_dq
+    what = "io_linearizing_torque (decoupling matrix)"
+    if not u_a:
+        ddq0 = ddq = _checked_solve(K, r, what)
+    else:
+        K[..., 1, :, :], r[..., 1, 0] = D_q, 1.0
+        x = _checked_solve(K, r, (what, "io_linearizing_torque (mass matrix)"))
+        ddq0, ddq = x[..., 0, :], x[..., 0, :] + u_a * x[..., 1, :]
+    return _mv(D_q[..., 1:, :], ddq0) + h[..., 1:], ddq, y
 
 
 def passivity_tracking_torque(

@@ -370,17 +370,17 @@ class WalkingController:
             h_d[..., 1], dh_d[..., 1], ddh_d[..., 1] = self.z_profile(min(tau, self.gait.T))[:3]
         return h_d, dh_d, ddh_d
 
-    def torques_from_terms(self, q, dq, tau, terms):
-        """(u, y, X) at in-step time tau, given precomputed dynamics terms.
-        X is the mass-matrix solve block reused by the plant derivative."""
+    def torques_from_terms(self, q, dq, tau, terms, u_a):
+        """(u, y, ddq) at in-step time tau, given precomputed dynamics terms;
+        ddq is the acceleration under u and the ankle torque u_a."""
         if self.placement_update == "continuous":
             self.p_des = self._placement(q, dq, terms, tau)
         s_phase = min(tau / self.gait.T, 1.0)
         h_d, dh_d, ddh_d = self._reference(s_phase, tau)
-        u, X, y, _dy = _io_torque_core(
-            self.model, q, dq, terms, h_d, dh_d, ddh_d, self._Kp, self._Kd
+        u, ddq, y = _io_torque_core(
+            self.model, q, dq, terms, h_d, dh_d, ddh_d, self._Kp, self._Kd, u_a
         )
-        return u, y, X
+        return u, y, ddq
 
     def ankle(self, tau: float) -> float:
         return float(self.ankle_fn(tau)) if self.ankle_fn is not None else 0.0
@@ -501,14 +501,12 @@ def assemble_posture(
 
 
 def _five_link_rhs(model, controller, tau, y):
-    """Closed-loop derivative; returns (ydot, u, y_out) sharing one mass-matrix
-    solve between controller and plant.  y is one state [q; dq], or an
-    (N, 10) stack of lanes at the same tau, and then each result is stacked."""
+    """Closed-loop derivative (ydot, u, y_out), with u and ddq from one solve
+    of the [D_0; J] system.  y is one state [q; dq], or an (N, 10) stack of
+    lanes at the same tau, and then each result is stacked."""
     q, dq = y[..., :5], y[..., 5:]
     terms = bp._dyn_terms(model, q, dq)
-    u, y_out, X = controller.torques_from_terms(q, dq, tau, terms)
-    u_a = controller.ankle(tau)
-    ddq = bp._mv(X[..., :4], u) + X[..., 4] + X[..., 5] * u_a
+    u, y_out, ddq = controller.torques_from_terms(q, dq, tau, terms, controller.ankle(tau))
     return np.concatenate([dq, ddq], axis=-1), u, y_out
 
 

@@ -242,18 +242,19 @@ def test_alip_step_map_maps_each_row_of_a_stack():
         assert np.max(np.abs(image - step(x))) <= 1e-12 * max(1.0, np.max(np.abs(image)))
 
 
-def test_numeric_jacobian_makes_one_residual_call_and_one_stacked_call():
+def test_numeric_jacobian_makes_one_stacked_call_with_the_fixed_point_first():
     T, L_des, alpha = 0.3, 14.4, 0.5
     step = alip_closed_loop_step_map(PARAMS, T, alpha, L_des)
     x_star = alip_closed_loop_poincare(PARAMS, T, alpha, L_des).fixed_point
-    shapes = []
+    calls = []
 
     def counted(x):
-        shapes.append(np.shape(x))
+        calls.append(np.array(x))
         return step(x)
 
     numeric_poincare_jacobian(counted, x_star, [1e-3, 1e-4])
-    assert shapes == [(2,), (8, 2)]  # x*, then x* +- d e_i for both deltas
+    assert [x.shape for x in calls] == [(9, 2)]  # x*, then x* +- d e_i for both deltas
+    assert np.array_equal(calls[0][0], x_star)
 
 
 def test_numeric_jacobian_rejects_a_map_that_only_maps_one_state():

@@ -384,6 +384,18 @@ def test_checked_solve_failure_messages():
         assert str(exc.value).startswith(message)
         assert "singular" in message or "in lane 1 of 2" in str(exc.value)
         assert exc.value.cond == cond
+        # The same system as the second of a pair, alone and as lane 1 of a
+        # stack of pairs: the error names that system, and a lane only when
+        # there are lanes.
+        pair, rhs_pair = np.array([np.eye(2), D]), np.array([np.ones(2), rhs])
+        for lanes, lane in (((), ""), ((2,), " in lane 1 of 2")):
+            D_p = np.array([np.array([np.eye(2), np.eye(2)]), pair]) if lanes else pair
+            rhs_p = np.array([np.ones((2, 2)), rhs_pair]) if lanes else rhs_pair
+            with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError) as exc:
+                _checked_solve(D_p, rhs_p, ("first", "second"))
+            assert str(exc.value).startswith(message.replace("what", "second") + lane)
+            assert lanes or "lane" not in str(exc.value)
+            assert exc.value.cond == cond
 
 
 def test_checked_solve_on_a_stack_solves_each_system():
@@ -398,13 +410,18 @@ def test_checked_solve_on_a_stack_solves_each_system():
 
 def test_five_link_rhs_singular_at_coincident_feet():
     # Swing foot on the stance foot, every link upright: the output
-    # decoupling matrix is singular, and the closed-loop derivative says so.
+    # decoupling matrix is singular, and the closed-loop derivative says so,
+    # also when an ankle torque puts the mass matrix into the same solve.
     gait = GaitCommand(L_des=14.4, T=0.35, alpha=0.5)
-    controller = WalkingController(MODEL, gait, VirtualConstraintSpec(H=0.6, z_cl=0.07))
-    controller.on_step_start(BipedState(np.zeros(5), np.zeros(5)))
     message = "io_linearizing_torque (decoupling matrix): singular matrix"
-    with pytest.raises(SingularMatrixError, match=re.escape(message)):
-        _five_link_rhs(MODEL, controller, 0.1, np.zeros(10))
+    for ankle_fn in (None, lambda tau: 2.0):
+        controller = WalkingController(
+            MODEL, gait, VirtualConstraintSpec(H=0.6, z_cl=0.07), ankle_fn=ankle_fn
+        )
+        controller.on_step_start(BipedState(np.zeros(5), np.zeros(5)))
+        with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
+            _five_link_rhs(MODEL, controller, 0.1, np.zeros(10))
+        assert len(str(exc.value).splitlines()) == 1 and "lane" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from stridelab import (
     transfer_angular_momentum,
     wedge,
 )
-from stridelab import simlab
+from stridelab import control, simlab
 from stridelab.biped import (
     centroidal,
     com_acceleration,
@@ -813,12 +813,11 @@ def posture(model, kw):
         assume(False)
 
 
-def reference_closed_loop(controller, tau, q, dq):
-    """(ddq, u, y) of the input-output linearized closed loop, from
-    mass_matrix, coriolis_matrix, gravity_vector, planar_outputs and plain
-    solves: u makes J ddq + Jdot dq = ddh_d - Kd dy - Kp y with the ankle
-    torque left out (the tracking law treats it as unknown), and then
-    D ddq + C dq + G = B u + B_a u_a."""
+def reference_terms(controller, tau, q, dq):
+    """(D, C dq + G, J, Jdot dq, v, y) of one state under a single-state
+    controller, from mass_matrix, coriolis_matrix, gravity_vector and
+    planar_outputs: v = ddh_d - Kd dy - Kp y is the output acceleration the
+    tracking law commands."""
     model, gait = controller.model, controller.gait
     D = mass_matrix(model, q)
     h = coriolis_matrix(model, q, dq) @ dq + gravity_vector(model, q)
@@ -836,6 +835,15 @@ def reference_closed_loop(controller, tau, q, dq):
     y = h0 - h_d
     dy = J @ dq - dh_d
     v = ddh_d - controller.vc.Kd * dy - controller.vc.Kp * y
+    return D, h, J, Jdot_dq, v, y
+
+
+def reference_closed_loop(controller, tau, q, dq):
+    """(ddq, u, y) of the input-output linearized closed loop, from
+    reference_terms and plain solves: u makes J ddq + Jdot dq = v with the
+    ankle torque left out (the tracking law treats it as unknown), and then
+    D ddq + C dq + G = B u + B_a u_a."""
+    D, h, J, Jdot_dq, v, y = reference_terms(controller, tau, q, dq)
     B = np.vstack([np.zeros(4), np.eye(4)])
     u = np.linalg.solve(J @ np.linalg.solve(D, B), v - Jdot_dq - J @ np.linalg.solve(D, -h))
     rhs = B @ u - h
@@ -866,6 +874,68 @@ def test_five_link_rhs_matches_reference(kw, tau, ankle, z_amplitude, source):
     assert rel_gap(ydot[5:], ddq) <= 1e-12
     assert rel_gap(u, u_ref) <= 1e-12
     assert rel_gap(y_out, y_ref) <= 1e-12
+
+
+def equation_gap(lhs, rhs, *terms):
+    """max |lhs - rhs|, relative to the largest entry of the terms' sizes."""
+    return float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(terms)), 1e-300))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    kws=st.lists(five_link_states, min_size=1, max_size=3),
+    tau=st.floats(0.0, 0.7),
+    ankle=st.sampled_from([0.0]) | st.floats(0.1, 1.5),
+    z_amplitude=st.sampled_from([0.0, 0.02]),
+    source=st.sampled_from(["L", "v"]),
+)
+def test_five_link_rhs_satisfies_the_closed_loop_equations(kws, tau, ankle, z_amplitude, source):
+    # The derivative's (ddq, u), for one state and for a stack of lanes,
+    # satisfy the plant's equations D ddq + C dq + G = B_b u + B_a u_a, and,
+    # when no ankle torque disturbs the law, the commanded output
+    # acceleration J ddq + Jdot dq = v.
+    states = [posture(PlanarBiped.default(), kw) for kw in kws]
+    Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
+    lanes = five_link_plant(ankle, z_amplitude, source).controller
+    lanes.on_step_start(Y)
+    ydot, u, _ = simlab._five_link_rhs(lanes.model, lanes, tau, Y)
+    u_a, model = lanes.ankle(tau), lanes.model
+    B = np.vstack([np.zeros(4), np.eye(4)])
+    for i, state in enumerate(states):
+        one = five_link_plant(ankle, z_amplitude, source).controller
+        one.on_step_start(state)
+        ydot_1, u_1, _ = simlab._five_link_rhs(model, one, tau, Y[i])
+        D, h, J, Jdot_dq, v, _ = reference_terms(one, tau, state.q, state.dq)
+        for ddq_k, u_k in ((ydot_1[5:], u_1), (ydot[i, 5:], u[i])):
+            Bu = B @ u_k + np.eye(5)[0] * u_a
+            assert equation_gap(D @ ddq_k + h, Bu, np.abs(D) @ np.abs(ddq_k), h, Bu) <= 1e-9
+            if u_a == 0.0:
+                Jddq_size = np.abs(J) @ np.abs(ddq_k)
+                assert equation_gap(J @ ddq_k + Jdot_dq, v, Jddq_size, Jdot_dq, v) <= 1e-9
+        assert rel_gap(ydot[i], ydot_1) <= 1e-12
+        assert rel_gap(u[i], u_1) <= 1e-12
+
+
+def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
+    # The tracking law and the plant share one solve: with the ankle torque
+    # off or on, for one state and for a stack of lanes.
+    calls = []
+    solve = control._checked_solve
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(control, "_checked_solve", counted)
+    state = assemble_posture(PlanarBiped.default(), 0.02, 0.6, -0.2, 0.02, (0.7, 0.0))
+    y = np.concatenate([state.q, state.dq])
+    for ankle, pair in ((0.0, ()), (1.0, (2,))):
+        for Y in (y, np.array([y, y, y])):
+            controller = five_link_plant(ankle).controller
+            controller.on_step_start(Y if Y.ndim == 2 else state)
+            simlab._five_link_rhs(controller.model, controller, 0.1, Y)
+            assert calls == [Y.shape[:-1] + pair + (5, 5)]
+            calls.clear()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
