@@ -28,19 +28,29 @@ Closed-form dynamics
 --------------------
 Every link CoM is a fixed linear combination of segment direction vectors:
 p_i = sum_j A[i, j] u(theta_j) with constant A built from link lengths and CoM
-offsets.  Defining W = A^T diag(masses) A and w = A^T masses, the pinned
-mass matrix, Coriolis terms, and gravity vector are exact trigonometric
-expressions (no numerical differentiation anywhere):
+offsets.  With W = A^T diag(masses) A and w = A^T masses, in absolute angles
 
     D_th[j,k] = W[j,k] cos(theta_j - theta_k) + I_j delta_jk
     C_th[j,k] = W[j,k] sin(theta_j - theta_k) * dtheta_k
     G_th[j]   = -g w_j sin(theta_j),      PE = g sum_j w_j cos(theta_j)
 
-mapped to q coordinates by congruence with THETA_MAP.  C_th satisfies
-dD/dt = C + C^T (the passivity structure the tracking controllers rely on).
-D depends on angle differences only, so q0 is cyclic: the momentum conjugate
-to q0 is exactly the angular momentum about the contact, and
+mapped to q coordinates by congruence with THETA_MAP (dD/dt = C + C^T).  D
+depends on angle differences only, so q0 is cyclic: its conjugate momentum
+L = (D dq)_0 is exactly the angular momentum about the contact, and
 dL/dt = m g x_c + u_a.
+
+So each term, like the output map h0 = P_sin sin(theta) + P_cos cos(theta) +
+P_lin q of control.planar_outputs, is a product of one constant matrix,
+PlanarBiped.term_map, with the features of the angle vector
+a = [theta_i - theta_j (i < j); theta] = ANGLE_MAP q (one sin, one cos):
+
+    f = [cos a; sin a; q; 1; (cos theta, sin(theta_i - theta_j), sin theta) (x) dtheta^2]
+
+f @ term_map holds, in order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0;
+-Jdot dq] | C dq + G | C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the
+swing-foot position and Jacobian.  Its first 50 entries are the (2, 5, 5)
+pair [D_0; J], D_q the closed loop solves; L = D_0 dq, v_c = J_c dq and
+a_c = J_c ddq + Jdot_c dq give the centroidal columns.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +123,14 @@ class LinkParams:
 
 
 _LINKS = ("torso", "stance_thigh", "stance_shin", "swing_thigh", "swing_shin")
+
+# f (module docstring): cos theta at _C, sin theta at _S, q at _Q, 1 at _ONE,
+# the quadratic block from _QUAD; _NF entries.
+_C, _S, _Q, _ONE, _QUAD, _NF = 10, 25, 30, 35, 36, 136
+# Entries of f @ term_map.
+_D0, _J, _D, _H0, _JDOT, _R, _H, _CVEC, _G, _JC, _PC, _JDOTC, _PSW, _JSW = (
+    slice(*ends) for ends in pairwise((0, 5, 25, 50, 54, 58, 63, 68, 73, 78, 88, 90, 92, 94, 104))
+)
 
 
 class PlanarBiped:
@@ -180,20 +199,15 @@ class PlanarBiped:
         self.w_vec = self.A.T @ self.masses
         # Swing-foot position coefficients: p_sw = sum_j b_j u(theta_j).
         self.b_sw = np.array([l_sh, l_th, 0.0, -l_th, -l_sh])
-        self.I_diag = np.diag(self.inertias)
         self.M_map = np.tril(np.ones((5, 5)))
         self.M_inv = np.linalg.inv(self.M_map)
         # Output-map coefficients (control.planar_outputs):
         # h0 = P_sin sin(theta) + P_cos cos(theta) + P_lin q.
         wm = self.w_vec / self.m_total
-        c_rel = wm - self.b_sw
-        self.P_sin = np.zeros((4, 5))
-        self.P_cos = np.zeros((4, 5))
-        self.P_lin = np.zeros((4, 5))
-        self.P_lin[0, :] = self.M_map[2, :]
-        self.P_cos[1, :] = wm
-        self.P_sin[2, :] = c_rel
-        self.P_cos[3, :] = c_rel
+        c_rel, zero = wm - self.b_sw, np.zeros(5)
+        self.P_sin = np.array([zero, zero, c_rel, zero])
+        self.P_cos = np.array([zero, wm, zero, c_rel])
+        self.P_lin = np.array([self.M_map[2], zero, zero, zero])
         # theta-reversal (leg swap) expressed on q: R = M^-1 P M.
         P = np.fliplr(np.eye(5))
         self.R_relabel = self.M_inv @ P @ self.M_map
@@ -202,6 +216,41 @@ class PlanarBiped:
         self.B_b = np.vstack([np.zeros(4), np.eye(4)])
         self.B_a = np.eye(5)[0]
         self.B_b.flags.writeable = self.B_a.flags.writeable = False
+
+        # angle_map_T and term_map of the module docstring, term_map's columns
+        # built feature axis first, (_NF, rows) per block.
+        M, W, k, p = self.M_map, self.W, np.arange(5), np.arange(10)
+        i, j = np.triu_indices(5, 1)
+        self.angle_map_T = np.vstack([M[i] - M[j], M]).T.copy()
+        # sin theta_k dtheta_k^2 and cos theta_k dtheta_k^2 (t = 15 + k and t = k).
+        sin_sq, cos_sq = _QUAD + 5 * (15 + k) + k, _QUAD + 5 * k + k
+
+        def trig_map(P_sin, P_cos):
+            """Columns of P_sin sin(theta) + P_cos cos(theta), of its q-Jacobian
+            (row-major) and of the Jacobian's Jdot dq."""
+            n = len(P_sin)
+            value, J, Jdot = np.zeros((_NF, n)), np.zeros((_NF, n, 5)), np.zeros((_NF, n))
+            value[_S + k], value[_C + k] = P_sin.T, P_cos.T
+            J[_C + k, :, k], J[_S + k, :, k] = P_sin.T, -P_cos.T  # in theta, then through M
+            Jdot[sin_sq], Jdot[cos_sq] = -P_sin.T, -P_cos.T
+            return value, (J @ M).reshape(_NF, 5 * n), Jdot
+
+        h0, J, Jdot = trig_map(self.P_sin, self.P_cos)
+        h0[_Q:_ONE] = self.P_lin.T
+        J[_ONE] = self.P_lin.ravel()
+        p_c, J_c, Jdot_c = trig_map(np.outer([1.0, 0.0], wm), np.outer([0.0, 1.0], wm))
+        p_sw, J_sw, _ = trig_map(np.outer([1.0, 0.0], self.b_sw), np.outer([0.0, 1.0], self.b_sw))
+        G_q = trig_map(-self.g * M.T * self.w_vec, np.zeros((5, 5)))[0]
+        D_th = np.zeros((_NF, 5, 5))
+        D_th[p, i, j] = D_th[p, j, i] = W[i, j]
+        D_th[_ONE, k, k] = np.diag(W) + self.inertias
+        D_q = (M.T @ D_th @ M).reshape(_NF, 25)
+        c_th = np.zeros((_NF, 5))  # C_th dtheta: W_ij sin(theta_i - theta_j) dtheta_j^2 in row i
+        c_th[_QUAD + 5 * (5 + p) + j, i], c_th[_QUAD + 5 * (5 + p) + i, j] = W[i, j], -W[i, j]
+        c_q = c_th @ M
+        cols = (D_q[:, :5], J, D_q, h0, Jdot, -(c_q + G_q)[:, :1], -Jdot, c_q + G_q, c_q, G_q)
+        self.term_map = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
+        self.angle_map_T.flags.writeable = self.term_map.flags.writeable = False
 
     @classmethod
     def default(cls) -> "PlanarBiped":
@@ -291,51 +340,45 @@ class CentroidalState:
 
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v for one vector v, or for each row of a stack of vectors v (N, n);
-    A is one matrix or a stack of N matrices."""
-    if v.ndim == 1:
-        return A.dot(v)  # the same product as A @ v, with less call overhead
-    if A.ndim == 2:
-        return v.dot(A.T)
-    return (A @ v[..., None])[..., 0]
+    """A @ v for one vector v, or row by row for stacks of N vectors and matrices."""
+    return A.dot(v) if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
-# _trig, _mass_matrix_theta, _dyn_terms and _checked_solve take one state, q
-# and dq of shape (5,), or a stack of N states, (N, 5), and then return a
-# stack of each result.
+# _term_rows, _dyn_terms and _checked_solve take one state, q and dq of shape
+# (5,), or a stack of N states, (N, 5), and then return a stack of each result.
 
 
-def _trig(model: PlanarBiped, q: np.ndarray):
-    theta = _mv(model.M_map, q)
-    return theta, np.sin(theta), np.cos(theta)
-
-
-def _mass_matrix_theta(model: PlanarBiped, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """D_th = W * cos(theta_j - theta_k) + diag(I), in absolute angles."""
-    cc = c[..., :, None] * c[..., None, :]
-    return model.W * (cc + s[..., :, None] * s[..., None, :]) + model.I_diag
+def _term_rows(model: PlanarBiped, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """f @ term_map (the module docstring): every closed-form term at once."""
+    lead = q.shape[:-1]
+    f = np.empty(lead + (_NF,))
+    a = q.dot(model.angle_map_T)
+    np.cos(a, out=f[..., :15])
+    np.sin(a, out=f[..., 15:30])
+    f[..., _Q:_ONE], f[..., _ONE] = q, 1.0
+    dtheta = dq.dot(model.M_map.T)
+    quad = f[..., _QUAD:].reshape(lead + (20, 5))  # a view: only the last axis splits
+    np.multiply(f[..., _C:_Q, None], (dtheta * dtheta)[..., None, :], out=quad)
+    return f.dot(model.term_map)
 
 
 def _dyn_terms(model: PlanarBiped, q: np.ndarray, dq: np.ndarray):
-    """(D_q, coriolis vector C_q dq, G_q) plus the trig tuple, all exact."""
-    theta, s, c = _trig(model, q)
-    dtheta = _mv(model.M_map, dq)
-    sin_diff = s[..., :, None] * c[..., None, :] - c[..., :, None] * s[..., None, :]
-    D_th = _mass_matrix_theta(model, s, c)
-    cvec_th = _mv(model.W * sin_diff, dtheta * dtheta)
-    G_th = -model.g * model.w_vec * s
-    M = model.M_map
-    D_q = M.T @ D_th @ M
-    cvec_q = _mv(M.T, cvec_th)
-    G_q = _mv(M.T, G_th)
-    return D_q, cvec_q, G_q, (theta, s, c, dtheta)
+    """(D_q, coriolis vector C_q dq, G_q, rows): rows = f @ term_map holds
+    these and the output map, CoM and swing-foot terms, all exact."""
+    rows = _term_rows(model, q, dq)
+    return rows[..., _D].reshape(q.shape[:-1] + (5, 5)), rows[..., _CVEC], rows[..., _G], rows
+
+
+def _checked_rows(model: PlanarBiped, name: str, q, dq=None):
+    """(rows, dq) of a validated state (dq zero if not given), for the public functions."""
+    dq = np.zeros(5) if dq is None else _as_vec5(f"{name}.dq", dq)
+    return _term_rows(model, _as_vec5(f"{name}.q", q), dq), dq
 
 
 def mass_matrix(model: PlanarBiped, q) -> np.ndarray:
     """Pinned 5x5 mass matrix in q coordinates (symmetric positive definite
     for physical parameters)."""
-    D_q, _, _, _ = _dyn_terms(model, _as_vec5("mass_matrix.q", q), np.zeros(5))
-    return D_q
+    return _checked_rows(model, "mass_matrix", q)[0][_D].reshape(5, 5)
 
 
 def coriolis_matrix(model: PlanarBiped, q, dq) -> np.ndarray:
@@ -343,8 +386,8 @@ def coriolis_matrix(model: PlanarBiped, q, dq) -> np.ndarray:
     dD/dt = C + C^T (so D-dot minus 2C is skew)."""
     q = _as_vec5("coriolis_matrix.q", q)
     dq = _as_vec5("coriolis_matrix.dq", dq)
-    theta, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
+    theta, dtheta = model.M_map @ q, model.M_map @ dq
+    s, c = np.sin(theta), np.cos(theta)
     sin_diff = s[:, None] * c - c[:, None] * s
     C_th = model.W * sin_diff * dtheta[None, :]
     return model.M_map.T @ C_th @ model.M_map
@@ -352,14 +395,12 @@ def coriolis_matrix(model: PlanarBiped, q, dq) -> np.ndarray:
 
 def gravity_vector(model: PlanarBiped, q) -> np.ndarray:
     """Gravity torque vector G_q(q)."""
-    _, _, G_q, _ = _dyn_terms(model, _as_vec5("gravity_vector.q", q), np.zeros(5))
-    return G_q
+    return _checked_rows(model, "gravity_vector", q)[0][_G]
 
 
 def potential_energy(model: PlanarBiped, q) -> float:
-    """Gravitational PE with the zero level at the ground plane."""
-    _, s, c = _trig(model, _as_vec5("potential_energy.q", q))
-    return float(model.g * model.w_vec @ c)
+    """Gravitational PE with the zero level at the ground plane, m g z_c."""
+    return float(model.m_total * model.g * _checked_rows(model, "potential_energy", q)[0][_PC][1])
 
 
 def total_energy(model: PlanarBiped, state: BipedState) -> float:
@@ -393,14 +434,20 @@ def _checked_solve(D: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
     except np.linalg.LinAlgError:
         bad, why = np.linalg.det(D) == 0, "singular matrix"  # the same LU as the solve's
     else:
-        # Cheap residual check to catch silently-garbage solves near singularity.
-        # A NaN or inf anywhere in x makes err NaN or inf, which fails it too.
-        axes, mul = ((-2, -1), np.matmul) if lead else (None, np.dot)  # one system's entries
-        scale = mul(np.abs(D), np.abs(x)) + np.abs(b) + 1e-300
-        err = np.abs(mul(D, x) - b).max(axis=axes) / scale.max(axis=axes)
-        if err.max() <= 1e-8:
+        # Cheap residual check to catch silently-garbage solves near singularity,
+        # max |D x - b| <= 1e-8 max(|D| |x| + |b|) in each system; a NaN or inf
+        # in x fails it.  A residual within 1e-8 max |b| passes without the
+        # full scale, which is never smaller.  (A list's all() beats ndarray's.)
+        mul, flat = (np.matmul if lead else np.dot), lead + (-1,)
+        both = np.abs(np.array((mul(D, x) - b, b))).reshape((2,) + flat)
+        res, b_max = np.maximum.reduce(both, -1)
+        ok = res <= 1e-8 * b_max
+        if not all(ok.ravel().tolist()):
+            scale = np.maximum.reduce((mul(np.abs(D), np.abs(x)) + np.abs(b)).reshape(flat), -1)
+            ok = res / (scale + 1e-300) <= 1e-8
+        if all(ok.ravel().tolist()):
             return x[..., 0] if b is not rhs else x
-        bad = ~(err <= 1e-8)
+        bad = ~ok
         why = "ill-conditioned solve" if np.isfinite(x[bad]).all() else "non-finite solve result"
     first = np.unravel_index(np.argmax(bad), lead)  # the first failing system
     if not isinstance(what, str):
@@ -434,17 +481,13 @@ def forward_dynamics(model: PlanarBiped, state: BipedState, u, u_a: float = 0.0)
 
 def com_position(model: PlanarBiped, q) -> np.ndarray:
     """CoM (x, z) relative to the stance contact."""
-    _, s, c = _trig(model, _as_vec5("com_position.q", q))
-    return np.array([model.w_vec @ s, model.w_vec @ c]) / model.m_total
+    return _checked_rows(model, "com_position", q)[0][_PC]
 
 
 def com_velocity(model: PlanarBiped, q, dq) -> np.ndarray:
     """CoM velocity (x, z)."""
-    q = _as_vec5("com_velocity.q", q)
-    dq = _as_vec5("com_velocity.dq", dq)
-    _, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    return np.array([model.w_vec @ (c * dtheta), -model.w_vec @ (s * dtheta)]) / model.m_total
+    rows, dq = _checked_rows(model, "com_velocity", q, dq)
+    return rows[_JC].reshape(2, 5).dot(dq)
 
 
 def com_acceleration(model: PlanarBiped, q, dq, ddq) -> np.ndarray:
@@ -457,66 +500,46 @@ def com_acceleration(model: PlanarBiped, q, dq, ddq) -> np.ndarray:
 
 def com_jacobian(model: PlanarBiped, q) -> np.ndarray:
     """2x5 Jacobian of the CoM position w.r.t. q."""
-    _, s, c = _trig(model, _as_vec5("com_jacobian.q", q))
-    Jx_th = model.w_vec * c / model.m_total
-    Jz_th = -model.w_vec * s / model.m_total
-    return np.vstack([Jx_th, Jz_th]) @ model.M_map
+    return _checked_rows(model, "com_jacobian", q)[0][_JC].reshape(2, 5)
 
 
 def swing_foot_position(model: PlanarBiped, q) -> np.ndarray:
     """Swing-foot (x, z) relative to the stance contact."""
-    _, s, c = _trig(model, _as_vec5("swing_foot_position.q", q))
-    return np.array([model.b_sw @ s, model.b_sw @ c])
+    return _checked_rows(model, "swing_foot_position", q)[0][_PSW]
 
 
 def swing_foot_velocity(model: PlanarBiped, q, dq) -> np.ndarray:
     """Swing-foot velocity (x, z)."""
-    q = _as_vec5("swing_foot_velocity.q", q)
-    dq = _as_vec5("swing_foot_velocity.dq", dq)
-    _, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    return np.array([model.b_sw @ (c * dtheta), -model.b_sw @ (s * dtheta)])
+    rows, dq = _checked_rows(model, "swing_foot_velocity", q, dq)
+    return rows[_JSW].reshape(2, 5).dot(dq)
 
 
 def swing_foot_jacobian(model: PlanarBiped, q) -> np.ndarray:
     """2x5 Jacobian of the swing-foot position w.r.t. q."""
-    _, s, c = _trig(model, _as_vec5("swing_foot_jacobian.q", q))
-    return np.vstack([model.b_sw * c, -model.b_sw * s]) @ model.M_map
+    return _checked_rows(model, "swing_foot_jacobian", q)[0][_JSW].reshape(2, 5)
 
 
 def centroidal(model: PlanarBiped, state: BipedState) -> CentroidalState:
-    """Centroidal quantities by direct summation over links.
+    """Centroidal quantities of the pinned model.
 
-    L sums each link's m_i * wedge(p_i, v_i) plus its spin I_i * dtheta_i;
-    L_c = L - m * wedge(p_c, v_c).  For the pinned model L also equals the
-    momentum conjugate to q0 (cyclic coordinate), which tests cross-check.
+    L, the sum of each link's m_i * wedge(p_i, v_i) plus its spin
+    I_i * dtheta_i, is the momentum conjugate to the cyclic q0 and is
+    computed as such, (D dq)_0; L_c = L - m * wedge(p_c, v_c).
     """
     p_c, v_c, L, L_c, _ = _centroidal_terms(model, state.q, state.dq, None)
     return CentroidalState(p_c=p_c, v_c=v_c, L=L, L_c=L_c)
 
 
 def _centroidal_terms(model: PlanarBiped, q, dq, ddq):
-    """Unchecked kernel of centroidal and com_acceleration, sharing one trig
-    evaluation: (p_c, v_c, L, L_c, a_c), with a_c None when ddq is None.
-    q, dq and ddq must be finite (5,) float arrays."""
-    theta, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    U = np.array([s, c])            # columns u(theta_j)
-    Ud = np.array([c, -s]) * dtheta  # columns u'(theta_j) * dtheta_j
-    P_links = model.A @ U.T           # (5, 2) link CoM positions
-    V_links = model.A @ Ud.T          # (5, 2) link CoM velocities
-    wedges = P_links[:, 1] * V_links[:, 0] - P_links[:, 0] * V_links[:, 1]
-    L = float(model.masses @ wedges + model.inertias @ dtheta)
-    p_c = (model.masses @ P_links) / model.m_total
-    v_c = (model.masses @ V_links) / model.m_total
+    """Unchecked kernel of centroidal and com_acceleration, from the rows of
+    f @ term_map (the module docstring): (p_c, v_c, L, L_c, a_c), with a_c
+    None when ddq is None.  q, dq and ddq must be finite (5,) float arrays."""
+    rows = _term_rows(model, q, dq)
+    J_c, p_c = rows[_JC].reshape(2, 5), rows[_PC]
+    L = float(rows[_D0].dot(dq))
+    v_c = J_c.dot(dq)
     L_c = L - model.m_total * wedge(p_c, v_c)
-    if ddq is None:
-        return p_c, v_c, L, L_c, None
-    ddtheta = model.M_map @ ddq
-    dt2 = dtheta * dtheta
-    ax = model.w_vec @ (c * ddtheta - s * dt2)
-    az = model.w_vec @ (-s * ddtheta - c * dt2)
-    return p_c, v_c, L, L_c, np.array([ax, az]) / model.m_total
+    return p_c, v_c, L, L_c, None if ddq is None else J_c.dot(ddq) + rows[_JDOTC]
 
 
 # ---------------------------------------------------------------------------
@@ -537,46 +560,36 @@ def relabel(model: PlanarBiped, state: BipedState) -> BipedState:
 def _impact_solution(model: PlanarBiped, state_minus: BipedState):
     """Solve the rigid impact at the swing foot on the floating-base model.
 
-    Unknowns: post-impact rates (dtheta, v_base) of the 7-DoF unpinned chain
+    Unknowns: post-impact rates (dq, v_base) of the 7-DoF unpinned chain
     plus the (x, z) impulse at the new contact.  The old contact releases (no
     impulse there); the new contact point's velocity is zeroed:
 
-        [M_e  -J^T] [xdot+  ]   [M_e xdot-]
-        [J     0  ] [impulse] = [0        ]
+        [M_e  -J^T] [xdot+  ]   [M_e xdot-]        M_e = [D    S^T]
+        [J     0  ] [impulse] = [0        ],             [S    m I],
+
+    with S = m J_c (J_c the CoM Jacobian) and J = [J_sw, I] (J_sw the
+    swing-foot Jacobian).
 
     Raises InfeasibleImpactError if the vertical impulse is negative (the
     ground would have to pull).  Returns (state_plus, impulse) with the legs
     already relabeled.
     """
-    q, dq = state_minus.q, state_minus.dq
-    theta, s, c = _trig(model, q)
-    dtheta = model.M_map @ dq
-    # Base-rotation coupling: columns w_j * u'(theta_j).
-    S = np.vstack([model.w_vec * c, -model.w_vec * s])
-    M_e = np.zeros((7, 7))
-    M_e[:5, :5] = _mass_matrix_theta(model, s, c)
-    M_e[:5, 5:] = S.T
-    M_e[5:, :5] = S
-    M_e[5:, 5:] = model.m_total * np.eye(2)
-    J = np.zeros((2, 7))
-    J[0, :5] = model.b_sw * c
-    J[1, :5] = -model.b_sw * s
-    J[:, 5:] = np.eye(2)
-    K = np.zeros((9, 9))
-    K[:7, :7] = M_e
-    K[:7, 7:] = -J.T
-    K[7:, :7] = J
-    rhs = np.zeros(9)
-    rhs[:7] = M_e @ np.concatenate([dtheta, [0.0, 0.0]])
+    q, dq, m = state_minus.q, state_minus.dq, model.m_total
+    rows = _term_rows(model, q, dq)
+    S, J = m * rows[_JC].reshape(2, 5), np.hstack([rows[_JSW].reshape(2, 5), np.eye(2)])
+    K, rhs = np.zeros((9, 9)), np.zeros(9)
+    K[:5, :5], K[5:7, :5], K[:5, 5:7], K[5:7, 5:7] = rows[_D].reshape(5, 5), S, S.T, m * np.eye(2)
+    K[:7, 7:], K[7:, :7] = -J.T, J
+    rhs[:7] = K[:7, :5] @ dq  # M_e [dq; 0]
     sol = _checked_solve(K, rhs, "impact_map")
-    dtheta_plus, impulse = sol[:5], sol[7:9]
+    dq_plus, impulse = sol[:5], sol[7:9]
     if impulse[1] < -1e-9 * max(1.0, float(np.linalg.norm(impulse))):
         raise InfeasibleImpactError(
             f"impact_map: vertical impulse {impulse[1]:.6e} < 0 "
             "(plastic contact infeasible)",
             impulse=impulse,
         )
-    state_plus = BipedState(model.R_relabel @ q, model.M_inv @ dtheta_plus[::-1])
+    state_plus = BipedState(model.R_relabel @ q, model.R_relabel @ dq_plus)
     return state_plus, impulse
 
 

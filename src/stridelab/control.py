@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Config, check_fields
+from .biped import _H, _H0, _J, _JDOT, _R  # entries of the rows of _dyn_terms
 from .biped import (
     PlanarBiped,
     BipedState,
     _checked_solve,
     _dyn_terms,
     _mv,
-    _trig,
     coriolis_matrix,
 )
 from .errors import NumericalError, ValidationError
@@ -348,22 +348,32 @@ def virtual_constraint_derivatives(
             "virtual_constraint_reference: h0_start must have shape (4,), or (N, 4) for "
             f"N lanes' p_des, got {h0_start.shape}"
         )
-    T = cmd.T
-    swx0 = h0_start.T[2]  # a number for one state, a lane per entry for N
+    return tuple(_reference_rows(spec, cmd.T, s, h0_start, p_des, (spec.H, 0.0, 0.0)))
+
+
+def _reference_rows(spec: VirtualConstraintSpec, T: float, s: float, h0_start, p_des, z):
+    """Unchecked kernel of virtual_constraint_derivatives: the (3, 4) stack
+    of h_d, dh_d/dt and d2h_d/dt2 at phase s, from the step-start outputs
+    h0_start (4,) and the target p_des, with (z, dz/dt, d2z/dt2) = z in the
+    height row; for N lanes (h0_start (N, 4), p_des (N,)) a (3, N, 4) stack."""
+    one = h0_start.ndim == 1
+    swx0 = float(h0_start[2]) if one else h0_start[:, 2]  # one state's in float arithmetic
     mid = 0.5 * (swx0 + p_des)
     half = 0.5 * (swx0 - p_des)
     cpi = math.cos(math.pi * s)
     spi = math.sin(math.pi * s)
-    h_d = (0.0, spec.H, mid + half * cpi, 4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl))
-    dh_d = (0.0, 0.0, -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T)
-    ddh_d = (0.0, 0.0, -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T))
-    if h0_start.ndim == 1:
-        return np.array(h_d), np.array(dh_d), np.array(ddh_d)
-    out = np.empty((3,) + h0_start.shape)  # a row per lane
-    for k, row in enumerate((h_d, dh_d, ddh_d)):
+    rows = (
+        (0.0, z[0], mid + half * cpi, 4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl)),
+        (0.0, z[1], -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T),
+        (0.0, z[2], -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T)),
+    )
+    if one:
+        return np.array(rows)
+    out = np.empty((3, len(swx0), 4))  # a row per lane
+    for k, row in enumerate(rows):
         for j, value in enumerate(row):
             out[k, :, j] = value
-    return out[0], out[1], out[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +387,15 @@ def planar_outputs(model: PlanarBiped, q) -> tuple[np.ndarray, np.ndarray]:
     h0 = (torso pitch, stance-foot->CoM z, swing-foot->CoM x, swing-foot->CoM z).
     """
     q = np.asarray(q, dtype=float)
-    _, s, c = _trig(model, q)
-    h0, J, _ = _outputs_full(model, q, s, c, np.zeros(5))
-    return h0, J
+    return _outputs_full(model, _dyn_terms(model, q, np.zeros_like(q)))[:2]
 
 
-def _outputs_full(model: PlanarBiped, q, s, c, dtheta):
+def _outputs_full(model: PlanarBiped, terms):
     """h0, J, and Jdot*dq with exact trigonometric second-derivative terms,
-    from sin/cos of the absolute angles and their rates dtheta; for a stack
-    of states, a stack of each."""
-    P_sin, P_cos, P_lin = model.P_sin, model.P_cos, model.P_lin
-    h0 = _mv(P_sin, s) + _mv(P_cos, c) + _mv(P_lin, q)
-    J = (P_sin * c[..., None, :] - P_cos * s[..., None, :]) @ model.M_map + P_lin
-    dt2 = dtheta * dtheta
-    Jdot_dq = -_mv(P_sin, s * dt2) - _mv(P_cos, c * dt2)
-    return h0, J, Jdot_dq
+    read from the rows of _dyn_terms (the output features are part of its
+    product); for a stack of states, a stack of each."""
+    rows = terms[3]
+    return rows[..., _H0], rows[..., _J].reshape(rows.shape[:-1] + (4, 5)), rows[..., _JDOT]
 
 
 def io_linearizing_torque(
@@ -421,8 +425,8 @@ def io_linearizing_torque(
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"io_linearizing_torque: non-finite {name}")
-    Kp = np.diag(_gain_vec("io_linearizing_torque.Kp", Kp, 100.0))
-    Kd = np.diag(_gain_vec("io_linearizing_torque.Kd", Kd, 20.0))
+    Kp = _gain_vec("io_linearizing_torque.Kp", Kp, 100.0)
+    Kd = _gain_vec("io_linearizing_torque.Kd", Kd, 20.0)
     terms = _dyn_terms(model, state.q, state.dq)
     u, _, _ = _io_torque_core(model, state.q, state.dq, terms, h_d, dh_d, ddh_d, Kp, Kd)
     return u
@@ -431,31 +435,33 @@ def io_linearizing_torque(
 def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
     """(u, ddq, y): the tracking torque, the closed-loop acceleration under u
     and the stance-ankle torque u_a, and the output error, from one solve.
+    Kp and Kd are the diagonals of the gain matrices.
 
     Row 0 of B is zero, so the acceleration ddq0 the law commands, u_a left
     out as unknown to it, solves [D_0; J] ddq0 = [-(C dq + G)_0; v - Jdot dq],
     and u = D_1: ddq0 + (C dq + G)_1:.  A nonzero u_a adds u_a D^-1 e_0, with
-    D as the second system of a pair in the same solve.  For a stack of
-    states (q, dq and terms stacked, the references (N, 4)) each result is
-    stacked.
+    D as the second system of a pair in the same solve: the first 50 entries
+    of the rows of _dyn_terms.  For a stack of states (q, dq and terms
+    stacked, the references (N, 4)) each result is stacked.
     """
-    D_q, cvec_q, G_q, (_, s, c, dtheta) = terms
-    h0, J, Jdot_dq = _outputs_full(model, q, s, c, dtheta)
-    h = cvec_q + G_q
+    D_q, rows = terms[0], terms[3]
+    h0, J, _ = _outputs_full(model, terms)
+    h = rows[..., _H]
     y = h0 - h_d
-    v = ddh_d - _mv(Kd, _mv(J, dq) - dh_d) - _mv(Kp, y)
     lead = q.shape[:-1] + ((2,) if u_a else ())
-    K, r = np.empty(lead + (5, 5)), np.zeros(lead + (5,))
-    K_law, r_law = (K[..., 0, :, :], r[..., 0, :]) if u_a else (K, r)
-    K_law[..., 0, :], K_law[..., 1:, :] = D_q[..., 0, :], J
-    r_law[..., 0], r_law[..., 1:] = -h[..., 0], v - Jdot_dq
+    r = np.zeros(lead + (5,))
+    r_law = r[..., 0, :] if u_a else r
+    r_law[...] = rows[..., _R]  # [-(C dq + G)_0; -Jdot dq]
+    r_law[..., 1:] += ddh_d - Kd * (_mv(J, dq) - dh_d) - Kp * y
+    K = rows[..., : 50 if u_a else 25].reshape(lead + (5, 5))
     what = "io_linearizing_torque (decoupling matrix)"
     if not u_a:
         ddq0 = ddq = _checked_solve(K, r, what)
     else:
-        K[..., 1, :, :], r[..., 1, 0] = D_q, 1.0
+        r[..., 1, 0] = 1.0
         x = _checked_solve(K, r, (what, "io_linearizing_torque (mass matrix)"))
-        ddq0, ddq = x[..., 0, :], x[..., 0, :] + u_a * x[..., 1, :]
+        ddq0 = x[..., 0, :]
+        ddq = ddq0 + u_a * x[..., 1, :]
     return _mv(D_q[..., 1:, :], ddq0) + h[..., 1:], ddq, y
 
 

@@ -44,11 +44,11 @@ from .biped import BipedState, PlanarBiped
 from .control import (
     GaitCommand,
     VirtualConstraintSpec,
+    _finite,
     _io_torque_core,
+    _reference_rows,
     foot_placement_asymptotic,
     foot_placement_velocity,
-    planar_outputs,
-    virtual_constraint_derivatives,
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
 from .pendulum import AlipState, LipState, PendulumParams, alip_reset, wedge
@@ -294,8 +294,7 @@ class WalkingController:
         self.placement_source = placement_source
         self.placement_update = placement_update
         self.L_des = gait.L_des
-        self._Kp = np.diag(constraints.Kp)
-        self._Kd = np.diag(constraints.Kd)
+        self._Kp, self._Kd = constraints.Kp, constraints.Kd
         self._h0_start = np.zeros(4)
         self.p_des = 0.0
         # Kinematic workspace clamp on the placement target: the swing foot
@@ -315,14 +314,16 @@ class WalkingController:
         [q; dq] rows, one per lane."""
         if isinstance(state, BipedState):
             q, dq = state.q, state.dq
-        else:
+        elif np.ndim(state) == 2 and np.shape(state)[1] == 10:
             q, dq = state[:, :5], state[:, 5:]
-        h0, _ = planar_outputs(self.model, q)
-        self._h0_start = h0.copy()
+        else:  # the one check of the shape _reference relies on
+            shape = np.shape(state)
+            raise ValidationError(f"on_step_start: expected a BipedState or (N, 10), got {shape}")
+        terms = bp._dyn_terms(self.model, q, dq)
+        h0 = self._h0_start = terms[3][..., bp._H0]
         if self.placement_update == "step_start":
             # Decide the whole step's placement from the fresh post-impact
             # state; the reference curve then stays fixed for the step.
-            terms = bp._dyn_terms(self.model, q, dq)
             self.p_des = self._placement(q, dq, terms, 0.0)
         else:
             # refined immediately by the first torque eval
@@ -336,23 +337,20 @@ class WalkingController:
         return lanes
 
     def _placement(self, q: np.ndarray, dq: np.ndarray, terms, tau: float):
-        D_q = terms[0]
-        _, s, c, dtheta = terms[3]
-        p = self.params
-        w, m_total = self.model.w_vec, self.model.m_total
-        x_c = s.dot(w) / m_total
+        rows, p = terms[3], self.params
+        at_dq = (lambda a: a.dot(dq)) if q.ndim == 1 else (lambda a: np.einsum("ni,ni->n", a, dq))
+        x_c = rows[..., bp._PC.start]
         remaining = max(self.gait.T - tau, 0.0)
         ell = p.ell
         sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
         if self.placement_source == "v":
-            vx = (c * dtheta).dot(w) / m_total
+            vx = at_dq(rows[..., bp._JC.start : bp._JC.start + 5])  # the CoM Jacobian's x row
             v_hat = ell * sh * x_c + ch * vx
             v_des = self.L_des / (p.m * p.H)
             p_raw = foot_placement_velocity(p, v_hat, v_des, self.gait.T, self.gait.alpha)
         else:
             # momentum conjugate to q0 = L about the contact
-            L = D_q[0].dot(dq) if q.ndim == 1 else np.einsum("ni,ni->n", D_q[:, 0], dq)
-            L_hat = p.m * p.H * ell * sh * x_c + ch * L
+            L_hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
             p_raw = foot_placement_asymptotic(p, L_hat, self.L_des, self.gait.T, self.gait.alpha)
         if q.ndim == 1:
             return self._clamp(float(p_raw))
@@ -362,13 +360,13 @@ class WalkingController:
         return min(max(p_raw, -self._p_max), self._p_max)
 
     def _reference(self, s_phase: float, tau: float):
-        h_d, dh_d, ddh_d = virtual_constraint_derivatives(
-            self.vc, self.gait, s_phase, self._h0_start, self.p_des
-        )
-        if self.z_profile is not None:
-            # virtual_constraint_derivatives returns fresh arrays.
-            h_d[..., 1], dh_d[..., 1], ddh_d[..., 1] = self.z_profile(min(tau, self.gait.T))[:3]
-        return h_d, dh_d, ddh_d
+        # on_step_start gave _h0_start its shape and s_phase lies in [0, 1];
+        # only p_des, refined as the state moves, can turn bad on the way.
+        if not _finite(self.p_des):
+            raise ValidationError("virtual_constraint_reference: non-finite p_des")
+        T = self.gait.T
+        z = (self.vc.H, 0.0, 0.0) if self.z_profile is None else self.z_profile(min(tau, T))
+        return _reference_rows(self.vc, T, s_phase, self._h0_start, self.p_des, z)
 
     def torques_from_terms(self, q, dq, tau, terms, u_a):
         """(u, y, ddq) at in-step time tau, given precomputed dynamics terms;
@@ -442,19 +440,19 @@ def assemble_posture(
     q = model.M_inv @ theta
 
     target = np.array([torso_pitch, com_x, com_z, swing_foot_x, swing_foot_z])
+
+    def constraints(q):
+        """Torso pitch, CoM and swing foot at q, and their 5x5 Jacobian."""
+        rows = bp._term_rows(model, q, np.zeros(5))
+        f = np.concatenate([[model.M_map[2] @ q], rows[bp._PC], rows[bp._PSW]])
+        J = np.vstack([model.M_map[2:3], rows[bp._JC].reshape(2, 5), rows[bp._JSW].reshape(2, 5)])
+        return f, J
+
     for _ in range(60):
-        com = bp.com_position(model, q)
-        sw = bp.swing_foot_position(model, q)
-        f = np.array([model.M_map[2] @ q, com[0], com[1], sw[0], sw[1]]) - target
+        f, J = constraints(q)
+        f = f - target
         if np.max(np.abs(f)) < 1e-12:
             break
-        J = np.vstack(
-            [
-                model.M_map[2:3, :],
-                bp.com_jacobian(model, q),
-                bp.swing_foot_jacobian(model, q),
-            ]
-        )
         try:
             dq_step = np.linalg.solve(J, f)
         except np.linalg.LinAlgError as exc:
@@ -465,31 +463,14 @@ def assemble_posture(
             f"assemble_posture: Newton did not converge (residual {np.max(np.abs(f)):.2e})"
         )
 
+    J = constraints(q)[1]
     if swing_foot_velocity is None:
-        J = np.vstack([model.M_map[2:3, :], bp.com_jacobian(model, q)])
-        rates = np.array([0.0, com_velocity[0], com_velocity[1]])
-        dq, *_ = np.linalg.lstsq(J, rates, rcond=None)
+        dq, *_ = np.linalg.lstsq(J[:3], np.array([0.0, *com_velocity]), rcond=None)
         if not np.all(np.isfinite(dq)):
             raise NumericalError("assemble_posture: degenerate velocity Jacobian")
     else:
-        J = np.vstack(
-            [
-                model.M_map[2:3, :],
-                bp.com_jacobian(model, q),
-                bp.swing_foot_jacobian(model, q),
-            ]
-        )
-        rates = np.array(
-            [
-                0.0,
-                com_velocity[0],
-                com_velocity[1],
-                swing_foot_velocity[0],
-                swing_foot_velocity[1],
-            ]
-        )
         try:
-            dq = np.linalg.solve(J, rates)
+            dq = np.linalg.solve(J, np.array([0.0, *com_velocity, *swing_foot_velocity]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("assemble_posture: singular velocity Jacobian") from exc
     return BipedState(q, dq)
@@ -528,7 +509,7 @@ def _rk4_advance(model, controller, tau, y, h, k1=None):
 
 def _swing_z(model, y):
     """Swing-foot height of one state (a float), or of each row of a stack."""
-    z = np.cos(bp._mv(model.M_map, y[..., :5])).dot(model.b_sw)
+    z = np.cos(y[..., :5].dot(model.M_map.T)).dot(model.b_sw)
     return float(z) if y.ndim == 1 else z
 
 

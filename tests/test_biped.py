@@ -227,6 +227,137 @@ def test_velocities_are_jacobian_times_rates():
 
 
 # ---------------------------------------------------------------------------
+# the per-model constants on generated models, against the definitions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def link_params(draw, max_length):
+    length = draw(st.floats(0.1, max_length))
+    mass = draw(st.floats(0.2, 20.0))
+    return LinkParams(
+        mass=mass,
+        length=length,
+        com_offset=draw(st.floats(0.0, 1.0)) * length,
+        inertia=draw(st.floats(0.0, 0.5)) * mass * length * length,
+    )
+
+
+generated_models = st.builds(
+    lambda torso, thigh, shin, g: PlanarBiped(torso, thigh, shin, thigh, shin, g=g),
+    link_params(1.0),
+    link_params(0.6),
+    link_params(0.6),
+    st.floats(0.0, 15.0),
+)
+angles = st.lists(st.floats(-0.8, 0.8), min_size=5, max_size=5).map(np.array)
+rates = st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5).map(np.array)
+
+
+class Oracle:
+    """A model's kinematics and dynamics written out from the definitions:
+    link CoMs and the swing foot as sums of segment vectors u(theta) =
+    (sin theta, cos theta), theta the running sum of q; the mass matrix
+    from the link-CoM Jacobians; every derivative by central differences."""
+
+    def __init__(self, model):
+        self.model, self.M = model, np.tril(np.ones((5, 5)))
+        sh, th, to = model.shin, model.thigh, model.torso
+        # Link CoMs in theta order (stance shin, stance thigh, torso, swing
+        # thigh, swing shin); com_offset is measured from the proximal joint.
+        self.A = np.array(
+            [
+                [sh.length - sh.com_offset, 0, 0, 0, 0],
+                [sh.length, th.length - th.com_offset, 0, 0, 0],
+                [sh.length, th.length, to.com_offset, 0, 0],
+                [sh.length, th.length, 0, -th.com_offset, 0],
+                [sh.length, th.length, 0, -th.length, -sh.com_offset],
+            ]
+        )
+        self.b_sw = np.array([sh.length, th.length, 0, -th.length, -sh.length])
+        self.m = np.array([sh.mass, th.mass, to.mass, th.mass, sh.mass])
+        self.inertia = np.array([sh.inertia, th.inertia, to.inertia, th.inertia, sh.inertia])
+
+    def points(self, q):
+        """Link CoMs (5, 2), CoM (2,) and swing foot (2,) at q."""
+        theta = self.M @ q
+        u = np.stack([np.sin(theta), np.cos(theta)], axis=1)
+        links = self.A @ u
+        return links, self.m @ links / self.m.sum(), self.b_sw @ u
+
+    def jacobians(self, q):
+        """Link-CoM Jacobians (5, 2, 5) d p_i / d q."""
+        theta = self.M @ q
+        du = np.stack([np.cos(theta), -np.sin(theta)])  # d u(theta_j) / d theta_j
+        return np.einsum("ij,xj,jk->ixk", self.A, du, self.M)
+
+    def mass_matrix(self, q):
+        J = self.jacobians(q)
+        rot = self.M.T @ np.diag(self.inertia) @ self.M
+        return np.einsum("i,ixa,ixb->ab", self.m, J, J) + rot
+
+    def outputs(self, q):
+        _, p_c, p_sw = self.points(q)
+        return np.array([(self.M @ q)[2], p_c[1], p_c[0] - p_sw[0], p_c[1] - p_sw[1]])
+
+    def along(self, fn, q, dq, eps=1e-4):
+        """First and second central differences of fn along q + s dq."""
+        plus, mid, minus = fn(q + eps * dq), fn(q), fn(q - eps * dq)
+        return (plus - minus) / (2 * eps), (plus - 2 * mid + minus) / (eps * eps)
+
+    def gradient(self, fn, q, eps=1e-5):
+        return np.array([(fn(q + eps * e) - fn(q - eps * e)) / (2 * eps) for e in np.eye(5)]).T
+
+
+def close(a, b, rel):
+    return np.max(np.abs(np.asarray(a) - b)) <= rel * max(1.0, np.max(np.abs(b)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(model=generated_models, q=angles, dq=rates)
+def test_term_map_matches_the_definitions_on_generated_models(model, q, dq):
+    from stridelab.biped import _centroidal_terms, _dyn_terms
+    from stridelab.control import _outputs_full
+
+    oracle = Oracle(model)
+    terms = _dyn_terms(model, q, dq)
+    D, cvec, G, _ = terms
+    D_ref = oracle.mass_matrix(q)
+    assert close(D, D_ref, 1e-12)
+    # C dq = Ddot dq - (1/2) grad_q (dq' D dq), the Lagrangian Coriolis terms.
+    Ddot, _ = oracle.along(oracle.mass_matrix, q, dq)
+    cvec_ref = Ddot @ dq - 0.5 * oracle.gradient(lambda x: dq @ oracle.mass_matrix(x) @ dq, q)
+    assert close(cvec, cvec_ref, 1e-6)
+    # G = grad PE, PE = g sum_i m_i z_i.
+    G_ref = model.g * np.einsum("i,ik->k", oracle.m, oracle.jacobians(q)[:, 1])
+    assert close(G, G_ref, 1e-12)
+    h0, J, Jdot_dq = _outputs_full(model, terms)
+    assert close(h0, oracle.outputs(q), 1e-12)
+    assert close(J, oracle.gradient(oracle.outputs, q), 1e-7)
+    assert close(Jdot_dq, oracle.along(oracle.outputs, q, dq)[1], 1e-5)
+    # The recorder's kernel: CoM, its rates, and L as the sum over links of
+    # m_i wedge(p_i, v_i) plus each link's spin.
+    ddq = -dq[::-1]
+    p_c, v_c, L, L_c, a_c = _centroidal_terms(model, q, dq, ddq)
+    links, p_c_ref, p_sw_ref = oracle.points(q)
+    v_links = oracle.jacobians(q) @ dq
+    L_ref = sum(m * wedge(p, v) for m, p, v in zip(oracle.m, links, v_links))
+    L_ref += oracle.inertia @ (oracle.M @ dq)
+    v_c_ref = oracle.m @ v_links / oracle.m.sum()
+    _, acc = oracle.along(lambda x: oracle.points(x)[1], q, dq)
+    assert close(p_c, p_c_ref, 1e-12) and close(v_c, v_c_ref, 1e-12)
+    assert close(L, L_ref, 1e-12)
+    assert close(L_c, L_ref - oracle.m.sum() * wedge(p_c_ref, v_c_ref), 1e-12)
+    a_c_ref = np.einsum("i,ixk,k->x", oracle.m, oracle.jacobians(q), ddq) / oracle.m.sum() + acc
+    assert close(a_c, a_c_ref, 1e-5)
+    # The swing foot, which the impact map reads.
+    assert close(swing_foot_position(model, q), p_sw_ref, 1e-12)
+    assert close(
+        swing_foot_jacobian(model, q), oracle.gradient(lambda x: oracle.points(x)[2], q), 1e-7
+    )
+
+
+# ---------------------------------------------------------------------------
 # forward dynamics
 # ---------------------------------------------------------------------------
 
@@ -406,6 +537,22 @@ def test_checked_solve_on_a_stack_solves_each_system():
         assert x.shape == rhs.shape
         for i in range(3):
             assert np.max(np.abs(x[i] - _checked_solve(D[i], rhs[i], "what"))) <= 1e-12
+
+
+def test_checked_solve_scales_the_residual_by_the_whole_system():
+    # cond(D) = 1e13: the residual is far above 1e-8 |b| but far below
+    # 1e-8 (|D| |x| + |b|), so the bound passes it, alone and as a stack's
+    # second system, and the result is the plain solve's.
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    D = U @ np.diag([1.0, 1.0, 1.0, 1e-13]) @ V.T
+    b = rng.normal(size=4)
+    x = np.linalg.solve(D, b)
+    assert np.max(np.abs(D @ x - b)) > 1e-6 * np.max(np.abs(b))
+    assert np.array_equal(_checked_solve(D, b, "what"), x)
+    stacked = _checked_solve(np.array([np.eye(4), D]), np.array([b, b]), "what")
+    assert np.array_equal(stacked[0], b) and np.max(np.abs(stacked[1] - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_five_link_rhs_singular_at_coincident_feet():
