@@ -170,6 +170,15 @@ def _finite(v) -> bool:
     return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
 
 
+def _placement_law(gain: float, ell: float, hat_end, des: float, T: float, alpha: float):
+    """The asymptotic law on a momentum (gain m H) or a velocity (gain 1),
+    unchecked: ((1 - alpha) des + (alpha - cosh(ell T)) hat_end)
+    / (gain ell sinh(ell T)); gain 1 multiplies exactly, so both keep their bits."""
+    return ((1.0 - alpha) * des + (alpha - math.cosh(ell * T)) * hat_end) / (
+        gain * ell * math.sinh(ell * T)
+    )
+
+
 def _check_placement_inputs(name: str, hat_end, des: float, T: float, alpha: float):
     if not (all(math.isfinite(v) for v in (des, T, alpha)) and _finite(hat_end)):
         raise ValidationError(f"{name}: non-finite input")
@@ -191,10 +200,7 @@ def foot_placement_asymptotic(
             / (m H ell sinh(ell T)).
     """
     _check_placement_inputs("foot_placement_asymptotic", L_hat_end, L_des, T, alpha)
-    ell = params.ell
-    return ((1.0 - alpha) * L_des + (alpha - math.cosh(ell * T)) * L_hat_end) / (
-        params.m * params.H * ell * math.sinh(ell * T)
-    )
+    return _placement_law(params.m * params.H, params.ell, L_hat_end, L_des, T, alpha)
 
 
 def foot_placement_velocity(
@@ -208,10 +214,7 @@ def foot_placement_velocity(
             / (ell sinh(ell T)).
     """
     _check_placement_inputs("foot_placement_velocity", v_hat_end, v_des, T, alpha)
-    ell = params.ell
-    return ((1.0 - alpha) * v_des + (alpha - math.cosh(ell * T)) * v_hat_end) / (
-        ell * math.sinh(ell * T)
-    )
+    return _placement_law(1.0, params.ell, v_hat_end, v_des, T, alpha)
 
 
 def foot_placement_vz_corrected(

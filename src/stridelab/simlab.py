@@ -12,10 +12,10 @@ Determinism contract: fixed-step RK4 (default 1e-4 s) with bisection event
 refinement (default 1e-9 s), hand-rolled so step placement and event times
 are bit-reproducible across runs and platforms.  Reduced plants (ALIP / LIP)
 switch steps on the clock at exactly T; they step on Python floats through
-pendulum's field cores, in _rk4's operation order (the same bits, no array
-per step).  The five-link plant switches on the touchdown guard, armed from
-mid-step onward so liftoff never retriggers it.  Samples are kept in one
-float array per column.
+pendulum's field cores, in _rk4's operation order (the same bits), and hand
+the recorder each whole step at once.  The five-link plant switches on the
+touchdown guard, armed from mid-step onward so liftoff never retriggers it.
+Samples are kept in one float array per column.
 
 Artifacts: trace.csv (per-sample), per_step.csv, events.csv, and a
 scenario.json sidecar echoing the config plus the sha256 and size of every
@@ -46,6 +46,7 @@ from .control import (
     VirtualConstraintSpec,
     _finite,
     _io_torque_core,
+    _placement_law,
     _reference_rows,
     foot_placement_asymptotic,
     foot_placement_velocity,
@@ -345,13 +346,16 @@ class WalkingController:
         sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
         if self.placement_source == "v":
             vx = at_dq(rows[..., bp._JC.start : bp._JC.start + 5])  # the CoM Jacobian's x row
-            v_hat = ell * sh * x_c + ch * vx
-            v_des = self.L_des / (p.m * p.H)
-            p_raw = foot_placement_velocity(p, v_hat, v_des, self.gait.T, self.gait.alpha)
+            law, gain, des = "foot_placement_velocity", 1.0, self.L_des / (p.m * p.H)
+            hat = ell * sh * x_c + ch * vx
         else:
             # momentum conjugate to q0 = L about the contact
-            L_hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
-            p_raw = foot_placement_asymptotic(p, L_hat, self.L_des, self.gait.T, self.gait.alpha)
+            law, gain, des = "foot_placement_asymptotic", p.m * p.H, self.L_des
+            hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
+        # The public law's checks, less those of T and alpha (GaitCommand's own)
+        if not (math.isfinite(des) and _finite(hat)):
+            raise ValidationError(f"{law}: non-finite input")
+        p_raw = _placement_law(gain, ell, hat, des, self.gait.T, self.gait.alpha)
         if q.ndim == 1:
             return self._clamp(float(p_raw))
         return np.array([self._clamp(v) for v in p_raw.tolist()])  # lane by lane
@@ -527,12 +531,16 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     pre-switch states with the (N,) switch times.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
-    torque.  `recorder(tau, y, u, y_out)` is called at every accepted grid
-    point after the first (and at the event time); for the five-link plant
-    `y` is the state ndarray [q; dq] and the recorder also receives `ydot=`
-    (the state derivative at that point, so integrand-exact rates need no
-    refactoring downstream); for reduced plants `y` is an (x_c, L) or
-    (x_c, v_c) tuple of floats.  A stack of lanes takes no recorder.
+    torque.  For the five-link plant `recorder(tau, y, u, y_out, ydot=...)`
+    is called at every accepted grid point (the first with `first=True`) and
+    at the event time: `y` is the state ndarray [q; dq] and `ydot` the state
+    derivative there, so integrand-exact rates need no refactoring
+    downstream.  For reduced plants it is called once per step, with the
+    whole step: `recorder(taus, (xs, vs), us, None)`, where `taus` is the
+    float64 ndarray of grid times from 0 to T (T included), `xs` and `vs`
+    are array('d') of x_c and of L (ALIP) or v_c (LIP) at those times, and
+    `us` is the float64 ndarray of the ankle torque there (0.0 at tau = 0).
+    A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
@@ -622,34 +630,37 @@ def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
             f"integrate_step: reduced state must be AlipState or LipState "
             f"(got {type(state)!r})"
         )
-    ankle = controller.ankle if controller is not None else (lambda tau: 0.0)
-
-    def rk4(tau, x, v, h):
-        # _rk4 on Python floats, operation for operation: the same bits
-        h2 = h / 2.0
-        u2 = ankle(tau + h2)
-        a1, b1 = field(c1, c2, x, v, ankle(tau))
-        a2, b2 = field(c1, c2, x + h2 * a1, v + h2 * b1, u2)
-        a3, b3 = field(c1, c2, x + h2 * a2, v + h2 * b2, u2)
-        a4, b4 = field(c1, c2, x + h * a3, v + h * b3, ankle(tau + h))
-        h6 = h / 6.0
-        return x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-
     h = cfg.step_size
     n_full = int(math.floor(T / h + 1e-12))
-    tau = 0.0
+    taus = np.arange(n_full + 1) * h  # the grid tau = i * h, with i * h's bits
+    grid = taus.tolist()
+    rem = T - grid[-1]
+    passes = [(h, grid[:-1])]
+    if rem > 1e-12:  # a last, shorter step lands on T exactly
+        passes.append((rem, grid[-1:]))
+        taus = np.append(taus, T)
+    ankle = controller.ankle if controller is not None else None
+    xs, vs = array("d", [x]), array("d", [v])
+    for dt, starts in passes:
+        # _rk4 on Python floats, operation for operation: the same bits
+        h2, h6 = dt / 2.0, dt / 6.0
+        stage_u = [(0.0, 0.0, 0.0)] * len(starts) if ankle is None else [
+            (ankle(tau), ankle(tau + h2), ankle(tau + dt)) for tau in starts
+        ]
+        for u1, u2, u4 in stage_u:
+            a1, b1 = field(c1, c2, x, v, u1)
+            a2, b2 = field(c1, c2, x + h2 * a1, v + h2 * b1, u2)
+            a3, b3 = field(c1, c2, x + h2 * a2, v + h2 * b2, u2)
+            a4, b4 = field(c1, c2, x + dt * a3, v + dt * b3, u4)
+            x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            v = v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            xs.append(x)
+            vs.append(v)
     if recorder is not None:
-        recorder(tau, (x, v), 0.0, None, first=True)
-    for i in range(n_full):
-        x, v = rk4(tau, x, v, h)
-        tau = (i + 1) * h
-        if recorder is not None:
-            recorder(tau, (x, v), ankle(tau), None)
-    rem = T - tau
-    if rem > 1e-12:
-        x, v = rk4(tau, x, v, rem)
-        if recorder is not None:
-            recorder(T, (x, v), ankle(T), None)
+        us = np.zeros(len(taus))  # u at tau = 0 is 0.0, as it always was recorded
+        if ankle is not None:
+            us[1:] = [ankle(tau) for tau in taus[1:].tolist()]
+        recorder(taus, (xs, vs), us, None)
     if not (math.isfinite(x) and math.isfinite(v)):
         raise GaitFailureError(f"integrate_step: state diverged within the step (T = {T} s)")
     return type(state)(float(x), float(v), state.tau), T
@@ -693,6 +704,10 @@ class _SampleBuffer:
     def append(self, row):
         for append, v in zip(self._appends, row):
             append(v)
+
+    def extend(self, columns):  # a block of rows as equal-length float64 columns
+        for col, values in zip(self.data, columns):
+            col.frombytes(values.tobytes())
 
     def column(self, name: str, start: int = 0) -> np.ndarray:
         return np.array(self.data[self.columns.index(name)][start:])
@@ -767,18 +782,14 @@ class _PointMassPlant:
         self.L_des = L_des
 
     def row(self, tau, y, u, y_out, ydot):
+        x, m = y  # one sample's floats, or a whole step's float64 arrays
         if self.is_alip:
-            return y[0], y[1], y[1] / self.mH
-        return y[0], self.mH * y[1], y[1]
+            return x, m, m / self.mH
+        return x, self.mH * m, m
 
     def exchange(self, s):
         gait, mH = self.config.gait, self.mH
-        if self.is_alip:
-            L = s.L
-            v = L / mH
-        else:
-            v = s.v_c
-            L = mH * v
+        L, v = (s.L, s.L / mH) if self.is_alip else (mH * s.v_c, s.v_c)
         # The placement law follows placement_source on either plant; on a
         # point mass L = m H v exactly, so the two laws coincide.
         if self.config.placement_source == "L":
@@ -883,9 +894,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     state, t_base, k = plant.start(), 0.0, 0
 
     def recorder(tau, y, u, y_out, ydot=None, first=False):
-        if first and k > 0:
-            return  # boundary sample already recorded by the previous step
-        buf.append((t_base + tau, k) + plant.row(tau, y, u, y_out, ydot))
+        # The boundary sample at k > 0 is already recorded by the previous step.
+        if isinstance(tau, np.ndarray):  # a point-mass plant's whole step
+            cut = int(k > 0)
+            tau, y = tau[cut:], tuple(np.frombuffer(c)[cut:] for c in y)
+            head = (t_base + tau, np.full(len(tau), float(k)))
+            buf.extend(head + plant.row(tau, y, u[cut:], y_out, ydot))
+        elif not (first and k > 0):
+            buf.append((t_base + tau, k) + plant.row(tau, y, u, y_out, ydot))
 
     for k in range(config.duration):
         plant.begin_step(state, _step_target(gait, config.l_des_final, config.duration, k + 1))
@@ -1051,15 +1067,16 @@ def _csv_text(rows) -> str:
 def _chunks(header, rows):
     """The text of a CSV, chunk by chunk.  `rows` is an iterable of rows, or
     a dict of equal-length numeric columns keyed by the header names, which
-    is formatted a column at a time."""
+    is formatted a block of rows at a time."""
     yield _csv_text([header])
     n = max(1, _CSV_CHUNK_CELLS // max(1, len(header)))  # rows per chunk
     if isinstance(rows, dict):
         cols = [np.asarray(rows[name]) for name in header]
+        # "%.17g" % v is format(float(v), ".17g"); stacking rounds ints as float(v)
+        row_format = ",".join(["%.17g"] * len(cols)) + "\r\n"
         for i in range(0, max(map(len, cols), default=0), n):
-            # "%.17g" % v is format(float(v), ".17g") for a number v
-            cells = [list(map("%.17g".__mod__, col[i : i + n].tolist())) for col in cols]
-            yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+            block = np.column_stack([col[i : i + n] for col in cols])
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
         return
     it = iter(rows)
     while chunk := list(islice(it, n)):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stridelab as sl
 from stridelab import (
@@ -40,6 +42,7 @@ from stridelab.biped import (
     mass_matrix,
     swing_foot_position,
 )
+from stridelab.control import _placement_law, foot_placement_velocity
 from stridelab.errors import SingularMatrixError
 from stridelab.simlab import assemble_posture
 
@@ -158,6 +161,69 @@ def test_asymptotic_validation():
         foot_placement_asymptotic(PARAMS, 1.0, 1.0, 0.3, 1.0)
     with pytest.raises(ValidationError):
         foot_placement_asymptotic(PARAMS, 1.0, 1.0, 0.3, -0.1)
+
+
+def placement_bits(p):
+    """float.hex of a placement or of each lane's placement."""
+    return tuple(float(v).hex() for v in np.ravel(p))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    m=st.floats(1.0, 100.0),
+    H=st.floats(0.2, 2.0),
+    hat=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+    des=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, -1e300]),
+    T=st.floats(1e-3, 2.0),
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    lanes=st.booleans(),
+)
+def test_placement_law_is_the_public_laws_bit_for_bit(m, H, hat, des, T, alpha, lanes):
+    # The unchecked law the walking controller calls keeps the bits of the
+    # public laws and of their docstring formulas, for one value and lanes.
+    params = PendulumParams(m=m, H=H)
+    ell = params.ell
+    if lanes:
+        hat = np.array([hat, -hat, 0.5 * hat])
+    num = (1.0 - alpha) * des + (alpha - math.cosh(ell * T)) * hat
+    L_written = num / (params.m * params.H * ell * math.sinh(ell * T))
+    v_written = num / (ell * math.sinh(ell * T))
+    L_law = _placement_law(params.m * params.H, ell, hat, des, T, alpha)
+    v_law = _placement_law(1.0, ell, hat, des, T, alpha)
+    assert placement_bits(L_law) == placement_bits(L_written)
+    assert placement_bits(v_law) == placement_bits(v_written)
+    assert placement_bits(foot_placement_asymptotic(params, hat, des, T, alpha)) == placement_bits(
+        L_law
+    )
+    assert placement_bits(foot_placement_velocity(params, hat, des, T, alpha)) == placement_bits(
+        v_law
+    )
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_PLACEMENT_INPUTS = st.one_of(
+    st.tuples(st.sampled_from(["hat", "des", "T", "alpha"]), NON_FINITE),
+    st.tuples(st.just("T"), st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)),
+    st.tuples(
+        st.just("alpha"), st.floats(min_value=1.0) | st.floats(max_value=0.0, exclude_max=True)
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    bad=BAD_PLACEMENT_INPUTS,
+    law=st.sampled_from([foot_placement_asymptotic, foot_placement_velocity]),
+    lanes=st.booleans(),
+)
+def test_public_placement_laws_still_reject_bad_inputs(bad, law, lanes):
+    args = {"hat": 1.0, "des": 14.4, "T": 0.3, "alpha": 0.5}
+    slot, value = bad
+    args[slot] = value
+    if lanes:  # one bad lane spoils the stack
+        args["hat"] = np.array([1.0, args["hat"]])
+    with pytest.raises(ValidationError, match=law.__name__):
+        law(PARAMS, args["hat"], args["des"], args["T"], args["alpha"])
 
 
 # ---------------------------------------------------------------------------

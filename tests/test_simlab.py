@@ -9,6 +9,8 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from stridelab import (
     GaitCommand,
     IntegratorConfig,
     LinkParams,
+    LipState,
     NumericalError,
     PendulumParams,
     PlanarBiped,
@@ -401,6 +404,64 @@ def test_float_stepping_is_bit_exact(
         assert bits(rec.mean_vx) == bits(float(np.mean(rows)))
 
 
+class SineAnkle:
+    """A controller that provides only the ankle torque A sin(2 pi tau / T)."""
+
+    def __init__(self, A, T):
+        self.A, self.T = A, T
+
+    def ankle(self, tau):
+        return self.A * math.sin(2.0 * math.pi * tau / self.T)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    plant=st.sampled_from(["ALIP", "LIP"]),
+    x0=st.floats(-0.1, 0.1),
+    L0=st.floats(-25.0, 25.0),
+    ankle=st.sampled_from([0.0]) | st.floats(-3.0, 3.0),
+    T=st.floats(0.2, 0.4),
+    n=st.integers(40, 300),
+    frac=st.sampled_from([0.0]) | st.floats(0.05, 0.95),
+)
+def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T, n, frac):
+    # The reduced-plant recorder contract of integrate_step: one call per
+    # step with (taus, (xs, vs), us, None), the grid from 0 to T, bit for bit
+    # the samples that the per-sample array RK4 records one call at a time.
+    cfg = IntegratorConfig(step_size=T / (n + frac))
+    state = AlipState(x_c=x0, L=L0) if plant == "ALIP" else LipState(x_c=x0, v_c=L0 / MH)
+    controller = SineAnkle(ankle, T) if ankle else None
+    calls = []
+    end, t_end = integrate_step(
+        PARAMS, controller, state, T, cfg, lambda *a, **kw: calls.append((a, kw))
+    )
+    assert len(calls) == 1
+    (taus, y, us, y_out), kwargs = calls[0]
+    assert kwargs == {} and y_out is None and t_end == T
+    assert isinstance(taus, np.ndarray) and taus.dtype == np.float64 and taus.ndim == 1
+    assert isinstance(us, np.ndarray) and us.dtype == np.float64 and us.shape == taus.shape
+    assert isinstance(y, tuple) and len(y) == 2
+    xs, vs = y
+    assert all(isinstance(c, array) and c.typecode == "d" and len(c) == len(taus) for c in y)
+    h = cfg.step_size
+    n_full = int(math.floor(T / h + 1e-12))
+    has_rem = T - n_full * h > 1e-12
+    assert len(taus) == n_full + 1 + has_rem
+    assert taus[0] == 0.0 and taus[-1] == (T if has_rem else n_full * h)
+    assert bits(end) == bits(type(state)(xs[-1], vs[-1], state.tau))
+    if not has_rem:
+        return  # the reference below steps only grids with a remainder step
+    ref = []
+    reference_reduced_step(
+        PARAMS, controller, state, T, cfg,
+        lambda tau, y, u, y_out, first=False: ref.append((tau, y[0], y[1], u)),
+    )
+    assert [bits(float(v)) for v in taus] == [bits(r[0]) for r in ref]
+    assert [bits(v) for v in xs] == [bits(float(r[1])) for r in ref]
+    assert [bits(v) for v in vs] == [bits(float(r[2])) for r in ref]
+    assert [bits(float(v)) for v in us] == [bits(float(r[3])) for r in ref]
+
+
 def test_five_link_loop_bookkeeping():
     cfg = ScenarioConfig(
         plant="FIVE_LINK",
@@ -513,6 +574,20 @@ def test_reduced_overflow_is_a_gait_failure():
         )
         with pytest.raises(GaitFailureError, match="placement"):
             run_scenario(cfg)
+
+
+@pytest.mark.parametrize("source", ["L", "v"])
+@pytest.mark.parametrize("L_des", [math.nan, math.inf, -math.inf])
+def test_controller_placement_rejects_a_non_finite_target(source, L_des):
+    # The controller skips the public laws' checks of T and alpha, not that of
+    # the target: an infinite one would otherwise clamp to a finite p_des.
+    plant = five_link_plant(0.0, source=source)
+    state = plant.start()
+    plant.begin_step(state, L_des)
+    law = "foot_placement_velocity" if source == "v" else "foot_placement_asymptotic"
+    y = np.concatenate([state.q, state.dq])
+    with pytest.raises(ValidationError, match=f"{law}: non-finite input"):
+        simlab._five_link_rhs(plant.model, plant.controller, 0.1, y)
 
 
 def test_gait_failure_when_swing_never_lands():
@@ -655,6 +730,64 @@ def test_write_csv_columns_match_rows(tmp_path):
     assert got == (hashlib.sha256(blob).hexdigest(), len(blob))
     empty = {"t": np.empty(0), "x": np.empty(0)}
     assert simlab.write_csv(tmp_path / "e.csv", ["t", "x"], empty)[1] == len(b"t,x\r\n")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e308,
+                  float(2**53 + 1), 0.1, 1 / 3]
+SPECIAL_INTS = [0, -1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 7]
+
+
+@st.composite
+def column_dicts(draw):
+    """Equal-length float64 and int64 columns of 0 to 3 chunks' worth of rows:
+    drawn special values at drawn rows, the rest seeded noise over the whole
+    exponent range."""
+    width = draw(st.integers(1, 4))
+    per_chunk = simlab._CSV_CHUNK_CELLS // width
+    edges = [0, 1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk, 3 * per_chunk]
+    n = draw(st.sampled_from(edges) | st.integers(0, 3 * per_chunk))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = {}
+    for j in range(width):
+        is_int = draw(st.booleans())
+        specials = draw(st.lists(st.sampled_from(SPECIAL_INTS if is_int else SPECIAL_FLOATS)
+                                 | (st.integers(-(2**63), 2**63 - 1) if is_int else st.floats()),
+                                 max_size=6))
+        if is_int:
+            col = rng.integers(-(2**62), 2**62, n, dtype=np.int64) >> rng.integers(0, 62, n)
+        else:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n).astype(float)
+        at = rng.integers(0, max(n, 1), len(specials))
+        if n:
+            col[at] = np.array(specials, dtype=col.dtype)
+        cols[f"c{j}"] = col
+    return cols
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cols=column_dicts())
+def test_write_csv_columns_match_rows_on_generated_columns(cols):
+    header = list(cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = simlab.write_csv(Path(tmp) / "cols.csv", header, cols)
+        reference_csv(Path(tmp) / "ref.csv", header, zip(*cols.values()))
+        blob = (Path(tmp) / "cols.csv").read_bytes()
+        assert blob == (Path(tmp) / "ref.csv").read_bytes()
+    assert got == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+
+def test_write_csv_columns_hold_one_chunk_at_a_time(tmp_path):
+    # The writer formats one block of rows at a time: stacking the whole
+    # trace instead would hold 8 MB of floats here, and their text.
+    rng = np.random.default_rng(5)
+    cols = {f"c{j}": rng.standard_normal(200_000) for j in range(5)}
+    tracemalloc.start()
+    try:
+        simlab.write_csv(tmp_path / "big.csv", list(cols), cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

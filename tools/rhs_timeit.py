@@ -1,23 +1,27 @@
-"""Interleaved timeit medians of the five-link closed-loop layers, for two
-stridelab source trees side by side.
+"""Interleaved timeit medians of the closed-loop layers, the point-mass step
+and the CSV writer, for two stridelab source trees side by side.
 
     python3 tools/rhs_timeit.py PARENT_SRC CHANGE_SRC [--repeats 15] [--number 2000]
 
 Each SRC is a directory that holds the `stridelab` package (a checkout's
 `src/`).  Both trees are imported into this one process under names of their
 own, and every repeat times each case on the parent and then on the change,
-so slow drift of the machine falls on both alike.  Cases, all on the start
-state of the seed-0 `simulate-five-link` benchmark scenario
-(perfbench/scenarios.py, read only):
+so slow drift of the machine falls on both alike.  The five-link cases run on
+the start state of the seed-0 `simulate-five-link` benchmark scenario, the
+last two on the seed-0 `simulate-alip` scenario (perfbench/scenarios.py,
+read only):
 
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane
     recorder row      `_FiveLinkPlant.row`, one sample
+    alip step         `run_scenario` of one ALIP step, through its recorder
+    write_csv alip    `write_csv` of the whole 100-step ALIP trace
 
 The table gives each case's median over the repeats in microseconds per
 call (per lane for the stack), the change's median relative to the parent's,
-and the quartiles of each side.
+and the quartiles of each side.  A slow case runs `--number` divided by its
+own weight calls per timing (at least one).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import importlib.util
 import statistics
 import sys
+import tempfile
 import timeit
 from dataclasses import replace
 from pathlib import Path
@@ -51,17 +56,19 @@ def load_tree(src: Path, name: str):
     return package
 
 
-def scenario_doc() -> dict:
+def scenario_doc(workload: str = "simulate-five-link", seed: int = 0) -> dict:
+    """The benchmark's config of `workload` under `seed`, from perfbench/scenarios.py."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import scenarios
     finally:
         sys.path.pop(0)
-    return scenarios.draw("simulate-five-link", 0)
+    return scenarios.draw(workload, seed)
 
 
-def cases(package, doc: dict) -> dict:
-    """Zero-argument callables, one per case, with the calls per lane of each."""
+def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
+    """Zero-argument callables, one per case, each with its lanes per call and
+    its weight (a case runs `--number` // weight calls per timing)."""
     simlab = package.simlab
     config = simlab.ScenarioConfig.from_json(doc)
     rhs = simlab._five_link_rhs
@@ -77,7 +84,7 @@ def cases(package, doc: dict) -> dict:
         model, controller = plant.model, plant.controller
         if label == "rhs ankle on" and controller.ankle(TAU_ANKLE) == 0.0:
             raise SystemExit("rhs_timeit: the scenario's ankle torque is zero")
-        out[label] = (lambda m=model, c=controller, y=y: rhs(m, c, TAU_ANKLE, y), 1)
+        out[label] = (lambda m=model, c=controller, y=y: rhs(m, c, TAU_ANKLE, y), 1, 1)
     # The stack: the start state and 19 small, fixed perturbations of it.
     plant = simlab._FiveLinkPlant(config)
     state = plant.start()
@@ -88,11 +95,18 @@ def cases(package, doc: dict) -> dict:
     plant.controller.set_target(config.gait.L_des)
     plant.controller.on_step_start(Y)
     lanes = plant.controller
-    out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES)
+    out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
     row_plant = simlab._FiveLinkPlant(config)
     row_plant.begin_step(state, config.gait.L_des)
     ydot, u, y_out = rhs(row_plant.model, row_plant.controller, TAU_ANKLE, y)
-    out["recorder row"] = (lambda: row_plant.row(TAU_ANKLE, y, u, y_out, ydot), 1)
+    out["recorder row"] = (lambda: row_plant.row(TAU_ANKLE, y, u, y_out, ydot), 1, 1)
+    alip = simlab.ScenarioConfig.from_json(alip_doc)
+    one_step = replace(alip, duration=1)
+    out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
+    trace = simlab.run_scenario(alip)
+    csv_path = out_dir / f"{package.__name__}.csv"
+    columns = list(trace.samples)
+    out["write_csv alip"] = (lambda: simlab.write_csv(csv_path, columns, trace.samples), 1, 10**9)
     return out
 
 
@@ -105,27 +119,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be >= 1")
-    doc = scenario_doc()
-    sides = {
-        side: cases(load_tree(src.resolve(), f"stridelab_{side}"), doc)
-        for side, src in (("parent", args.parent), ("change", args.change))
-    }
-    times = {side: {label: [] for label in sides[side]} for side in sides}
-    for _ in range(args.repeats):
-        for label in sides["parent"]:
-            for side in sides:
-                fn, per = sides[side][label]
-                number = max(1, args.number // per)
-                seconds = timeit.timeit(fn, number=number)
-                times[side][label].append(1e6 * seconds / (number * per))
-    print(f"{'case':<16} {'parent us':>10} {'change us':>10} {'change/parent':>14}"
-          f"   parent q1-q3    change q1-q3")
+    doc, alip_doc = scenario_doc(), scenario_doc("simulate-alip")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {
+            side: cases(load_tree(src.resolve(), f"stridelab_{side}"), doc, alip_doc, Path(tmp))
+            for side, src in (("parent", args.parent), ("change", args.change))
+        }
+        times = {side: {label: [] for label in sides[side]} for side in sides}
+        for _ in range(args.repeats):
+            for label in sides["parent"]:
+                for side in sides:
+                    fn, lanes, weight = sides[side][label]
+                    number = max(1, args.number // weight)
+                    seconds = timeit.timeit(fn, number=number)
+                    times[side][label].append(1e6 * seconds / (number * lanes))
+    print(f"{'case':<16} {'parent us':>12} {'change us':>12} {'change/parent':>14}"
+          f"   parent q1-q3            change q1-q3")
     for label in sides["parent"]:
         p, c = times["parent"][label], times["change"][label]
         pq, cq = statistics.quantiles(p, n=4), statistics.quantiles(c, n=4)
         mp, mc = statistics.median(p), statistics.median(c)
-        print(f"{label:<16} {mp:10.2f} {mc:10.2f} {mc / mp:14.3f}"
-              f"   {pq[0]:6.2f}-{pq[2]:6.2f}   {cq[0]:6.2f}-{cq[2]:6.2f}")
+        print(f"{label:<16} {mp:12.2f} {mc:12.2f} {mc / mp:14.3f}"
+              f"   {pq[0]:10.2f}-{pq[2]:10.2f}   {cq[0]:10.2f}-{cq[2]:10.2f}")
     return 0
 
 
