@@ -179,9 +179,13 @@ def _placement_law(gain: float, ell: float, hat_end, des: float, T: float, alpha
     )
 
 
-def _check_placement_inputs(name: str, hat_end, des: float, T: float, alpha: float):
-    if not (all(math.isfinite(v) for v in (des, T, alpha)) and _finite(hat_end)):
+def _check_placement_finite(name: str, hat_end, *values: float):
+    if not (all(map(math.isfinite, values)) and _finite(hat_end)):
         raise ValidationError(f"{name}: non-finite input")
+
+
+def _check_placement_inputs(name: str, hat_end, des: float, T: float, alpha: float):
+    _check_placement_finite(name, hat_end, des, T, alpha)
     if T <= 0:
         raise ValidationError(f"{name}: T must be > 0 (got {T})")
     if not 0.0 <= alpha < 1.0:

@@ -44,6 +44,7 @@ from .biped import BipedState, PlanarBiped
 from .control import (
     GaitCommand,
     VirtualConstraintSpec,
+    _check_placement_finite,
     _finite,
     _io_torque_core,
     _placement_law,
@@ -352,9 +353,7 @@ class WalkingController:
             # momentum conjugate to q0 = L about the contact
             law, gain, des = "foot_placement_asymptotic", p.m * p.H, self.L_des
             hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
-        # The public law's checks, less those of T and alpha (GaitCommand's own)
-        if not (math.isfinite(des) and _finite(hat)):
-            raise ValidationError(f"{law}: non-finite input")
+        _check_placement_finite(law, hat, des)  # T and alpha are GaitCommand's to check
         p_raw = _placement_law(gain, ell, hat, des, self.gait.T, self.gait.alpha)
         if q.ndim == 1:
             return self._clamp(float(p_raw))
@@ -789,7 +788,12 @@ class _PointMassPlant:
 
     def exchange(self, s):
         gait, mH = self.config.gait, self.mH
-        L, v = (s.L, s.L / mH) if self.is_alip else (mH * s.v_c, s.v_c)
+        if self.is_alip:
+            L = s.L
+            v = L / mH
+        else:
+            v = s.v_c
+            L = mH * v
         # The placement law follows placement_source on either plant; on a
         # point mass L = m H v exactly, so the two laws coincide.
         if self.config.placement_source == "L":

@@ -56,14 +56,14 @@ def load_tree(src: Path, name: str):
     return package
 
 
-def scenario_doc(workload: str = "simulate-five-link", seed: int = 0) -> dict:
-    """The benchmark's config of `workload` under `seed`, from perfbench/scenarios.py."""
+def scenario_doc(workload: str = "simulate-five-link") -> dict:
+    """The benchmark's seed-0 config of `workload`, from perfbench/scenarios.py."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import scenarios
     finally:
         sys.path.pop(0)
-    return scenarios.draw(workload, seed)
+    return scenarios.draw(workload, 0)
 
 
 def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
