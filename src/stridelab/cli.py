@@ -64,6 +64,9 @@ _ALPHA = 0.4
 MAX_BODE_POINTS = 100_000
 MAX_ALPHA_POINTS = 1_000
 MAX_KALMAN_SAMPLES = 1_000_000
+# Flag bounds: finite and > 0, and a step count's cap of MAX_RK4_STEPS at --T and --step-size.
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
+_STEP_CAP = f"MAX_RK4_STEPS = {MAX_RK4_STEPS}"
 
 
 def _gait(args, alpha: float | None = None) -> GaitCommand:
@@ -75,29 +78,32 @@ def _constraints(args) -> VirtualConstraintSpec:
     return VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
 
 
-def _check_steps(flag: str, steps: int, plant: str, T: float, step_size: float) -> None:
-    """Reject a step count whose rollout could exceed MAX_RK4_STEPS, naming
-    the flags that set the work, before any rollout runs."""
-    limit = _max_duration(plant, T, step_size)
-    if not 0 <= steps <= limit:
-        raise ValidationError(
-            f"{flag} {steps} at --T {T:g} and --step-size {step_size:g} must be "
-            f"in [0, {limit:.0f}] to stay within MAX_RK4_STEPS = {MAX_RK4_STEPS}"
-        )
+def _check_flags(args) -> None:
+    """Test each flag of the subcommand against the bound it was added with,
+    naming the subcommand, the flag and the value, before any work runs."""
+    for flag, dest, lo, hi in args.bounds:
+        value, where = getattr(args, dest), ""
+        if hi is _STEP_CAP:
+            hi = math.inf
+            plant = getattr(args, "plant", "FIVE_LINK")
+            if not (args.command == "poincare" and plant == "ALIP"):  # its map is closed-form
+                IntegratorConfig(step_size=args.step_size)  # a positive step first
+                hi = math.floor(_max_duration(plant, args.T, args.step_size))
+                where = f" at --T {args.T:g} and --step-size {args.step_size:g}, within {_STEP_CAP}"
+        if value is not None and not lo <= value <= hi:
+            raise ValidationError(f"{args.command}: {flag} {value} must be in [{lo}, {hi}]{where}")
 
 
 def _scenario(args, plant: str = "FIVE_LINK", **extras) -> ScenarioConfig:
     """The rollout the predict-fidelity, error-decomp and compare-lip-alip
     subcommands run: the gait flags, --steps, --step-size and
     --initial-velocity, plus each command's own config fields."""
-    integ = IntegratorConfig(step_size=args.step_size)  # a positive step first
-    _check_steps(f"{args.command}: --steps", args.steps, plant, args.T, integ.step_size)
     return ScenarioConfig(
         plant=plant,
         gait=_gait(args),
         constraints=_constraints(args),
         duration=args.steps,
-        integrator=integ,
+        integrator=IntegratorConfig(step_size=args.step_size),
         initial_velocity=args.initial_velocity,
         **extras,
     )
@@ -189,14 +195,8 @@ def _cmd_poincare(args) -> int:
         return 0
     # FIVE_LINK: warm up a rollout onto the orbit, polish the fixed point,
     # then take symmetric differences of the two-step return map.
-    if args.warmup < 1:
-        raise ValidationError(f"poincare: --warmup must be >= 1 (got {args.warmup})")
-    for flag, value in (("--fp-tol", args.fp_tol), ("--delta", args.delta)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"poincare: {flag} must be finite and > 0 (got {value:g})")
     model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
-    _check_steps("poincare: --warmup", args.warmup, "FIVE_LINK", args.T, integ.step_size)
     for a in alphas:
         gait = _gait(args, alpha=a)
         warm_cfg = ScenarioConfig(
@@ -282,10 +282,6 @@ def _cmd_error_decomp(args) -> int:
 
 
 def _cmd_bode(args) -> int:
-    if not 1 <= args.points <= MAX_BODE_POINTS:
-        raise ValidationError(
-            f"bode: --points must be in [1, {MAX_BODE_POINTS}] (got {args.points})"
-        )
     params = _pendulum(args)
     ell = params.ell
     lo, hi = ell * args.omega_min, ell * args.omega_max
@@ -321,10 +317,6 @@ def _cmd_bode(args) -> int:
 
 
 def _cmd_kalman(args) -> int:
-    if args.samples > MAX_KALMAN_SAMPLES:
-        raise ValidationError(
-            f"kalman-demo: --samples must be at most {MAX_KALMAN_SAMPLES} (got {args.samples})"
-        )
     # The demo samples within each walking step; a longer interval would also
     # let the sample times and the ALIP state overflow.
     if not 0.0 < args.dt <= args.T:
@@ -406,7 +398,19 @@ def _cmd_compare(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors are one stderr line and exit 2, like every malformed input."""
+    """Flag errors are one stderr line and exit 2, like every malformed input.
+    A flag's `bound=(lo, hi)` goes to the namespace's `bounds`, parents' included."""
+
+    def __init__(self, *args, parents=(), **kwargs):
+        self.bounds = [b for parent in parents for b in parent.bounds]
+        super().__init__(*args, parents=parents, **kwargs)
+        self.set_defaults(bounds=self.bounds)
+
+    def add_argument(self, *names, bound=None, **kwargs):
+        action = super().add_argument(*names, **kwargs)
+        if bound is not None:
+            self.bounds.append((names[0], action.dest, *bound))
+        return action
 
     def error(self, message):
         self.exit(2, f"validation error: {self.prog}: {message}\n")
@@ -418,11 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", metavar="DIR", help="directory for CSV artifacts")
-    common.add_argument("--seed", type=int, default=None, help="RNG/config seed override")
+    common.add_argument("--seed", type=int, default=None, bound=(0, math.inf),
+                        help="RNG/config seed override")
 
-    gaitish = argparse.ArgumentParser(add_help=False)
+    gaitish = _Parser(add_help=False)
     gaitish.add_argument("--T", type=float, default=_T, help="step duration [s]")
     gaitish.add_argument("--H", type=float, default=_H, help="CoM height [m]")
     gaitish.add_argument("--z-cl", dest="z_cl", type=float, default=_Z_CL,
@@ -448,19 +453,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-des", dest="l_des", type=float, default=0.0,
                    help="momentum target at step end")
     p.add_argument("--steps-per-return", type=int, choices=(1, 2), default=2)
-    p.add_argument("--warmup", type=int, default=14,
+    p.add_argument("--warmup", type=int, default=14, bound=(1, _STEP_CAP),
                    help="five-link: steps walked before polishing the fixed point")
-    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-9,
+    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-9, bound=_POSITIVE,
                    help="five-link: fixed-point residual tolerance")
-    p.add_argument("--delta", type=float, default=0.1,
-                   help="five-link: symmetric-difference size")
+    p.add_argument("--delta", type=float, default=0.1, bound=(math.ulp(0.0), 1.0),
+                   help="five-link: symmetric-difference size, at most 1 rad or rad/s")
     add_step_size(p)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("predict-fidelity", parents=[common, gaitish],
                        help="flatness of predicted momentum vs predicted velocity")
     p.add_argument("--l-des", dest="l_des", type=float, default=44.5)
-    p.add_argument("--steps", type=int, default=14)
+    p.add_argument("--steps", type=int, default=14, bound=(1, _STEP_CAP))
     p.add_argument("--initial-velocity", type=float, default=2.0)
     p.add_argument("--z-amplitude", dest="z_amplitude", type=float, default=0.0,
                    help="in-step CoM height modulation amplitude [m]")
@@ -470,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("error-decomp", parents=[common, gaitish],
                        help="per-step momentum-error decomposition e1 = e2 + e3")
     p.add_argument("--l-des", dest="l_des", type=float, default=15.36)
-    p.add_argument("--steps", type=int, default=3)
+    p.add_argument("--steps", type=int, default=3, bound=(1, _STEP_CAP))
     p.add_argument("--initial-velocity", type=float, default=0.8)
     p.add_argument("--ankle-amplitude", type=float, default=0.0,
                    help="stance ankle torque amplitude [N m]")
@@ -484,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lowest frequency, in units of the pendulum rate ell")
     p.add_argument("--omega-max", type=float, default=1e3,
                    help="highest frequency, in units of ell")
-    p.add_argument("--points", type=int, default=121)
+    p.add_argument("--points", type=int, default=121, bound=(1, MAX_BODE_POINTS))
     p.set_defaults(func=_cmd_bode)
 
     p = sub.add_parser("kalman-demo", parents=[common],
@@ -494,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-des", dest="l_des", type=float, default=9.6,
                    help="walking momentum target (0.5 m/s at the defaults)")
     p.add_argument("--sigma", type=float, default=0.5, help="measurement noise std")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=10000, bound=(1, MAX_KALMAN_SAMPLES))
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--Q", type=float, default=1e-4, help="process noise variance")
     p.set_defaults(func=_cmd_kalman)
@@ -503,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="twin rollouts: momentum vs velocity foot placement")
     p.add_argument("--plant", choices=("FIVE_LINK", "ALIP", "LIP"), default="FIVE_LINK")
     p.add_argument("--l-des", dest="l_des", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=int, default=10, bound=(1, _STEP_CAP))
     p.add_argument("--initial-velocity", type=float, default=0.5)
     add_step_size(p)
     p.set_defaults(func=_cmd_compare)
@@ -515,11 +520,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     # OverflowError: a math.cosh/sinh/exp of an out-of-range argument.

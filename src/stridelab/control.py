@@ -9,9 +9,8 @@ CoM abscissa x_c+ (negative when stepping ahead of the CoM).
 Tracking layer (full joint-space model): a four-row virtual-constraint stack
     y = h0(q) - h_d(s)
     h0 = (torso pitch, stance-foot->CoM height, swing-foot->CoM x and z)
-driven to zero either by input-output linearization (exact decoupling, poles
-placed by Kp/Kd) or by a passivity-based law that skips the acceleration
-cancellation and pays for it with a Lyapunov argument instead.
+driven to zero by input-output linearization (exact decoupling, poles placed
+by Kp/Kd).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .biped import (
     _checked_solve,
     _dyn_terms,
     _mv,
-    coriolis_matrix,
 )
 from .errors import NumericalError, ValidationError
 from .pendulum import PendulumParams
@@ -48,7 +46,6 @@ __all__ = [
     "virtual_constraint_derivatives",
     "planar_outputs",
     "io_linearizing_torque",
-    "passivity_tracking_torque",
 ]
 
 
@@ -470,73 +467,3 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
         ddq0 = x[..., 0, :]
         ddq = ddq0 + u_a * x[..., 1, :]
     return _mv(D_q[..., 1:, :], ddq0) + h[..., 1:], ddq, y
-
-
-def passivity_tracking_torque(
-    model: PlanarBiped,
-    state: BipedState,
-    q_r,
-    dq_r,
-    ddq_r,
-    kp=None,
-    kd=None,
-) -> np.ndarray:
-    """Joint-space tracking torque that skips inertia inversion of the error.
-
-    Reduce the pinned dynamics over the unactuated coordinate q0
-    (D_bar ddq_b + H_bar = u for the actuated block), then apply
-
-        u = D_bar ddq_r + H_bar - kp y - (C_bar + kd) dy,   y = q_b - q_r,
-
-    with C_bar = (1/2) d(D_bar)/dt, computed exactly from the Coriolis
-    structure dD/dt = C + C^T.  The symmetric choice satisfies
-    C_bar + C_bar^T = d(D_bar)/dt, so V = (1/2) dy' D_bar dy + (1/2) y' kp y
-    decays with V-dot = -dy' kd dy along the closed loop.  On the reference
-    (y = dy = 0) the torque is the pure feedforward D_bar ddq_r + H_bar.
-    """
-    q_r = np.asarray(q_r, dtype=float)
-    dq_r = np.asarray(dq_r, dtype=float)
-    ddq_r = np.asarray(ddq_r, dtype=float)
-    for name, arr in (("q_r", q_r), ("dq_r", dq_r), ("ddq_r", ddq_r)):
-        if arr.shape != (4,):
-            raise ValidationError(
-                f"passivity_tracking_torque: {name} must have shape (4,), got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"passivity_tracking_torque: non-finite {name}")
-    kp = np.diag(_gain_vec("passivity_tracking_torque.kp", kp, 100.0))
-    kd = np.diag(_gain_vec("passivity_tracking_torque.kd", kd, 20.0))
-
-    D_q, cvec_q, G_q, _ = _dyn_terms(model, state.q, state.dq)
-    C_q = coriolis_matrix(model, state.q, state.dq)
-    Ddot = C_q + C_q.T
-    h = cvec_q + G_q
-
-    d00 = D_q[0, 0]
-    if abs(d00) < 1e-12:
-        raise NumericalError("passivity_tracking_torque: degenerate unactuated inertia")
-    D0b = D_q[0, 1:]
-    Db0 = D_q[1:, 0]
-    Dbb = D_q[1:, 1:]
-    D_bar = Dbb - np.outer(Db0, D0b) / d00
-    H_bar = h[1:] - Db0 * (h[0] / d00)
-
-    dd00 = Ddot[0, 0]
-    dD0b = Ddot[0, 1:]
-    dDb0 = Ddot[1:, 0]
-    dDbb = Ddot[1:, 1:]
-    D_bar_dot = (
-        dDbb
-        - np.outer(dDb0, D0b) / d00
-        - np.outer(Db0, dD0b) / d00
-        + np.outer(Db0, D0b) * (dd00 / (d00 * d00))
-    )
-    C_bar = 0.5 * D_bar_dot
-
-    # Effective actuation of the reduced block; identity for this mechanism
-    # (the unactuated row of B is zero) but kept general and checked.
-    B_bar = model.B_b[1:, :] - np.outer(Db0 / d00, model.B_b[0, :])
-    y = state.q[1:] - q_r
-    dy = state.dq[1:] - dq_r
-    u_task = D_bar @ ddq_r + H_bar - kp @ y - (C_bar + kd) @ dy
-    return _checked_solve(B_bar, u_task, "passivity_tracking_torque (input map)")

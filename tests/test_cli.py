@@ -349,6 +349,12 @@ BAD_FLAGS = [
     (["compare-lip-alip", "--steps", "100000000"], 2, ("compare-lip-alip: --steps", "--T")),
     (["error-decomp", "--T", "1e308"], 2, ("error-decomp: --steps", "--T 1e+308")),
     (["predict-fidelity", "--steps", "-1"], 2, ("predict-fidelity: --steps -1",)),
+    # A rollout walks at least one step.
+    (["predict-fidelity", "--steps", "0"], 2, ("predict-fidelity: --steps 0",)),
+    (["error-decomp", "--steps", "0"], 2, ("error-decomp: --steps 0",)),
+    (["compare-lip-alip", "--steps", "0"], 2, ("compare-lip-alip: --steps 0",)),
+    (["kalman-demo", "--seed", "-1"], 2, ("kalman-demo: --seed -1",)),
+    (POINCARE_FIVE_LINK + ["--delta", "1e308"], 2, ("poincare: --delta 1e+308",)),
 ]
 
 
@@ -370,6 +376,77 @@ def test_poincare_five_link_flags_checked_before_warmup(argv, monkeypatch, capsy
 
     monkeypatch.setattr("stridelab.cli.run_scenario", no_rollout)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{cfg}", "--out", "{file}"],
+        ["simulate", "{cfg}", "--out", "{file}/sub"],
+        ["bode", "--points", "3", "--out", "{file}/sub"],
+        ["kalman-demo", "--samples", "3", "--out", "{file}"],
+    ],
+)
+def test_out_at_or_under_a_file_exits_2(argv, tmp_path, capsys):
+    file = tmp_path / "file.txt"
+    file.write_text("not a directory")
+    paths = {"cfg": write_config(tmp_path), "file": file}
+    assert main([a.format(**paths) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "validation error" in lines[0] and "file.txt" in lines[0], lines
+    assert file.read_text() == "not a directory"
+
+
+# Each subcommand on a run of a few milliseconds (poincare FIVE_LINK: under
+# half a second), and the flags the fuzz below sets on it.  "{cfg}" and
+# "{dir}" are filled in per example.
+GAIT_FLAGS = ("--T", "--H", "--z-cl", "--alpha", "--l-des", "--step-size")
+FUZZ_RUNS = [
+    (["simulate", "{cfg}"], ()),
+    (POINCARE_ALIP, GAIT_FLAGS + ("--steps-per-return", "--warmup", "--fp-tol", "--delta")),
+    (POINCARE_FIVE_LINK + ["--warmup", "1", "--step-size", "0.01", "--fp-tol", "1"],
+     GAIT_FLAGS + ("--warmup", "--fp-tol", "--delta")),
+    (["predict-fidelity", "--steps", "2", "--step-size", "0.02"],
+     GAIT_FLAGS + ("--steps", "--initial-velocity", "--z-amplitude")),
+    (["error-decomp", "--steps", "2", "--step-size", "0.02"],
+     GAIT_FLAGS + ("--steps", "--initial-velocity", "--ankle-amplitude")),
+    (["bode", "--points", "5"], ("--H", "--omega-min", "--omega-max", "--points")),
+    (["kalman-demo", "--samples", "50"],
+     ("--H", "--T", "--l-des", "--sigma", "--samples", "--dt", "--Q")),
+    (["compare-lip-alip", "--steps", "2", "--step-size", "0.02"],
+     GAIT_FLAGS + ("--steps", "--initial-velocity", "--plant")),
+]
+# Out of range for some flag, or in range and cheap; "--plant" takes the names.
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e308", str(2**70), "1", "2", "0.5",
+               "0.05", "ALIP", "LIP"]
+FUZZ_OUT = ["{dir}/out", "{dir}/file.txt", "{dir}/file.txt/sub"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_every_subcommand_fails_cleanly_on_fuzzed_flags(data):
+    base, flags = data.draw(st.sampled_from(FUZZ_RUNS))
+    edits = data.draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(flags + ("--seed",)), st.sampled_from(FUZZ_VALUES)),
+            st.tuples(st.just("--out"), st.sampled_from(FUZZ_OUT)),
+        ),
+        min_size=1,
+        max_size=2,
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "file.txt").write_text("not a directory")
+        paths = {"cfg": write_config(Path(tmp), duration=2), "dir": tmp}
+        argv = [a.format(**paths) for a in base + [x for edit in edits for x in edit]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a flag argparse cannot parse
+                code = exc.code
+    assert code in (0, 2, 3), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
 
 @pytest.mark.filterwarnings("error")

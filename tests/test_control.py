@@ -1,8 +1,7 @@
 """Placement laws checked by propagating their output through the exact
 pendulum step map; virtual-constraint geometry against closed-form boundary
 values and finite differences; tracking torques against the closed-loop
-behavior they promise (exact output decoupling for the linearizing law, a
-decreasing storage function for the passivity law).
+behavior they promise (exact output decoupling for the linearizing law).
 """
 
 import math
@@ -29,7 +28,6 @@ from stridelab import (
     foot_placement_vz_corrected,
     io_linearizing_torque,
     lateral_L_des,
-    passivity_tracking_torque,
     planar_outputs,
     predict_L_end,
     turning_frame,
@@ -39,7 +37,6 @@ from stridelab import (
 from stridelab.biped import (
     com_position,
     forward_dynamics,
-    mass_matrix,
     swing_foot_position,
 )
 from stridelab.control import _placement_law, foot_placement_velocity
@@ -576,87 +573,6 @@ def test_io_gain_validation():
         io_linearizing_torque(MODEL, st, h_d, dh_d, ddh_d, Kp=[1.0, 2.0])
     with pytest.raises(ValidationError):
         io_linearizing_torque(MODEL, st, h_d, dh_d, ddh_d, Kd=-5.0)
-
-
-# ---------------------------------------------------------------------------
-# passivity-based tracking torque
-# ---------------------------------------------------------------------------
-
-
-def test_passivity_on_reference_is_feedforward_only():
-    # zero tracking error: the gain terms vanish, so the torque cannot
-    # depend on the gains.
-    rng = np.random.default_rng(31)
-    st = random_biped_state(rng, vel_scale=0.5)
-    q_r, dq_r = st.q[1:].copy(), st.dq[1:].copy()
-    ddq_r = rng.uniform(-2, 2, size=4)
-    u1 = passivity_tracking_torque(MODEL, st, q_r, dq_r, ddq_r, kp=100.0, kd=20.0)
-    u2 = passivity_tracking_torque(MODEL, st, q_r, dq_r, ddq_r, kp=7.0, kd=3.0)
-    assert np.max(np.abs(u1 - u2)) < 1e-10
-
-
-def passivity_rollout(state0, q_r, t_end, h=1e-4):
-    def f(yv):
-        st = BipedState(yv[:5], yv[5:])
-        u = passivity_tracking_torque(MODEL, st, q_r, np.zeros(4), np.zeros(4))
-        return np.concatenate([yv[5:], forward_dynamics(MODEL, st, u)])
-
-    y = np.concatenate([state0.q, state0.dq])
-    n = int(round(t_end / h))
-    samples = [y.copy()]
-    for i in range(n):
-        k1 = f(y)
-        k2 = f(y + h / 2 * k1)
-        k3 = f(y + h / 2 * k2)
-        k4 = f(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (i + 1) % 40 == 0:
-            samples.append(y.copy())
-    return samples
-
-
-def reduced_storage(yv, q_r, kp=100.0):
-    # kinetic energy in the actuated block after eliminating the unactuated
-    # coordinate, plus the spring term the law's Lyapunov argument uses
-    st = BipedState(yv[:5], yv[5:])
-    D = mass_matrix(MODEL, st.q)
-    D_bar = D[1:, 1:] - np.outer(D[1:, 0], D[0, 1:]) / D[0, 0]
-    dy = st.dq[1:]
-    err = st.q[1:] - q_r
-    return 0.5 * dy @ D_bar @ dy + 0.5 * kp * (err @ err)
-
-
-def test_passivity_storage_decreases():
-    q_r = assemble_posture(
-        MODEL, com_x=0.0, com_z=0.6, swing_foot_x=-0.15, swing_foot_z=0.05
-    ).q[1:]
-    state0 = assemble_posture(
-        MODEL, com_x=0.01, com_z=0.595, swing_foot_x=-0.16, swing_foot_z=0.06
-    )
-    samples = passivity_rollout(state0, q_r, 0.4)
-    V = np.array([reduced_storage(s, q_r) for s in samples])
-    assert np.max(np.diff(V)) < 0.0  # strictly decreasing at every sample
-    assert V[-1] < 0.05 * V[0]
-
-
-def test_passivity_small_error_decays_within_half_second():
-    nominal = assemble_posture(
-        MODEL, com_x=0.0, com_z=0.6, swing_foot_x=-0.15, swing_foot_z=0.05
-    )
-    q_r = nominal.q[1:]
-    q0 = nominal.q.copy()
-    q0[1:] += 0.01
-    samples = passivity_rollout(BipedState(q0, np.zeros(5)), q_r, 0.5)
-    err_end = np.max(np.abs(samples[-1][1:5] - q_r))
-    assert err_end < 1e-3
-
-
-def test_passivity_validation():
-    st = random_biped_state(np.random.default_rng(37))
-    with pytest.raises(ValidationError):
-        passivity_tracking_torque(MODEL, st, np.zeros(3), np.zeros(4), np.zeros(4))
-    with pytest.raises(ValidationError):
-        passivity_tracking_torque(MODEL, st, st.q[1:], np.zeros(4), np.zeros(4), kp=0.0)
 
 
 # ---------------------------------------------------------------------------
