@@ -353,7 +353,9 @@ BAD_FLAGS = [
     (["predict-fidelity", "--steps", "0"], 2, ("predict-fidelity: --steps 0",)),
     (["error-decomp", "--steps", "0"], 2, ("error-decomp: --steps 0",)),
     (["compare-lip-alip", "--steps", "0"], 2, ("compare-lip-alip: --steps 0",)),
+    # numpy's generator takes no negative seed.
     (["kalman-demo", "--seed", "-1"], 2, ("kalman-demo: --seed -1",)),
+    # A perturbation this wide overflows the five-link rollout.
     (POINCARE_FIVE_LINK + ["--delta", "1e308"], 2, ("poincare: --delta 1e+308",)),
 ]
 
