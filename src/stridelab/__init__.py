@@ -17,185 +17,25 @@ Layers, bottom up:
   magnitudes, Poincare return-map machinery, prediction-fidelity metrics.
 """
 
-from .errors import (
-    StrideLabError,
-    ValidationError,
-    NumericalError,
-    SingularMatrixError,
-    InfeasibleImpactError,
-    GaitFailureError,
-    FixedPointError,
-)
-from .pendulum import (
-    PendulumParams,
-    AlipState,
-    LipState,
-    PolarPendulumState,
-    wedge,
-    alip_derivative,
-    alip_transition,
-    lip_derivative,
-    lip_transition,
-    polar_derivative,
-    transfer_angular_momentum,
-    alip_reset,
-    alip_energy,
-)
-from .biped import (
-    LinkParams,
-    PlanarBiped,
-    BipedState,
-    CentroidalState,
-    mass_matrix,
-    coriolis_matrix,
-    gravity_vector,
-    potential_energy,
-    total_energy,
-    forward_dynamics,
-    com_position,
-    com_velocity,
-    com_acceleration,
-    com_jacobian,
-    swing_foot_position,
-    swing_foot_velocity,
-    swing_foot_jacobian,
-    centroidal,
-    relabel,
-    impact_map,
-    guard,
-)
-from .control import (
-    GaitCommand,
-    VirtualConstraintSpec,
-    predict_L_end,
-    foot_placement_deadbeat,
-    foot_placement_asymptotic,
-    foot_placement_velocity,
-    foot_placement_vz_corrected,
-    lateral_L_des,
-    turning_frame,
-    virtual_constraint_reference,
-    virtual_constraint_derivatives,
-    planar_outputs,
-    io_linearizing_torque,
-)
-from .estimate import (
-    KalmanState,
-    kf_predict,
-    kf_correct,
-    riccati_steady_state,
-    kalman_demo_columns,
-)
-from .simlab import (
-    IntegratorConfig,
-    ScenarioConfig,
-    ImpactEvent,
-    StepRecord,
-    HybridTrace,
-    SineHeightProfile,
-    WalkingController,
-    assemble_posture,
-    integrate_step,
-    run_scenario,
-    make_five_link_return_map,
-    lip_vs_alip_comparison,
-)
-from .analysis import (
-    ErrorDecomp,
-    PoincareResult,
-    error_terms,
-    error_transfer_magnitude,
-    alip_closed_loop_step_map,
-    alip_closed_loop_poincare,
-    find_fixed_point,
-    numeric_poincare_jacobian,
-    prediction_fidelity,
-    varying_height_prediction,
-)
+from . import analysis, biped, control, errors, estimate, pendulum, simlab
+from .errors import *
+from .pendulum import *
+from .biped import *
+from .control import *
+from .estimate import *
+from .simlab import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is its public names; the package re-exports them all.
 __all__ = [
-    "StrideLabError",
-    "ValidationError",
-    "NumericalError",
-    "SingularMatrixError",
-    "InfeasibleImpactError",
-    "GaitFailureError",
-    "FixedPointError",
-    "PendulumParams",
-    "AlipState",
-    "LipState",
-    "PolarPendulumState",
-    "wedge",
-    "alip_derivative",
-    "alip_transition",
-    "lip_derivative",
-    "lip_transition",
-    "polar_derivative",
-    "transfer_angular_momentum",
-    "alip_reset",
-    "alip_energy",
-    "LinkParams",
-    "PlanarBiped",
-    "BipedState",
-    "CentroidalState",
-    "mass_matrix",
-    "coriolis_matrix",
-    "gravity_vector",
-    "potential_energy",
-    "total_energy",
-    "forward_dynamics",
-    "com_position",
-    "com_velocity",
-    "com_acceleration",
-    "com_jacobian",
-    "swing_foot_position",
-    "swing_foot_velocity",
-    "swing_foot_jacobian",
-    "centroidal",
-    "relabel",
-    "impact_map",
-    "guard",
-    "GaitCommand",
-    "VirtualConstraintSpec",
-    "predict_L_end",
-    "foot_placement_deadbeat",
-    "foot_placement_asymptotic",
-    "foot_placement_velocity",
-    "foot_placement_vz_corrected",
-    "lateral_L_des",
-    "turning_frame",
-    "virtual_constraint_reference",
-    "virtual_constraint_derivatives",
-    "planar_outputs",
-    "io_linearizing_torque",
-    "KalmanState",
-    "kf_predict",
-    "kf_correct",
-    "riccati_steady_state",
-    "kalman_demo_columns",
-    "IntegratorConfig",
-    "ScenarioConfig",
-    "ImpactEvent",
-    "StepRecord",
-    "HybridTrace",
-    "SineHeightProfile",
-    "WalkingController",
-    "assemble_posture",
-    "integrate_step",
-    "run_scenario",
-    "make_five_link_return_map",
-    "lip_vs_alip_comparison",
-    "ErrorDecomp",
-    "PoincareResult",
-    "error_terms",
-    "error_transfer_magnitude",
-    "alip_closed_loop_step_map",
-    "alip_closed_loop_poincare",
-    "find_fixed_point",
-    "numeric_poincare_jacobian",
-    "prediction_fidelity",
-    "varying_height_prediction",
+    *errors.__all__,
+    *pendulum.__all__,
+    *biped.__all__,
+    *control.__all__,
+    *estimate.__all__,
+    *simlab.__all__,
+    *analysis.__all__,
     "__version__",
 ]

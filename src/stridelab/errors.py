@@ -6,6 +6,16 @@ failures (singular matrices, infeasible impacts, non-convergent searches,
 gait breakdown).
 """
 
+__all__ = [
+    "StrideLabError",
+    "ValidationError",
+    "NumericalError",
+    "SingularMatrixError",
+    "InfeasibleImpactError",
+    "GaitFailureError",
+    "FixedPointError",
+]
+
 
 class StrideLabError(Exception):
     """Base class for all package errors."""

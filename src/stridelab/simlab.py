@@ -3,24 +3,26 @@ scenario configs, walking controllers, and CSV/JSON artifact emission.
 
 One step loop: `run_scenario` walks ALIP, LIP and five-link scenarios through
 the same loop.  Each step sets its L_des target, runs `integrate_step` with
-the sample recorder, performs the foot exchange, and records one ImpactEvent
-and the StepRecord built from it.  What differs between plants lives in two
+the recorder, performs the foot exchange, and records one ImpactEvent and
+the StepRecord built from it.  What differs between plants lives in two
 private plant objects (point mass, five-link), each giving the start state,
-the sample row and the exchange.
+the step's sample columns and the exchange.
 
 Determinism contract: fixed-step RK4 (default 1e-4 s) with bisection event
 refinement (default 1e-9 s), hand-rolled so step placement and event times
 are bit-reproducible across runs and platforms.  Reduced plants (ALIP / LIP)
 switch steps on the clock at exactly T; they step on Python floats through
-pendulum's field cores, in _rk4's operation order (the same bits), and hand
-the recorder each whole step at once.  The five-link plant switches on the
-touchdown guard, armed from mid-step onward so liftoff never retriggers it.
-Samples are kept in one float array per column.
+pendulum's field cores, in _rk4's operation order (the same bits).  The
+five-link plant switches on the touchdown guard, armed from mid-step onward
+so liftoff never retriggers it.  Every plant hands the recorder each whole
+step at once, after the switch; samples are kept in one float array per
+column.
 
-Artifacts: trace.csv (per-sample), per_step.csv, events.csv, and a
-scenario.json sidecar echoing the config plus the sha256 and size of every
-file, which write_csv computes as it writes the file in bounded chunks.
-Floats are written with 17 significant digits (lossless round-trip).
+Artifacts: trace.csv (per-sample, the columns of HybridTrace.samples),
+per_step.csv (the fields of StepRecord), events.csv, and a scenario.json
+sidecar echoing the config plus the sha256 and size of every file, which
+write_csv computes as it writes the file in bounded chunks.  Floats are
+written with 17 significant digits (lossless round-trip).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import io
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
@@ -287,6 +289,10 @@ class WalkingController:
         placement_update: str = "continuous",
     ):
         _check_placement("WalkingController", placement_source, placement_update)
+        if gait.T * gait.T == 0.0:  # the reference's accelerations divide by T * T
+            raise ValidationError(
+                f"WalkingController: gait.T = {gait.T} is too short: T * T underflows to 0"
+            )
         self.model = model
         self.gait = gait
         self.vc = constraints
@@ -353,7 +359,11 @@ class WalkingController:
             # momentum conjugate to q0 = L about the contact
             law, gain, des = "foot_placement_asymptotic", p.m * p.H, self.L_des
             hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
-        _check_placement_finite(law, hat, des)  # T and alpha are GaitCommand's to check
+        _check_placement_finite(law, des)  # the target; T and alpha are GaitCommand's to check
+        if not _finite(hat):
+            raise GaitFailureError(
+                f"{law}: predicted end-of-step value is not finite at tau = {tau:.4f} s"
+            )
         p_raw = _placement_law(gain, ell, hat, des, self.gait.T, self.gait.alpha)
         if q.ndim == 1:
             return self._clamp(float(p_raw))
@@ -530,15 +540,16 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     pre-switch states with the (N,) switch times.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
-    torque.  For the five-link plant `recorder(tau, y, u, y_out, ydot=...)`
-    is called at every accepted grid point (the first with `first=True`) and
-    at the event time: `y` is the state ndarray [q; dq] and `ydot` the state
-    derivative there, so integrand-exact rates need no refactoring
-    downstream.  For reduced plants it is called once per step, with the
-    whole step: `recorder(taus, (xs, vs), us, None)`, where `taus` is the
-    float64 ndarray of grid times from 0 to T (T included), `xs` and `vs`
-    are array('d') of x_c and of L (ALIP) or v_c (LIP) at those times, and
-    `us` is the float64 ndarray of the ankle torque there (0.0 at tau = 0).
+    torque.  `recorder(taus, y, us, y_out, ydot=None)` is called once per
+    step, after the switch, with the whole step: `taus` is the float64
+    ndarray of grid times from 0 to the switch time (included), `us` the
+    float64 input there and `y` the states.  Five-link: `y` is the (n, 10)
+    float64 stack of [q; dq], `us` and `y_out` the (n, 4) torques and output
+    errors, and `ydot` the (n, 10) state derivatives, so integrand-exact
+    rates need no refactoring downstream; the samples are the first state,
+    each accepted grid point and the event.  Reduced: `y` is (xs, vs),
+    array('d') of x_c and of L (ALIP) or v_c (LIP), `us` the ankle torque
+    (0.0 at tau = 0), `y_out` None and no `ydot`.
     A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
@@ -567,8 +578,7 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
     y_sw, t_sw = np.empty((len(lanes), 10)), np.empty(len(lanes))
     caller = controller  # keeps every lane's p_des; `controller` drops crossed lanes
     rhs, u, y_out = _five_link_rhs(model, controller, tau, y)
-    if recorder is not None:
-        recorder(tau, y, u, y_out, ydot=rhs, first=True)
+    samples = [(tau, y, u, y_out, rhs)]  # the recorder's, in (tau, y, u, y_out, ydot) order
     pz_prev = _swing_z(model, y)
     while tau < 2.0 * T - 1e-12:
         y_next = _rk4_advance(model, controller, tau, y, h, k1=rhs)
@@ -597,12 +607,14 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
                         lo = mid
                 t_event = tau + hi
                 rhs_e, u_e, y_out_e = _five_link_rhs(model, lane, t_event, y_hi)
-                if recorder is not None:
-                    recorder(t_event, y_hi, u_e, y_out_e, ydot=rhs_e)
                 y_sw[lanes[i]], t_sw[lanes[i]] = y_hi, t_event
                 if stacked:
                     caller.p_des[lanes[i]] = lane.p_des  # the placement at the lane's event
             if not stacked:
+                if recorder is not None:
+                    samples.append((t_event, y_hi, u_e, y_out_e, rhs_e))
+                    taus, ys, us, y_outs, ydots = map(np.array, zip(*samples))
+                    recorder(taus, ys, us, y_outs, ydot=ydots)
                 return BipedState(y_hi[:5], y_hi[5:]), t_event
             keep = ~hit
             if not keep.any():
@@ -611,7 +623,7 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
             y_next, pz_next = y_next[keep], pz_next[keep]
         rhs, u, y_out = _five_link_rhs(model, controller, tau_next, y_next)
         if recorder is not None:
-            recorder(tau_next, y_next, u, y_out, ydot=rhs)
+            samples.append((tau_next, y_next, u, y_out, rhs))
         tau, y, pz_prev = tau_next, y_next, pz_next
     raise GaitFailureError(
         f"integrate_step: no impact within 2T = {2 * T:.3f} s (gait failure)"
@@ -678,31 +690,15 @@ def _step_target(gait: GaitCommand, l_des_final, duration: int, k: int) -> float
     return gait.L_des + (l_des_final - gait.L_des) * frac
 
 
-_REDUCED_COLS = ("t", "step", "x_c", "L", "vx_c")
-_FIVE_COLS = (
-    ("t", "step")
-    + tuple(f"q{i}" for i in range(5))
-    + tuple(f"dq{i}" for i in range(5))
-    + ("x_c", "z_c", "vx_c", "vz_c", "L", "L_c", "dL_c")
-    + ("y_torso", "y_height", "y_swing_x", "y_swing_z")
-    + tuple(f"u{i}" for i in range(1, 5))
-)
-
-
 class _SampleBuffer:
     """Samples kept column by column, one float array per column."""
 
     def __init__(self, columns):
         self.columns = columns
         self.data = [array("d") for _ in columns]
-        self._appends = [col.append for col in self.data]
 
     def __len__(self) -> int:
         return len(self.data[0])
-
-    def append(self, row):
-        for append, v in zip(self._appends, row):
-            append(v)
 
     def extend(self, columns):  # a block of rows as equal-length float64 columns
         for col, values in zip(self.data, columns):
@@ -756,7 +752,7 @@ class _PointMassPlant:
     """ALIP or LIP: the step switches on the clock at T, and the placement
     law picks the landing point at the exchange from the pre-impact state."""
 
-    columns = _REDUCED_COLS
+    columns = ("t", "step", "x_c", "L", "vx_c")
 
     def __init__(self, config: ScenarioConfig):
         model = config.build_model()
@@ -780,8 +776,10 @@ class _PointMassPlant:
     def begin_step(self, state, L_des: float) -> None:
         self.L_des = L_des
 
-    def row(self, tau, y, u, y_out, ydot):
-        x, m = y  # one sample's floats, or a whole step's float64 arrays
+    def row(self, taus, y, us, y_out, ydot):
+        """The step's columns after t and step, from integrate_step's recorder
+        arguments."""
+        x, m = map(np.frombuffer, y)
         if self.is_alip:
             return x, m, m / self.mH
         return x, self.mH * m, m
@@ -814,7 +812,14 @@ class _FiveLinkPlant:
     """The five-link biped under WalkingController: the step ends on the
     touchdown guard, and the impact map gives the post-impact state."""
 
-    columns = _FIVE_COLS
+    columns = (
+        ("t", "step")
+        + tuple(f"q{i}" for i in range(5))
+        + tuple(f"dq{i}" for i in range(5))
+        + ("x_c", "z_c", "vx_c", "vz_c", "L", "L_c", "dL_c")
+        + ("y_torso", "y_height", "y_swing_x", "y_swing_z")
+        + tuple(f"u{i}" for i in range(1, 5))
+    )
 
     def __init__(self, config: ScenarioConfig):
         gait, vc = config.gait, config.constraints
@@ -851,21 +856,20 @@ class _FiveLinkPlant:
         self.controller.set_target(L_des)
         self.controller.on_step_start(state)
 
-    def row(self, tau, y, u, y_out, ydot):
+    def row(self, taus, ys, us, y_outs, ydots):
+        """The step's columns after t and step, from integrate_step's recorder
+        arguments: a column per name, one row per sample."""
         model = self.model
-        q, dq = y[:5], y[5:]
         # Every recorded y has passed integrate_step's finiteness check, so
-        # the row calls the unchecked kernel.
-        p_c, v_c, L, L_c, a_c = bp._centroidal_terms(model, q, dq, ydot[5:])
+        # each sample calls the unchecked kernel.
+        terms = [bp._centroidal_terms(model, y[:5], y[5:], a[5:]) for y, a in zip(ys, ydots)]
+        p_c, v_c, L, L_c, a_c = map(np.array, zip(*terms))
+        ankle = np.array([self.controller.ankle(tau) for tau in taus.tolist()])
         # Analytic rate of the centroidal momentum: differentiate
         # L_c = L - m*wedge(p_c, v_c) using dL/dt = m g x_c + u_a.
-        dL_c = (
-            model.m_total * model.g * p_c[0]
-            + self.controller.ankle(tau)
-            - model.m_total * wedge(p_c, a_c)
-        )
-        return (*y.tolist(), *p_c.tolist(), *v_c.tolist(), L, L_c, dL_c, *y_out.tolist(),
-                *u.tolist())
+        m = model.m_total
+        dL_c = m * model.g * p_c[:, 0] + ankle - m * wedge(p_c.T, a_c.T)
+        return (*ys.T, *p_c.T, *v_c.T, L, L_c, dL_c, *y_outs.T, *us.T)
 
     def exchange(self, s: BipedState):
         model = self.model
@@ -897,15 +901,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     per_step: list[StepRecord] = []
     state, t_base, k = plant.start(), 0.0, 0
 
-    def recorder(tau, y, u, y_out, ydot=None, first=False):
+    def recorder(taus, y, us, y_out, ydot=None):
+        head = (t_base + taus, np.full(len(taus), float(k)))
         # The boundary sample at k > 0 is already recorded by the previous step.
-        if isinstance(tau, np.ndarray):  # a point-mass plant's whole step
-            cut = int(k > 0)
-            tau, y = tau[cut:], tuple(np.frombuffer(c)[cut:] for c in y)
-            head = (t_base + tau, np.full(len(tau), float(k)))
-            buf.extend(head + plant.row(tau, y, u[cut:], y_out, ydot))
-        elif not (first and k > 0):
-            buf.append((t_base + tau, k) + plant.row(tau, y, u, y_out, ydot))
+        cut = int(k > 0)
+        buf.extend(c[cut:] for c in head + plant.row(taus, y, us, y_out, ydot))
 
     for k in range(config.duration):
         plant.begin_step(state, _step_target(gait, config.l_des_final, config.duration, k + 1))
@@ -914,8 +914,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
             plant.model, plant.controller, state, gait.T, config.integrator, recorder
         )
         # exchange() returns the event's fields from state_plus on
-        state, *fields = plant.exchange(state_minus)
-        ev = ImpactEvent(k, t_base + t_imp, state_minus, state, *fields)
+        state, *exchanged = plant.exchange(state_minus)
+        ev = ImpactEvent(k, t_base + t_imp, state_minus, state, *exchanged)
         events.append(ev)
         step_vx = buf.column("vx_c", n_before)
         mean_vx = float(np.mean(step_vx)) if step_vx.size else 0.0
@@ -1117,33 +1117,18 @@ _EVENT_COLS = (
     "impulse_z",
     "placement",
 )
-_PER_STEP_COLS = (
-    "step",
-    "t_start",
-    "t_end",
-    "L_end_minus",
-    "L_start_plus",
-    "placement",
-    "mean_vx",
-)
 
 
 def _write_artifacts(config: ScenarioConfig, trace: HybridTrace, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = _FIVE_COLS if config.plant == "FIVE_LINK" else _REDUCED_COLS
     files: dict[str, dict] = {}
     if "trace" in config.outputs:
-        sha, size = write_csv(out_dir / "trace.csv", columns, trace.samples)
+        sha, size = write_csv(out_dir / "trace.csv", list(trace.samples), trace.samples)
         files["trace.csv"] = {"sha256": sha, "bytes": size}
     if "per_step" in config.outputs:
-        sha, size = write_csv(
-            out_dir / "per_step.csv",
-            _PER_STEP_COLS,
-            (
-                [r.step, r.t_start, r.t_end, r.L_end_minus, r.L_start_plus, r.placement, r.mean_vx]
-                for r in trace.per_step
-            ),
-        )
+        names = [f.name for f in fields(StepRecord)]
+        rows = ([getattr(r, name) for name in names] for r in trace.per_step)
+        sha, size = write_csv(out_dir / "per_step.csv", names, rows)
         files["per_step.csv"] = {"sha256": sha, "bytes": size}
     if "events" in config.outputs:
         sha, size = write_csv(

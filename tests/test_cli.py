@@ -127,6 +127,7 @@ BAD_FIELDS = [
     (("constraints", "H"), 1e308, 3, "constraints.H", "FIVE_LINK"),
     (("gait", "T"), 1000.0, 3, "gait.T"),
     (("gait", "T"), 1000.0, 3, "gait.T", "LIP"),
+    (("gait", "T"), 1e-300, 2, "gait.T", "FIVE_LINK"),
 ]
 
 
@@ -357,6 +358,8 @@ BAD_FLAGS = [
     (["kalman-demo", "--seed", "-1"], 2, ("kalman-demo: --seed -1",)),
     # A perturbation this wide overflows the five-link rollout.
     (POINCARE_FIVE_LINK + ["--delta", "1e308"], 2, ("poincare: --delta 1e+308",)),
+    # The five-link reference divides by T * T, which underflows to 0 here.
+    (["predict-fidelity", "--T", "1e-300"], 2, ("gait.T = 1e-300",)),
 ]
 
 
@@ -378,6 +381,18 @@ def test_poincare_five_link_flags_checked_before_warmup(argv, monkeypatch, capsy
 
     monkeypatch.setattr("stridelab.cli.run_scenario", no_rollout)
     assert main(argv) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_poincare_five_link_divergence_exits_3(capsys):
+    # A coarse grid and a wide perturbation: the predicted end-of-step
+    # momentum of a rollout stops being finite within a step.
+    argv = POINCARE_FIVE_LINK + ["--warmup", "1", "--step-size", "0.01", "--fp-tol", "1e-3",
+                                 "--delta", "0.3"]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert "numerical failure: foot_placement_asymptotic" in lines[0] and "tau =" in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -312,7 +312,8 @@ def test_point_mass_loop_bookkeeping_and_twins(L_des, alpha, v0, x0, l_des_final
 
 def reference_reduced_step(params, controller, state, T, cfg, recorder):
     """The reduced-plant step as an array RK4: simlab._rk4 on the ALIP and LIP
-    fields written inline, one numpy array per stage."""
+    fields written inline, one numpy array per stage.  The recorder gets the
+    samples in integrate_step's whole-step layout."""
     mH = params.m * params.H
 
     def ankle(tau):
@@ -331,18 +332,18 @@ def reference_reduced_step(params, controller, state, T, cfg, recorder):
     h = cfg.step_size
     n_full = int(math.floor(T / h + 1e-12))
     tau = 0.0
-    if recorder is not None:
-        recorder(tau, y, 0.0, None, first=True)
+    samples = [(tau, *y, 0.0)]
     for i in range(n_full):
         y = _rk4(f, tau, y, h)
         tau = (i + 1) * h
-        if recorder is not None:
-            recorder(tau, y, ankle(tau), None)
+        samples.append((tau, *y, ankle(tau)))
     rem = T - tau
     assert rem > 1e-12  # the drawn h leaves a remainder step
     y = _rk4(f, tau, y, rem)
+    samples.append((T, *y, ankle(T)))
     if recorder is not None:
-        recorder(T, y, ankle(T), None)
+        taus, xs, vs, us = zip(*samples)
+        recorder(np.array(taus), (array("d", xs), array("d", vs)), np.array(us), None)
     assert np.all(np.isfinite(y))
     return type(state)(float(y[0]), float(y[1]), state.tau), T
 
@@ -427,7 +428,7 @@ class SineAnkle:
 def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T, n, frac):
     # The reduced-plant recorder contract of integrate_step: one call per
     # step with (taus, (xs, vs), us, None), the grid from 0 to T, bit for bit
-    # the samples that the per-sample array RK4 records one call at a time.
+    # the samples of the array RK4 stepped one numpy array at a time.
     cfg = IntegratorConfig(step_size=T / (n + frac))
     state = AlipState(x_c=x0, L=L0) if plant == "ALIP" else LipState(x_c=x0, v_c=L0 / MH)
     controller = SineAnkle(ankle, T) if ankle else None
@@ -454,7 +455,7 @@ def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T
     ref = []
     reference_reduced_step(
         PARAMS, controller, state, T, cfg,
-        lambda tau, y, u, y_out, first=False: ref.append((tau, y[0], y[1], u)),
+        lambda taus, y, us, y_out: ref.extend(zip(taus.tolist(), *y, us.tolist())),
     )
     assert [bits(float(v)) for v in taus] == [bits(r[0]) for r in ref]
     assert [bits(v) for v in xs] == [bits(float(r[1])) for r in ref]
@@ -1073,29 +1074,81 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
-    kw=five_link_states,
-    tau=st.floats(0.0, 0.7),
+    samples=st.lists(
+        st.tuples(
+            five_link_states,
+            st.floats(0.0, 0.7),
+            st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
     ankle=st.floats(0.0, 1.5),
-    ddq=st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=5),
 )
-def test_five_link_row_matches_centroidal_bit_for_bit(kw, tau, ankle, ddq):
+def test_five_link_row_matches_centroidal_bit_for_bit(samples, ankle):
+    # The per-step row: one column per name after t and step, one row per
+    # sample, each row the bits of the sample's centroidal terms alone.
     plant = five_link_plant(ankle)
     model = plant.model
-    state = posture(model, kw)
-    y = np.concatenate([state.q, state.dq])
-    ydot = np.concatenate([state.dq, ddq])
-    u, y_out = np.arange(1.0, 5.0), np.arange(-4.0, 0.0)
-    row = plant.row(tau, y, u, y_out, ydot)
-    cs = centroidal(model, state)
-    a_c = com_acceleration(model, state.q, state.dq, ddq)
-    dL_c = (
-        model.m_total * model.g * cs.p_c[0]
-        + plant.controller.ankle(tau)
-        - model.m_total * wedge(cs.p_c, a_c)
+    states = [posture(model, kw) for kw, _, _ in samples]
+    taus = np.array([tau for _, tau, _ in samples])
+    ys = np.array([np.concatenate([s.q, s.dq]) for s in states])
+    ydots = np.array([np.concatenate([s.dq, ddq]) for s, (_, _, ddq) in zip(states, samples)])
+    us = np.arange(1.0, 5.0) + np.arange(len(ys))[:, None]
+    y_outs = np.arange(-4.0, 0.0) - np.arange(len(ys))[:, None]
+    columns = plant.row(taus, ys, us, y_outs, ydots)
+    assert len(columns) == len(plant.columns) - 2  # t and step come first
+    for i, (state, (_, tau, ddq)) in enumerate(zip(states, samples)):
+        cs = centroidal(model, state)
+        a_c = com_acceleration(model, state.q, state.dq, ddq)
+        dL_c = (
+            model.m_total * model.g * cs.p_c[0]
+            + plant.controller.ankle(tau)
+            - model.m_total * wedge(cs.p_c, a_c)
+        )
+        expected = (*ys[i], *cs.p_c, *cs.v_c, cs.L, cs.L_c, dL_c, *y_outs[i], *us[i])
+        row = [column[i] for column in columns]
+        assert np.array(row).tobytes() == np.array(expected).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(
+    ankle=st.sampled_from([0.0, 1.0]),
+    source=st.sampled_from(["L", "v"]),
+    update=st.sampled_from(["continuous", "step_start"]),
+    h=st.floats(1e-3, 4e-3),
+)
+def test_five_link_step_records_the_whole_step_in_one_call(ankle, source, update, h):
+    # The five-link recorder contract of integrate_step: one call per step,
+    # after the event, with (taus, ys, us, y_outs, ydot=ydots) over the first
+    # state, each accepted grid point and the event, each sample the bits of
+    # _five_link_rhs at its (tau, y).
+    plant = five_link_plant(ankle, source=source)
+    plant.controller.placement_update = update
+    state = plant.start()
+    plant.begin_step(state, FIVE_GAIT.L_des)
+    calls = []
+    end, t_end = integrate_step(
+        plant.model, plant.controller, state, FIVE_GAIT.T, IntegratorConfig(step_size=h),
+        lambda *a, **kw: calls.append((a, kw)),
     )
-    expected = (*y, *cs.p_c, *cs.v_c, cs.L, cs.L_c, dL_c, *y_out, *u)
-    assert len(row) == len(plant.columns) - 2 == len(expected)  # t and step come first
-    assert np.array(row).tobytes() == np.array(expected).tobytes()
+    assert len(calls) == 1
+    (taus, ys, us, y_outs), kwargs = calls[0]
+    assert list(kwargs) == ["ydot"]
+    ydots = kwargs["ydot"]
+    n = len(taus)
+    for array_, shape in ((taus, (n,)), (ys, (n, 10)), (us, (n, 4)), (y_outs, (n, 4)),
+                          (ydots, (n, 10))):
+        assert isinstance(array_, np.ndarray) and array_.dtype == np.float64
+        assert array_.shape == shape
+    assert taus[0] == 0.0 and taus[-1] == t_end and np.all(np.diff(taus) > 0)
+    assert np.all(np.diff(taus[:-1]) == pytest.approx(h, rel=1e-9))
+    assert 0.0 < t_end - taus[-2] <= h
+    assert bits(ys[0]) == bits(np.concatenate([state.q, state.dq]))
+    assert bits(ys[-1]) == bits(np.concatenate([end.q, end.dq]))
+    for tau, y, u, y_out, ydot in zip(taus.tolist(), ys, us, y_outs, ydots):
+        ydot_1, u_1, y_out_1 = simlab._five_link_rhs(plant.model, plant.controller, tau, y)
+        assert (bits(ydot), bits(u), bits(y_out)) == (bits(ydot_1), bits(u_1), bits(y_out_1))
 
 
 # ---------------------------------------------------------------------------

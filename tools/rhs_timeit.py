@@ -14,14 +14,16 @@ read only):
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane
-    recorder row      `_FiveLinkPlant.row`, one sample
+    recorder row      `_FiveLinkPlant.row` on the scenario's first step, as
+                      integrate_step hands it to the recorder, per sample
     alip step         `run_scenario` of one ALIP step, through its recorder
     write_csv alip    `write_csv` of the whole 100-step ALIP trace
 
 The table gives each case's median over the repeats in microseconds per
-call (per lane for the stack), the change's median relative to the parent's,
-and the quartiles of each side.  A slow case runs `--number` divided by its
-own weight calls per timing (at least one).
+call (per lane for the stack, per sample for the recorder row), the change's
+median relative to the parent's, and the quartiles of each side.  A slow
+case runs `--number` divided by its own weight calls per timing (at least
+one).
 """
 
 from __future__ import annotations
@@ -96,10 +98,17 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     plant.controller.on_step_start(Y)
     lanes = plant.controller
     out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
+    # One call per step, or one per sample in a tree whose recorder took
+    # samples one at a time; either way the row of every sample of the step.
     row_plant = simlab._FiveLinkPlant(config)
     row_plant.begin_step(state, config.gait.L_des)
-    ydot, u, y_out = rhs(row_plant.model, row_plant.controller, TAU_ANKLE, y)
-    out["recorder row"] = (lambda: row_plant.row(TAU_ANKLE, y, u, y_out, ydot), 1, 1)
+    calls = []
+    simlab.integrate_step(
+        row_plant.model, row_plant.controller, state, config.gait.T, config.integrator,
+        lambda *a, **kw: calls.append(a + (kw["ydot"],)),
+    )
+    n = sum(np.size(a[0]) for a in calls)
+    out["recorder row"] = (lambda: [row_plant.row(*a) for a in calls], n, n)
     alip = simlab.ScenarioConfig.from_json(alip_doc)
     one_step = replace(alip, duration=1)
     out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
