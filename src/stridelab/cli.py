@@ -115,9 +115,11 @@ def _pendulum(args) -> PendulumParams:
 
 
 def _maybe_write(args, name: str, header, rows) -> None:
+    """Write the numeric `rows` under --out as columns keyed by `header`."""
     if args.out:
         path = Path(args.out) / name
-        write_csv(path, header, rows)
+        rows = list(rows)
+        write_csv(path, {h: [row[j] for row in rows] for j, h in enumerate(header)})
         print(f"wrote {path}")
 
 

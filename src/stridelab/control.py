@@ -16,6 +16,7 @@ by Kp/Kd).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,8 @@ class GaitCommand(Config):
         check_fields(self)
         if self.T <= 0:
             raise ValidationError(f"GaitCommand: T must be > 0 (got {self.T})")
+        if self.T * self.T < sys.float_info.min:  # the five-link reference divides by T * T
+            raise ValidationError(f"GaitCommand: gait.T = {self.T} is too short: T * T underflows")
         if not 0.0 <= self.alpha < 1.0:
             raise ValidationError(f"GaitCommand: alpha must be in [0, 1) (got {self.alpha})")
         if self.parity not in (-1, 1):

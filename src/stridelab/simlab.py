@@ -20,21 +20,20 @@ column.
 
 Artifacts: trace.csv (per-sample, the columns of HybridTrace.samples),
 per_step.csv (the fields of StepRecord), events.csv, and a scenario.json
-sidecar echoing the config plus the sha256 and size of every file, which
-write_csv computes as it writes the file in bounded chunks.  Floats are
-written with 17 significant digits (lossless round-trip).
+sidecar echoing the config plus the sha256 and size of every file.  Every
+CSV (the CLI's too) is one write_csv call on numeric columns keyed by header,
+written in bounded chunks and hashed as written, floats with 17 significant
+digits (lossless round-trip).
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-import io
 import json
 import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -289,10 +288,6 @@ class WalkingController:
         placement_update: str = "continuous",
     ):
         _check_placement("WalkingController", placement_source, placement_update)
-        if gait.T * gait.T == 0.0:  # the reference's accelerations divide by T * T
-            raise ValidationError(
-                f"WalkingController: gait.T = {gait.T} is too short: T * T underflows to 0"
-            )
         self.model = model
         self.gait = gait
         self.vc = constraints
@@ -626,7 +621,7 @@ def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
             samples.append((tau_next, y_next, u, y_out, rhs))
         tau, y, pz_prev = tau_next, y_next, pz_next
     raise GaitFailureError(
-        f"integrate_step: no impact within 2T = {2 * T:.3f} s (gait failure)"
+        f"integrate_step: no impact within 2T = {2 * T:.6g} s (gait failure)"
     )
 
 
@@ -1058,45 +1053,28 @@ def _placement_gap(config: ScenarioConfig, traces: dict) -> list[float]:
 _CSV_CHUNK_CELLS = 16384  # cells formatted at a time: bounds the text held in memory
 
 
-def _csv_text(rows) -> str:
-    """Rows as csv.writer writes them, numbers with 17 significant digits."""
-    import csv  # here, not at module level, to keep `import stridelab` cheap
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
-    return buf.getvalue()
+def _chunks(columns: dict):
+    """The text of a CSV, chunk by chunk: the header, then blocks of rows."""
+    yield ",".join(columns) + "\r\n"
+    cols = [np.asarray(col) for col in columns.values()]
+    n = max(1, _CSV_CHUNK_CELLS // max(1, len(cols)))  # rows per chunk
+    # "%.17g" % v is format(float(v), ".17g"); stacking rounds ints as float(v)
+    row_format = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    for i in range(0, max(map(len, cols), default=0), n):
+        block = np.column_stack([col[i : i + n] for col in cols])
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
-def _chunks(header, rows):
-    """The text of a CSV, chunk by chunk.  `rows` is an iterable of rows, or
-    a dict of equal-length numeric columns keyed by the header names, which
-    is formatted a block of rows at a time."""
-    yield _csv_text([header])
-    n = max(1, _CSV_CHUNK_CELLS // max(1, len(header)))  # rows per chunk
-    if isinstance(rows, dict):
-        cols = [np.asarray(rows[name]) for name in header]
-        # "%.17g" % v is format(float(v), ".17g"); stacking rounds ints as float(v)
-        row_format = ",".join(["%.17g"] * len(cols)) + "\r\n"
-        for i in range(0, max(map(len, cols), default=0), n):
-            block = np.column_stack([col[i : i + n] for col in cols])
-            yield (row_format * len(block)) % tuple(block.ravel().tolist())
-        return
-    it = iter(rows)
-    while chunk := list(islice(it, n)):
-        yield _csv_text(chunk)
-
-
-def write_csv(path, header: Sequence[str], rows) -> tuple[str, int]:
-    """Write a CSV (csv.writer layout, floats with 17 significant digits,
-    columns in header order) in bounded chunks, hashing as it writes.
-    `rows` is an iterable of rows or a dict of columns keyed by the header
-    names.  Returns (sha256 hex digest, byte count) of the file."""
+def write_csv(path, columns: dict) -> tuple[str, int]:
+    """Write a dict of equal-length numeric columns as a CSV whose header is
+    its keys, which must need no quoting (csv.writer layout, floats with 17
+    significant digits), a block of rows at a time, hashing as it writes.
+    Returns (sha256 hex digest, byte count) of the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest, size = hashlib.sha256(), 0
     with path.open("wb") as fh:
-        for text in _chunks(list(header), rows):
+        for text in _chunks(columns):
             data = text.encode()
             fh.write(data)
             digest.update(data)
@@ -1104,53 +1082,33 @@ def write_csv(path, header: Sequence[str], rows) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-_EVENT_COLS = (
-    "step",
-    "t",
-    "L_minus",
-    "L_plus",
-    "vx_c_minus",
-    "vz_c_minus",
-    "p2to1_x",
-    "p2to1_z",
-    "impulse_x",
-    "impulse_z",
-    "placement",
-)
-
-
 def _write_artifacts(config: ScenarioConfig, trace: HybridTrace, out_dir: Path) -> None:
+    ev = trace.events
+    impulses = [(0.0, 0.0) if e.impulse is None else e.impulse for e in ev]
+    tables = {
+        "trace": trace.samples,
+        "per_step": {
+            f.name: [getattr(r, f.name) for r in trace.per_step] for f in fields(StepRecord)
+        },
+        "events": {
+            "step": [e.step for e in ev],
+            "t": [e.t for e in ev],
+            "L_minus": [e.L_minus for e in ev],
+            "L_plus": [e.L_plus for e in ev],
+            "vx_c_minus": [e.v_c_minus[0] for e in ev],
+            "vz_c_minus": [e.v_c_minus[1] for e in ev],
+            "p2to1_x": [e.p_2to1[0] for e in ev],
+            "p2to1_z": [e.p_2to1[1] for e in ev],
+            "impulse_x": [imp[0] for imp in impulses],
+            "impulse_z": [imp[1] for imp in impulses],
+            "placement": [e.placement for e in ev],
+        },
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, dict] = {}
-    if "trace" in config.outputs:
-        sha, size = write_csv(out_dir / "trace.csv", list(trace.samples), trace.samples)
-        files["trace.csv"] = {"sha256": sha, "bytes": size}
-    if "per_step" in config.outputs:
-        names = [f.name for f in fields(StepRecord)]
-        rows = ([getattr(r, name) for name in names] for r in trace.per_step)
-        sha, size = write_csv(out_dir / "per_step.csv", names, rows)
-        files["per_step.csv"] = {"sha256": sha, "bytes": size}
-    if "events" in config.outputs:
-        sha, size = write_csv(
-            out_dir / "events.csv",
-            _EVENT_COLS,
-            (
-                [
-                    e.step,
-                    e.t,
-                    e.L_minus,
-                    e.L_plus,
-                    e.v_c_minus[0],
-                    e.v_c_minus[1],
-                    e.p_2to1[0],
-                    e.p_2to1[1],
-                    e.impulse[0] if e.impulse is not None else 0.0,
-                    e.impulse[1] if e.impulse is not None else 0.0,
-                    e.placement,
-                ]
-                for e in trace.events
-            ),
-        )
-        files["events.csv"] = {"sha256": sha, "bytes": size}
+    for name in _ARTIFACTS:
+        if name in config.outputs:
+            sha, size = write_csv(out_dir / f"{name}.csv", tables[name])
+            files[f"{name}.csv"] = {"sha256": sha, "bytes": size}
     sidecar = {"config": config.to_json_dict(), "files": files}
     (out_dir / "scenario.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

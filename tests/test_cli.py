@@ -128,6 +128,7 @@ BAD_FIELDS = [
     (("gait", "T"), 1000.0, 3, "gait.T"),
     (("gait", "T"), 1000.0, 3, "gait.T", "LIP"),
     (("gait", "T"), 1e-300, 2, "gait.T", "FIVE_LINK"),
+    (("gait", "T"), 1e-160, 2, "gait.T", "FIVE_LINK"),
 ]
 
 
@@ -358,8 +359,11 @@ BAD_FLAGS = [
     (["kalman-demo", "--seed", "-1"], 2, ("kalman-demo: --seed -1",)),
     # A perturbation this wide overflows the five-link rollout.
     (POINCARE_FIVE_LINK + ["--delta", "1e308"], 2, ("poincare: --delta 1e+308",)),
-    # The five-link reference divides by T * T, which underflows to 0 here.
+    # The five-link reference divides by T * T, which underflows to 0 here,
+    # and to a subnormal number below about 1.5e-154.
     (["predict-fidelity", "--T", "1e-300"], 2, ("gait.T = 1e-300",)),
+    (["predict-fidelity", "--T", "1e-160"], 2, ("gait.T = 1e-160",)),
+    (["predict-fidelity", "--T", "1e-155"], 2, ("gait.T = 1e-155",)),
 ]
 
 

@@ -17,7 +17,9 @@ read only):
     recorder row      `_FiveLinkPlant.row` on the scenario's first step, as
                       integrate_step hands it to the recorder, per sample
     alip step         `run_scenario` of one ALIP step, through its recorder
-    write_csv alip    `write_csv` of the whole 100-step ALIP trace
+    write_csv alip    `write_csv` of the whole 100-step ALIP trace, called as
+                      each tree's own write_csv takes it: (path, columns), or
+                      (path, header, rows) in an older tree
 
 The table gives each case's median over the repeats in microseconds per
 call (per lane for the stack, per sample for the recorder row), the change's
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import statistics
 import sys
 import tempfile
@@ -114,8 +117,10 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
     trace = simlab.run_scenario(alip)
     csv_path = out_dir / f"{package.__name__}.csv"
-    columns = list(trace.samples)
-    out["write_csv alip"] = (lambda: simlab.write_csv(csv_path, columns, trace.samples), 1, 10**9)
+    args = (csv_path, trace.samples)
+    if "header" in inspect.signature(simlab.write_csv).parameters:  # write_csv(path, header, rows)
+        args = (csv_path, list(trace.samples), trace.samples)
+    out["write_csv alip"] = (lambda: simlab.write_csv(*args), 1, 10**9)
     return out
 
 
