@@ -11,10 +11,11 @@ Subcommands map one-to-one onto the library's top-level operations:
   compare-lip-alip  twin-rollout foot-placement comparison
 
 Every subcommand accepts `--out DIR` (write CSV artifacts there; metrics are
-always printed to stdout) and `--seed N` (overrides the config/demo seed
-where one is used).  Exit codes: 0 success, 2 validation failure (bad flags,
-malformed config), 3 numerical failure (singular matrix, infeasible impact,
-gait breakdown or overflow, non-convergent fixed point).
+always printed to stdout); `simulate` and `kalman-demo` also take `--seed N`
+(overrides the config/demo seed).  A flag must be spelled in full: no
+abbreviation is accepted.  Exit codes: 0 success, 2 validation failure (bad
+flags, malformed config), 3 numerical failure (singular matrix, infeasible
+impact, gait breakdown or overflow, non-convergent fixed point).
 """
 
 from __future__ import annotations
@@ -69,15 +70,6 @@ _POSITIVE = (math.ulp(0.0), sys.float_info.max)
 _STEP_CAP = f"MAX_RK4_STEPS = {MAX_RK4_STEPS}"
 
 
-def _gait(args, alpha: float | None = None) -> GaitCommand:
-    alpha = alpha if alpha is not None else args.alpha
-    return GaitCommand(L_des=args.l_des, T=args.T, alpha=alpha)
-
-
-def _constraints(args) -> VirtualConstraintSpec:
-    return VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
-
-
 def _check_flags(args) -> None:
     """Test each flag of the subcommand against the bound it was added with,
     naming the subcommand, the flag and the value, before any work runs."""
@@ -100,8 +92,8 @@ def _scenario(args, plant: str = "FIVE_LINK", **extras) -> ScenarioConfig:
     --initial-velocity, plus each command's own config fields."""
     return ScenarioConfig(
         plant=plant,
-        gait=_gait(args),
-        constraints=_constraints(args),
+        gait=GaitCommand(L_des=args.l_des, T=args.T, alpha=args.alpha),
+        constraints=VirtualConstraintSpec(H=args.H, z_cl=args.z_cl),
         duration=args.steps,
         integrator=IntegratorConfig(step_size=args.step_size),
         initial_velocity=args.initial_velocity,
@@ -114,21 +106,12 @@ def _pendulum(args) -> PendulumParams:
     return PendulumParams(m=PlanarBiped.default().m_total, H=args.H)
 
 
-def _maybe_write(args, name: str, header, rows) -> None:
-    """Write the numeric `rows` under --out as columns keyed by `header`."""
-    if args.out:
-        path = Path(args.out) / name
-        rows = list(rows)
-        write_csv(path, {h: [row[j] for row in rows] for j, h in enumerate(header)})
-        print(f"wrote {path}")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each prints its metrics and returns {csv name: columns}
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     cfg = ScenarioConfig.from_json(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -143,7 +126,7 @@ def _cmd_simulate(args) -> int:
         )
     if args.out:
         print(f"artifacts written to {args.out}")
-    return 0
+    return {}
 
 
 def _parse_alpha_grid(spec: str) -> list[float]:
@@ -168,11 +151,12 @@ def _parse_alpha_grid(spec: str) -> list[float]:
     return values
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> dict:
     alphas = _parse_alpha_grid(args.alpha_grid)
     params = _pendulum(args)
-    rows = []
+    dominant = []
     if args.plant == "ALIP":
+        results = []
         for a in alphas:
             try:
                 res = alip_closed_loop_poincare(
@@ -187,24 +171,27 @@ def _cmd_poincare(args) -> int:
                 f"eigs=({lam[0].real:.12g}, {lam[1].real:.12g}) "
                 f"x*={res.fixed_point[0]:.6g} L*={res.fixed_point[1]:.6g}"
             )
-            rows.append((a, dom, lam[0].real, lam[1].real, *res.fixed_point))
-        _maybe_write(
-            args,
-            "poincare.csv",
-            ("alpha", "dominant", "lambda1", "lambda2", "x_star", "L_star"),
-            rows,
-        )
-        return 0
+            dominant.append(dom)
+            results.append(res)
+        return {"poincare.csv": {
+            "alpha": alphas,
+            "dominant": dominant,
+            "lambda1": [r.eigenvalues[0].real for r in results],
+            "lambda2": [r.eigenvalues[1].real for r in results],
+            "x_star": [r.fixed_point[0] for r in results],
+            "L_star": [r.fixed_point[1] for r in results],
+        }}
     # FIVE_LINK: warm up a rollout onto the orbit, polish the fixed point,
     # then take symmetric differences of the two-step return map.
     model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
     for a in alphas:
-        gait = _gait(args, alpha=a)
+        gait = GaitCommand(L_des=args.l_des, T=args.T, alpha=a)
+        constraints = VirtualConstraintSpec(H=args.H, z_cl=args.z_cl)
         warm_cfg = ScenarioConfig(
             plant="FIVE_LINK",
             gait=gait,
-            constraints=_constraints(args),
+            constraints=constraints,
             duration=args.warmup,
             integrator=integ,
         )
@@ -213,7 +200,7 @@ def _cmd_poincare(args) -> int:
             [warm.events[-1].state_plus.q, warm.events[-1].state_plus.dq]
         )
         ret = make_five_link_return_map(
-            model, gait, _constraints(args), integ, steps_per_return=2
+            model, gait, constraints, integ, steps_per_return=2
         )
         fp_calls = 0
 
@@ -231,38 +218,34 @@ def _cmd_poincare(args) -> int:
             f"alpha={a:.3f} dominant={dom:.6f} (target alpha^2 = {a * a:.6f}) "
             f"fp_calls={fp_calls}"
         )
-        rows.append((a, dom, a * a))
-    _maybe_write(args, "poincare.csv", ("alpha", "dominant", "alpha_squared"), rows)
-    return 0
+        dominant.append(dom)
+    return {"poincare.csv": {
+        "alpha": alphas, "dominant": dominant, "alpha_squared": [a * a for a in alphas]
+    }}
 
 
-def _cmd_fidelity(args) -> int:
+def _cmd_fidelity(args) -> dict:
     cfg = _scenario(args, z_amplitude=args.z_amplitude)
     trace = run_scenario(cfg)
     params = _pendulum(args)
     f_L, f_v = prediction_fidelity(trace, params, args.T)
     print(f"flatness_L={f_L:.6f} flatness_v={f_v:.6f} ratio={f_L / f_v:.4f}")
-    if args.out:
-        rows = []
-        for k, (tt, pred_L, pred_v) in enumerate(
-            analysis._fidelity_segments(trace, params, args.T)
-        ):
-            rows.extend(zip(tt, [k] * len(tt), pred_L, pred_v))
-        _maybe_write(
-            args, "fidelity.csv", ("t", "step", "predicted_L_over_mH", "predicted_v"), rows
-        )
-    return 0
+    segments = list(analysis._fidelity_segments(trace, params, args.T))
+    t, pred_L, pred_v = (np.concatenate(parts) for parts in zip(*segments))
+    step = np.concatenate([np.full(len(tt), k) for k, (tt, _, _) in enumerate(segments)])
+    return {"fidelity.csv": {
+        "t": t, "step": step, "predicted_L_over_mH": pred_L, "predicted_v": pred_v
+    }}
 
 
-def _cmd_error_decomp(args) -> int:
+def _cmd_error_decomp(args) -> dict:
     cfg = _scenario(args, ankle_amplitude=args.ankle_amplitude)
     trace = run_scenario(cfg)
     params = _pendulum(args)
     t = trace.samples["t"]
     L_c = trace.samples["L_c"]
     dL_c = trace.samples["dL_c"]
-    rows = []
-    worst = 0.0
+    terms, residuals = [], []
     for (i0, i1), rec in zip(analysis._step_slices(trace, args.T), trace.per_step):
         seg_t = t[i0:i1]
         d = error_terms(
@@ -270,20 +253,21 @@ def _cmd_error_decomp(args) -> int:
         )
         scale = max(abs(d.e1), abs(d.e2), abs(d.e3))
         rel = abs(d.e1 - (d.e2 + d.e3)) / scale if scale > 0 else 0.0
-        worst = max(worst, rel)
         print(
             f"step {rec.step}: e1={d.e1:+.6f} e2={d.e2:+.6f} e3={d.e3:+.6f} "
             f"identity_residual={rel:.2e}"
         )
-        rows.append((rec.step, d.e1, d.e2, d.e3, rel))
-    print(f"worst |e1-(e2+e3)|/max_magnitude = {worst:.3e}")
-    _maybe_write(
-        args, "error_decomp.csv", ("step", "e1", "e2", "e3", "identity_residual"), rows
-    )
-    return 0
+        terms.append(d)
+        residuals.append(rel)
+    print(f"worst |e1-(e2+e3)|/max_magnitude = {max([0.0, *residuals]):.3e}")
+    return {"error_decomp.csv": {
+        "step": [rec.step for rec in trace.per_step],
+        **{e: [getattr(d, e) for d in terms] for e in ("e1", "e2", "e3")},
+        "identity_residual": residuals,
+    }}
 
 
-def _cmd_bode(args) -> int:
+def _cmd_bode(args) -> dict:
     params = _pendulum(args)
     ell = params.ell
     lo, hi = ell * args.omega_min, ell * args.omega_max
@@ -309,16 +293,10 @@ def _cmd_bode(args) -> int:
         )
     for label, a, l in at_marks:
         print(f"omega = {label:>7}: ALIP gain = {a:.6g}  LIP gain = {l:.6g}")
-    _maybe_write(
-        args,
-        "bode.csv",
-        ("omega", "alip_gain", "lip_gain"),
-        zip(omega, g_alip, g_lip),
-    )
-    return 0
+    return {"bode.csv": {"omega": omega, "alip_gain": g_alip, "lip_gain": g_lip}}
 
 
-def _cmd_kalman(args) -> int:
+def _cmd_kalman(args) -> dict:
     # The demo samples within each walking step; a longer interval would also
     # let the sample times and the ALIP state overflow.
     if not 0.0 < args.dt <= args.T:
@@ -333,14 +311,13 @@ def _cmd_kalman(args) -> int:
             f"kalman-demo: --T must be below {max_ell_T / params.ell:.6g} s at --H {args.H:g} "
             f"(got {args.T:g}): cosh(ell T) must stay below 1/eps"
         )
-    seed = args.seed if args.seed is not None else 0
     cols = kalman_demo_columns(
         params,
         L_des=args.l_des,
         T=args.T,
         sigma=args.sigma,
         n_samples=args.samples,
-        seed=seed,
+        seed=args.seed or 0,
         dt=args.dt,
         Q=args.Q,
     )
@@ -353,20 +330,11 @@ def _cmd_kalman(args) -> int:
         f"steady error variance={var:.6g} (ratio {var / args.sigma ** 2:.4f})"
     )
     print(f"Riccati steady P = {p_star:.10g}")
-    _maybe_write(
-        args,
-        "kalman.csv",
-        ("t", "L_true", "L_obs", "L_hat"),
-        zip(cols["t"], cols["L_true"], cols["L_obs"], cols["L_hat"]),
-    )
-    return 0
+    return {"kalman.csv": cols}
 
 
-def _cmd_compare(args) -> int:
-    cfg = _scenario(args, args.plant, placement_update="step_start")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    res = lip_vs_alip_comparison(cfg)
+def _cmd_compare(args) -> dict:
+    res = lip_vs_alip_comparison(_scenario(args, args.plant, placement_update="step_start"))
     m_L = abs(res["summary"]["L"]["mean_vx"][-1])
     m_v = abs(res["summary"]["v"]["mean_vx"][-1])
     print(
@@ -374,24 +342,15 @@ def _cmd_compare(args) -> int:
         f"momentum placement = {m_L:.6f}, velocity placement = {m_v:.6f}"
     )
     print(f"mean placement gap (same-state law disagreement) = {res['mean_gap']:.6g}")
-    rows = [
-        (
-            k,
-            res["summary"]["L"]["placements"][k],
-            res["summary"]["v"]["placements"][k],
-            res["summary"]["L"]["mean_vx"][k],
-            res["summary"]["v"]["mean_vx"][k],
-            res["gap"][k],
-        )
-        for k in range(len(res["gap"]))
-    ]
-    _maybe_write(
-        args,
-        "comparison.csv",
-        ("step", "placement_L", "placement_v", "mean_vx_L", "mean_vx_v", "gap"),
-        rows,
-    )
-    return 0
+    L, v = res["summary"]["L"], res["summary"]["v"]
+    return {"comparison.csv": {
+        "step": range(len(res["gap"])),
+        "placement_L": L["placements"],
+        "placement_v": v["placements"],
+        "mean_vx_L": L["mean_vx"],
+        "mean_vx_v": v["mean_vx"],
+        "gap": res["gap"],
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +359,12 @@ def _cmd_compare(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors are one stderr line and exit 2, like every malformed input.
+    """Flag errors, abbreviated flags included, are one stderr line and exit 2.
     A flag's `bound=(lo, hi)` goes to the namespace's `bounds`, parents' included."""
 
     def __init__(self, *args, parents=(), **kwargs):
         self.bounds = [b for parent in parents for b in parent.bounds]
-        super().__init__(*args, parents=parents, **kwargs)
+        super().__init__(*args, parents=parents, allow_abbrev=False, **kwargs)
         self.set_defaults(bounds=self.bounds)
 
     def add_argument(self, *names, bound=None, **kwargs):
@@ -426,16 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     common.add_argument("--out", metavar="DIR", help="directory for CSV artifacts")
-    common.add_argument("--seed", type=int, default=None, bound=(0, math.inf),
-                        help="RNG/config seed override")
 
     gaitish = _Parser(add_help=False)
     gaitish.add_argument("--T", type=float, default=_T, help="step duration [s]")
     gaitish.add_argument("--H", type=float, default=_H, help="CoM height [m]")
     gaitish.add_argument("--z-cl", dest="z_cl", type=float, default=_Z_CL,
                          help="swing clearance [m]")
-    gaitish.add_argument("--alpha", type=float, default=_ALPHA,
+    # poincare walks --alpha-grid instead of --alpha
+    rollout = _Parser(add_help=False, parents=[gaitish])
+    rollout.add_argument("--alpha", type=float, default=_ALPHA,
                          help="per-step momentum-error contraction")
+
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, bound=(0, math.inf),
+                        help="RNG/config seed override")
 
     def add_step_size(p, default=1e-3):
         # One action per subparser: a default shared through `gaitish` would
@@ -443,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step-size", dest="step_size", type=float, default=default,
                        help=f"integrator step [s] (default {default:g})")
 
-    p = sub.add_parser("simulate", parents=[common], help="run a scenario config")
+    p = sub.add_parser("simulate", parents=[seeded], help="run a scenario config")
     p.add_argument("config", help="path to a scenario JSON file")
     p.set_defaults(func=_cmd_simulate)
 
@@ -464,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_step_size(p)
     p.set_defaults(func=_cmd_poincare)
 
-    p = sub.add_parser("predict-fidelity", parents=[common, gaitish],
+    p = sub.add_parser("predict-fidelity", parents=[common, rollout],
                        help="flatness of predicted momentum vs predicted velocity")
     p.add_argument("--l-des", dest="l_des", type=float, default=44.5)
     p.add_argument("--steps", type=int, default=14, bound=(1, _STEP_CAP))
@@ -474,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_step_size(p)
     p.set_defaults(func=_cmd_fidelity)
 
-    p = sub.add_parser("error-decomp", parents=[common, gaitish],
+    p = sub.add_parser("error-decomp", parents=[common, rollout],
                        help="per-step momentum-error decomposition e1 = e2 + e3")
     p.add_argument("--l-des", dest="l_des", type=float, default=15.36)
     p.add_argument("--steps", type=int, default=3, bound=(1, _STEP_CAP))
@@ -494,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=121, bound=(1, MAX_BODE_POINTS))
     p.set_defaults(func=_cmd_bode)
 
-    p = sub.add_parser("kalman-demo", parents=[common],
+    p = sub.add_parser("kalman-demo", parents=[seeded],
                        help="scalar momentum filter on a noisy walking trajectory")
     p.add_argument("--H", type=float, default=_H)
     p.add_argument("--T", type=float, default=_T)
@@ -506,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=float, default=1e-4, help="process noise variance")
     p.set_defaults(func=_cmd_kalman)
 
-    p = sub.add_parser("compare-lip-alip", parents=[common, gaitish],
+    p = sub.add_parser("compare-lip-alip", parents=[common, rollout],
                        help="twin rollouts: momentum vs velocity foot placement")
     p.add_argument("--plant", choices=("FIVE_LINK", "ALIP", "LIP"), default="FIVE_LINK")
     p.add_argument("--l-des", dest="l_des", type=float, default=0.0)
@@ -523,7 +486,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args)
+        tables = args.func(args)
+        if args.out:
+            for name, columns in tables.items():
+                path = Path(args.out) / name
+                write_csv(path, columns)
+                print(f"wrote {path}")
+        return 0
     except (ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -129,8 +129,8 @@ class ScenarioConfig(Config):
         constraints: virtual-constraint geometry/gains (five-link tracking).
         duration: number of steps (0 allowed: empty trace, header-only CSVs).
         integrator: RK4/event settings.
-        seed: RNG seed echoed into artifacts (rollouts themselves are
-            deterministic; the seed feeds noise-using demos).
+        seed: echoed into scenario.json and read by nothing else: every
+            rollout is deterministic, and run_scenario draws no random numbers.
         outputs: artifact names to write, subset of {trace, per_step, events}.
         initial_velocity: starting CoM x-velocity [m/s]; default = the
             commanded speed L_des/(m H).

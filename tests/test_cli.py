@@ -376,6 +376,31 @@ def test_analysis_bad_flags_fail_cleanly(argv, code, texts, capsys):
     assert all(text in lines[0] for text in texts), lines
 
 
+# A flag the subcommand does not read, or an abbreviated one, is rejected by
+# the parser: exit 2 through SystemExit, like every flag argparse refuses.
+UNREAD_FLAGS = [
+    (["bode", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["predict-fidelity", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["error-decomp", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["compare-lip-alip", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (POINCARE_ALIP + ["--seed", "1"], "unrecognized arguments: --seed 1"),
+    # poincare walks --alpha-grid; --alpha is not an abbreviation of it
+    (POINCARE_ALIP + ["--alpha", "0.3"], "unrecognized arguments: --alpha 0.3"),
+    (["poincare", "--alpha-g", "0.5"], "required: --alpha-grid"),
+    (["predict-fidelity", "--init", "2.0"], "unrecognized arguments: --init 2.0"),
+]
+
+
+@pytest.mark.parametrize("argv, text", UNREAD_FLAGS)
+def test_unread_and_abbreviated_flags_exit_2(argv, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error: stridelab"), lines
+    assert text in lines[0], lines
+
+
 @pytest.mark.parametrize(
     "argv", [argv for argv, _, _ in BAD_FLAGS if argv[:5] == POINCARE_FIVE_LINK]
 )

@@ -35,7 +35,7 @@ from stridelab import (
     transfer_angular_momentum,
     wedge,
 )
-from stridelab import cli, control, simlab
+from stridelab import analysis, cli, control, simlab
 from stridelab.biped import (
     centroidal,
     com_acceleration,
@@ -738,6 +738,98 @@ def test_cli_csv_matches_csv_writer(tmp_path, capsys):
     gains = [sl.error_transfer_magnitude(kind, omega, params) for kind in ("ALIP", "LIP")]
     reference_csv(tmp_path / "bode.ref", ["omega", "alip_gain", "lip_gain"], zip(omega, *gains))
     assert (tmp_path / "bode.csv").read_bytes() == (tmp_path / "bode.ref").read_bytes()
+
+
+# One cheap run of each other subcommand that writes a table, with the gait
+# flags spelled out so the library recomputation below needs no CLI default.
+CLI_GAIT = ["--T", "0.3", "--H", "0.6", "--z-cl", "0.07"]
+CLI_ROLLOUT = CLI_GAIT + ["--alpha", "0.4", "--steps", "2", "--step-size", "0.01"]
+
+
+def cli_rollout_config(plant, l_des, v0, **extras):
+    return ScenarioConfig(
+        plant=plant,
+        gait=GaitCommand(L_des=l_des, T=0.3, alpha=0.4),
+        constraints=VirtualConstraintSpec(H=0.6, z_cl=0.07),
+        duration=2,
+        integrator=IntegratorConfig(step_size=0.01),
+        initial_velocity=v0,
+        **extras,
+    )
+
+
+def cli_table_kalman():
+    cols = sl.kalman_demo_columns(
+        PendulumParams(m=PlanarBiped.default().m_total, H=0.6),
+        L_des=9.6, T=0.3, sigma=0.5, n_samples=50, seed=3, dt=1e-3, Q=1e-4,
+    )
+    return cols.keys(), zip(*cols.values())
+
+
+def cli_table_poincare():
+    params = PendulumParams(m=PlanarBiped.default().m_total, H=0.6)
+    rows = []
+    for a in (0.2, 0.5):
+        res = sl.alip_closed_loop_poincare(params, 0.3, a, 1.5, steps_per_return=2)
+        lam = res.eigenvalues
+        rows.append((a, abs(lam[0]), lam[0].real, lam[1].real, *res.fixed_point))
+    return ("alpha", "dominant", "lambda1", "lambda2", "x_star", "L_star"), rows
+
+
+def cli_table_compare():
+    res = simlab.lip_vs_alip_comparison(
+        cli_rollout_config("ALIP", 9.6, 0.5, placement_update="step_start")
+    )
+    L, v = res["summary"]["L"], res["summary"]["v"]
+    rows = zip(range(len(res["gap"])), L["placements"], v["placements"], L["mean_vx"],
+               v["mean_vx"], res["gap"])
+    return ("step", "placement_L", "placement_v", "mean_vx_L", "mean_vx_v", "gap"), rows
+
+
+def cli_table_fidelity():
+    params = PendulumParams(m=PlanarBiped.default().m_total, H=0.6)
+    trace = simlab.run_scenario(cli_rollout_config("FIVE_LINK", 44.5, 2.0, z_amplitude=0.0))
+    rows = []
+    for k, (t, pred_L, pred_v) in enumerate(analysis._fidelity_segments(trace, params, 0.3)):
+        rows.extend(zip(t, [k] * len(t), pred_L, pred_v))
+    return ("t", "step", "predicted_L_over_mH", "predicted_v"), rows
+
+
+def cli_table_error_decomp():
+    params = PendulumParams(m=PlanarBiped.default().m_total, H=0.6)
+    trace = simlab.run_scenario(cli_rollout_config("FIVE_LINK", 15.36, 0.8, ankle_amplitude=0.5))
+    s = trace.samples
+    rows = []
+    for (i0, i1), rec in zip(analysis._step_slices(trace, 0.3), trace.per_step):
+        t = s["t"][i0:i1]
+        d = sl.error_terms((t, s["L_c"][i0:i1]), (t, s["dL_c"][i0:i1]), params, t[0], t[-1])
+        scale = max(abs(d.e1), abs(d.e2), abs(d.e3))
+        rows.append((rec.step, d.e1, d.e2, d.e3, abs(d.e1 - (d.e2 + d.e3)) / scale))
+    return ("step", "e1", "e2", "e3", "identity_residual"), rows
+
+
+CLI_TABLES = {
+    "kalman": (["kalman-demo", "--H", "0.6", "--T", "0.3", "--l-des", "9.6", "--sigma", "0.5",
+                "--samples", "50", "--seed", "3", "--dt", "1e-3", "--Q", "1e-4"],
+               cli_table_kalman),
+    "poincare": (["poincare", "--alpha-grid", "0.2,0.5", "--plant", "ALIP", "--l-des", "1.5",
+                  "--steps-per-return", "2"] + CLI_GAIT, cli_table_poincare),
+    "comparison": (["compare-lip-alip", "--plant", "ALIP", "--l-des", "9.6",
+                    "--initial-velocity", "0.5"] + CLI_ROLLOUT, cli_table_compare),
+    "fidelity": (["predict-fidelity", "--l-des", "44.5", "--initial-velocity", "2.0",
+                  "--z-amplitude", "0"] + CLI_ROLLOUT, cli_table_fidelity),
+    "error_decomp": (["error-decomp", "--l-des", "15.36", "--initial-velocity", "0.8",
+                      "--ankle-amplitude", "0.5"] + CLI_ROLLOUT, cli_table_error_decomp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_TABLES))
+def test_cli_table_matches_library_through_csv_writer(tmp_path, capsys, name):
+    argv, table = CLI_TABLES[name]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {tmp_path / name}.csv\n")
+    reference_csv(tmp_path / f"{name}.ref", *table())
+    assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref").read_bytes()
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e308,

@@ -128,11 +128,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's src/ directory")
     parser.add_argument("change", type=Path, help="the change's src/ directory")
-    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="timings per case, at least 2 for the quartiles")
     parser.add_argument("--number", type=int, default=2000, help="calls per timing")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.number < 1:
-        parser.error("--repeats and --number must be >= 1")
+    if args.repeats < 2 or args.number < 1:
+        parser.error("--repeats must be >= 2 and --number >= 1")
     doc, alip_doc = scenario_doc(), scenario_doc("simulate-alip")
     with tempfile.TemporaryDirectory() as tmp:
         sides = {
