@@ -304,7 +304,7 @@ def numeric_poincare_jacobian(
     x_star,
     deltas,
     steps_per_return: int = 1,
-    residual_tol: float | None = 1e-6,
+    residual_tol: float = 1e-6,
 ):
     """Return-map Jacobian at x_star by symmetric differences.
 
@@ -312,9 +312,9 @@ def numeric_poincare_jacobian(
     may be a scalar (one PoincareResult) or a sequence (list of results, one
     per perturbation size -- the insensitivity of the dominant eigenvalue
     across that list is the practical check that the linearization is
-    trustworthy).  If residual_tol is not None, ||F(x*) - x*||_inf is checked
-    before any column is formed, and a FixedPointError (with the residual)
-    raised when x_star is not actually on a periodic orbit.
+    trustworthy).  ||F(x*) - x*||_inf is checked against residual_tol before
+    any column is formed, and a FixedPointError (with the residual) raised
+    when x_star is not actually on a periodic orbit.
 
     Stack contract: step_map maps a (k, n) stack of states to the (k, n)
     stack of their images, row by row.  x* and every x* +- delta e_i, for all
@@ -343,12 +343,11 @@ def numeric_poincare_jacobian(
             f"(k, n) stack of states; it returned shape {images.shape} for a stack "
             f"of shape {points.shape}"
         )
-    if residual_tol is not None:
-        res = float(np.max(np.abs(images[0] - x_star)))
-        if not res <= residual_tol:
-            raise FixedPointError(
-                "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
-            )
+    res = float(np.max(np.abs(images[0] - x_star)))
+    if not res <= residual_tol:
+        raise FixedPointError(
+            "numeric_poincare_jacobian: x_star is not a fixed point", residual=res
+        )
     results = []
     for d, (fp, fm) in zip(delta_list, images[1:].reshape(-1, 2, n, n)):
         J = ((fp - fm) / (2.0 * d)).T

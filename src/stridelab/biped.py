@@ -55,11 +55,9 @@ a_c = J_c ddq + Jdot_c dq give the centroidal columns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from pathlib import Path
 
 import numpy as np
 
@@ -268,20 +266,14 @@ class PlanarBiped:
         return cls(torso, thigh, shin, thigh, shin)
 
     @classmethod
-    def from_json(cls, source) -> "PlanarBiped":
-        """Load from a JSON document (dict, JSON string, or file path):
+    def from_json(cls, doc: dict) -> "PlanarBiped":
+        """Build from a parsed JSON object (not text, not a path):
 
         {"gravity": 9.81,
          "links": {"torso": {"mass":..., "length":..., "com_offset":..., "inertia":...},
                    "stance_thigh": {...}, "stance_shin": {...},
                    "swing_thigh": {...}, "swing_shin": {...}}}
         """
-        if isinstance(source, dict):
-            doc = source
-        elif isinstance(source, str) and source.lstrip().startswith("{"):
-            doc = json.loads(source)
-        else:
-            doc = json.loads(Path(source).read_text())
         check_keys(doc, "PlanarBiped", ("gravity", "links"), ("links",))
         links = doc["links"]
         check_keys(links, "PlanarBiped.links", _LINKS, _LINKS)

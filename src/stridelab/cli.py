@@ -334,7 +334,7 @@ def _cmd_kalman(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
-    res = lip_vs_alip_comparison(_scenario(args, args.plant, placement_update="step_start"))
+    res = lip_vs_alip_comparison(_scenario(args, args.plant))
     m_L = abs(res["summary"]["L"]["mean_vx"][-1])
     m_v = abs(res["summary"]["v"]["mean_vx"][-1])
     print(
@@ -373,7 +373,16 @@ class _Parser(argparse.ArgumentParser):
             self.bounds.append((names[0], action.dest, *bound))
         return action
 
+    def parse_known_args(self, args=None, namespace=None):
+        self.tokens = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse checks required flags before it reports unknown ones
+        unknown = [t for t in self.tokens if len(t) > 2 and t[:2] == "--"
+                   and t.split("=")[0] not in self._option_string_actions]
+        if unknown and message.startswith("the following arguments are required"):
+            message = f"unrecognized arguments: {' '.join(unknown)}; {message}"
         self.exit(2, f"validation error: {self.prog}: {message}\n")
 
 

@@ -52,24 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaitCommand(Config):
-    """Per-step gait command.
+    """Per-step sagittal gait command.
 
     Attributes:
         L_des: desired angular momentum about the contact at step end
             [kg m^2/s] (sagittal; m*H*v for a target speed v).
         T: step duration [s].
-        W: desired step width [m] (lateral point-mass planning only).
         alpha: per-step momentum-error contraction in [0, 1); 0 = deadbeat.
-        parity: +1 when the next stance leg is the left one, -1 otherwise.
-        delta_D: heading change per step [rad] (turning).
     """
 
     L_des: float
     T: float
-    W: float = 0.0
     alpha: float = 0.0
-    parity: int = 1
-    delta_D: float = 0.0
 
     def __post_init__(self):
         check_fields(self)
@@ -79,10 +73,6 @@ class GaitCommand(Config):
             raise ValidationError(f"GaitCommand: gait.T = {self.T} is too short: T * T underflows")
         if not 0.0 <= self.alpha < 1.0:
             raise ValidationError(f"GaitCommand: alpha must be in [0, 1) (got {self.alpha})")
-        if self.parity not in (-1, 1):
-            raise ValidationError(f"GaitCommand: parity must be +1 or -1 (got {self.parity})")
-        if self.W < 0:
-            raise ValidationError(f"GaitCommand: W must be >= 0 (got {self.W})")
 
 
 def _gain_vec(name: str, k, default: float) -> np.ndarray:

@@ -26,7 +26,7 @@ contact pumps momentum up).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
@@ -45,8 +45,6 @@ __all__ = [
     "alip_reset",
     "alip_energy",
 ]
-
-_CONSISTENCY_RTOL = 1e-12
 
 
 def wedge(a, b) -> float:
@@ -72,15 +70,14 @@ class PendulumParams:
         m: total mass [kg].
         H: nominal CoM height [m].
         g: gravity [m/s^2].
-        ell: natural frequency sqrt(g / H) [1/s].  Derived; pass it explicitly
-            only if you have a stored value to cross-check -- a mismatch with
-            sqrt(g/H) is rejected so stale copies can't drift apart.
+        ell: natural frequency sqrt(g / H) [1/s].  Derived from H and g on
+            every construction (replace() included); it is not an argument.
     """
 
     m: float
     H: float
     g: float = 9.81
-    ell: float = float("nan")
+    ell: float = field(init=False)
 
     def __post_init__(self):
         _require_finite("PendulumParams", self.m, self.H, self.g)
@@ -89,13 +86,7 @@ class PendulumParams:
                 f"PendulumParams: m, H, g must be positive "
                 f"(got m={self.m}, H={self.H}, g={self.g})"
             )
-        ell = math.sqrt(self.g / self.H)
-        if math.isnan(self.ell):
-            object.__setattr__(self, "ell", ell)
-        elif abs(self.ell * self.ell * self.H - self.g) > _CONSISTENCY_RTOL * self.g:
-            raise ValidationError(
-                f"PendulumParams: ell={self.ell} inconsistent with sqrt(g/H)={ell}"
-            )
+        object.__setattr__(self, "ell", math.sqrt(self.g / self.H))
 
 
 @dataclass(frozen=True)

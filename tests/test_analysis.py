@@ -271,8 +271,13 @@ def test_numeric_jacobian_rejects_a_map_that_only_maps_one_state():
 
 def test_numeric_jacobian_rejects_non_fixed_point():
     step = alip_closed_loop_step_map(PARAMS, 0.3, 0.5, 14.4)
-    with pytest.raises(FixedPointError):
-        numeric_poincare_jacobian(step, np.array([0.5, -3.0]), 1e-4)
+    x = np.array([0.5, -3.0])
+    residual = float(np.max(np.abs(step(x) - x)))
+    with pytest.raises(FixedPointError) as exc:
+        numeric_poincare_jacobian(step, x, 1e-4)
+    assert exc.value.residual == residual and f"{residual:.3e}" in str(exc.value)
+    # the check is against residual_tol: at the residual itself x passes
+    numeric_poincare_jacobian(step, x, 1e-4, residual_tol=residual)
 
 
 def test_find_fixed_point_on_affine_contraction():

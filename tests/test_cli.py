@@ -107,7 +107,11 @@ BAD_FIELDS = [
     (("gait", "L_des"), True, 2, "GaitCommand.L_des"),
     (("duration",), True, 2, "ScenarioConfig.duration"),
     (("seed",), 1.5, 2, "ScenarioConfig.seed"),
-    (("gait", "parity"), 1.7, 2, "GaitCommand.parity"),
+    # the gait command is sagittal: width, parity and heading change are unknown
+    (("gait", "W"), 0.2, 2, "'W'"),
+    (("gait", "parity"), -1, 2, "'parity'"),
+    (("gait", "delta_D"), 0.1, 2, "'delta_D'"),
+    (("gait", "delta_D"), 0.3, 2, "'delta_D'", "FIVE_LINK"),
     (("integrator", "step_size"), "1e-3", 2, "IntegratorConfig.step_size"),
     (("gait", "L_dse"), 14.4, 2, "L_dse"),
     (("initial_velocity",), float("nan"), 2, "ScenarioConfig.initial_velocity"),
@@ -386,7 +390,8 @@ UNREAD_FLAGS = [
     (POINCARE_ALIP + ["--seed", "1"], "unrecognized arguments: --seed 1"),
     # poincare walks --alpha-grid; --alpha is not an abbreviation of it
     (POINCARE_ALIP + ["--alpha", "0.3"], "unrecognized arguments: --alpha 0.3"),
-    (["poincare", "--alpha-g", "0.5"], "required: --alpha-grid"),
+    # an unknown flag is named even when a required one is missing
+    (["poincare", "--alpha-g", "0.5"], "unrecognized arguments: --alpha-g;"),
     (["predict-fidelity", "--init", "2.0"], "unrecognized arguments: --init 2.0"),
 ]
 

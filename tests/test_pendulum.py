@@ -7,10 +7,13 @@ The RK4 oracle below is deliberately written from the raw state derivatives
 they do not share code with.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stridelab import (
     AlipState,
@@ -319,8 +322,19 @@ def test_params_validation():
         PendulumParams(m=-1.0, H=0.6)
     with pytest.raises(ValidationError):
         PendulumParams(m=32.0, H=0.0)
-    with pytest.raises(ValidationError):
-        PendulumParams(m=32.0, H=0.6, ell=1.0)  # inconsistent with sqrt(g/H)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(POSITIVE, POSITIVE, POSITIVE, POSITIVE)
+def test_ell_is_derived_from_g_and_H(m, H, g, H2):
+    params = PendulumParams(m=m, H=H, g=g)
+    assert params.ell.hex() == math.sqrt(g / H).hex()
+    assert dataclasses.replace(params, H=H2).ell.hex() == math.sqrt(g / H2).hex()
+    with pytest.raises(TypeError):
+        PendulumParams(m=m, H=H, g=g, ell=params.ell)
 
 
 def test_state_validation():

@@ -123,7 +123,8 @@ def test_scenario_from_json_file(tmp_path):
 def test_scenario_accepts_integral_float_duration():
     doc = reduced_config(duration=3).to_json_dict()
     doc["duration"] = 3.0
-    assert ScenarioConfig.from_json(doc).duration == 3
+    duration = ScenarioConfig.from_json(doc).duration
+    assert duration == 3 and type(duration) is int  # integral floats narrow to int
 
 
 def test_scenario_validation():

@@ -22,7 +22,9 @@ written there.
 
 For every file it prints both sha256 prefixes and whether they match.  For a
 CSV that differs it prints, per column, the worst absolute gap, the largest
-|old| and the gap / max(1, max |old|).  The exit code is 0 when every file
+|old| and the gap / max(1, max |old|).  For a JSON file that differs it prints
+each dotted path that was removed (`- config.gait.W`), added (`+ ...`) or
+changed (`~ ...`); a list is one value.  The exit code is 0 when every file
 and every example's output are identical and 1 otherwise.  Artifacts go to a
 temporary directory, or under --out if given.
 """
@@ -102,8 +104,11 @@ def same_files(name: str, old_dir: Path, new_dir: Path, fnames) -> bool:
         identical &= same
         print(f"{name + '/' + fname:<36} {shas[0][:12]} {shas[1][:12]}  "
               f"{'identical' if same else 'DIFFERS'}")
-        if not same and fname.endswith(".csv") and "missing" not in shas:
-            print("\n".join(column_gaps(old, new)))
+        if not same and "missing" not in shas:
+            if fname.endswith(".csv"):
+                print("\n".join(column_gaps(old, new)))
+            elif fname.endswith(".json"):
+                print("\n".join(json_paths(old, new)))
     return identical
 
 
@@ -119,6 +124,25 @@ def column_gaps(old: Path, new: Path) -> list[str]:
         top = float(np.max(np.abs(a[:, j]), initial=0.0))
         lines.append(f"    {name:<12} {gap:10.2g} {top:10.3g} {gap / max(1.0, top):20.2g}")
     return lines
+
+
+def leaves(node, path: str = ""):
+    """(dotted path, value) of every leaf of a parsed JSON document; an empty
+    object and a list are leaves."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    else:
+        yield path, node
+
+
+def json_paths(old: Path, new: Path) -> list[str]:
+    """Lines of the paths removed (-), added (+) and changed (~) from one
+    JSON file to the other."""
+    a, b = (dict(leaves(json.loads(p.read_text()))) for p in (old, new))
+    marks = [(p, "-") for p in a if p not in b] + [(p, "+") for p in b if p not in a]
+    marks += [(p, "~") for p in a if p in b and a[p] != b[p]]
+    return [f"    {mark} {path}" for path, mark in sorted(marks)]
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,8 @@ read only):
     recorder row      `_FiveLinkPlant.row` on the scenario's first step, as
                       integrate_step hands it to the recorder, per sample
     alip step         `run_scenario` of one ALIP step, through its recorder
-    write_csv alip    `write_csv` of the whole 100-step ALIP trace, called as
-                      each tree's own write_csv takes it: (path, columns), or
-                      (path, header, rows) in an older tree
+    write_csv alip    `write_csv(path, columns)` of the whole 100-step ALIP
+                      trace
 
 The table gives each case's median over the repeats in microseconds per
 call (per lane for the stack, per sample for the recorder row), the change's
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import statistics
 import sys
 import tempfile
@@ -117,10 +115,7 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
     trace = simlab.run_scenario(alip)
     csv_path = out_dir / f"{package.__name__}.csv"
-    args = (csv_path, trace.samples)
-    if "header" in inspect.signature(simlab.write_csv).parameters:  # write_csv(path, header, rows)
-        args = (csv_path, list(trace.samples), trace.samples)
-    out["write_csv alip"] = (lambda: simlab.write_csv(*args), 1, 10**9)
+    out["write_csv alip"] = (lambda: simlab.write_csv(csv_path, trace.samples), 1, 10**9)
     return out
 
 
