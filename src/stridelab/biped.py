@@ -50,14 +50,17 @@ f @ term_map holds, in order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0;
 -Jdot dq] | C dq + G | C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the
 swing-foot position and Jacobian.  Its first 50 entries are the (2, 5, 5)
 pair [D_0; J], D_q the closed loop solves; L = D_0 dq, v_c = J_c dq and
-a_c = J_c ddq + Jdot_c dq give the centroidal columns.
+a_c = J_c ddq + Jdot_c dq give the centroidal columns.  One state forms f on
+Python floats (_state_rows), a stack of states on arrays (_term_rows).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import accumulate, pairwise
+from math import cos, sin
+from operator import mul
 
 import numpy as np
 
@@ -197,6 +200,7 @@ class PlanarBiped:
         self.w_vec = self.A.T @ self.masses
         # Swing-foot position coefficients: p_sw = sum_j b_j u(theta_j).
         self.b_sw = np.array([l_sh, l_th, 0.0, -l_th, -l_sh])
+        self.b_sw_floats = self.b_sw.tolist()
         self.M_map = np.tril(np.ones((5, 5)))
         self.M_inv = np.linalg.inv(self.M_map)
         # Output-map coefficients (control.planar_outputs):
@@ -248,7 +252,15 @@ class PlanarBiped:
         c_q = c_th @ M
         cols = (D_q[:, :5], J, D_q, h0, Jdot, -(c_q + G_q)[:, :1], -Jdot, c_q + G_q, c_q, G_q)
         self.term_map = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
-        self.angle_map_T.flags.writeable = self.term_map.flags.writeable = False
+        # One state's product keeps the quadratic features f[_C + c] dtheta_k^2
+        # whose rows are not zero, (all c, all k) in quad_pairs; the impact's
+        # D_q, J_c and J_sw take no quadratic feature.
+        kept = np.flatnonzero(self.term_map[_QUAD:].any(axis=1))
+        self.quad_pairs = (kept // 5).tolist(), (kept % 5).tolist()
+        self.term_map_one = np.vstack([self.term_map[:_QUAD], self.term_map[_QUAD + kept]])
+        self.impact_map = np.hstack([self.term_map[:_QUAD, cols] for cols in (_D, _JC, _JSW)])
+        for a in (self.angle_map_T, self.term_map, self.term_map_one, self.impact_map):
+            a.flags.writeable = False
 
     @classmethod
     def default(cls) -> "PlanarBiped":
@@ -331,9 +343,40 @@ class CentroidalState:
 # ---------------------------------------------------------------------------
 
 
-def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v for one vector v, or row by row for stacks of N vectors and matrices."""
-    return A.dot(v) if v.ndim == 1 else (A @ v[..., None])[..., 0]
+# One state, on Python floats: q, dq, ddq lists of 5, rows the list of its
+# f @ term_map.  Small sums run in index order.
+
+
+def _dot(a: list, i: int, b) -> float:
+    """a[i:i + 5] . b."""
+    return a[i] * b[0] + a[i + 1] * b[1] + a[i + 2] * b[2] + a[i + 3] * b[3] + a[i + 4] * b[4]
+
+
+def _cos_sin(a: list) -> list:
+    """cos of each float in a, then sin of each; NaN where one is infinite."""
+    try:
+        return [*map(cos, a), *map(sin, a)]
+    except ValueError:  # math's cos and sin of an infinity
+        return _cos_sin([v if math.isfinite(v) else math.nan for v in a])
+
+
+def _features(model: PlanarBiped, q: list, dq: list | None = None) -> list:
+    """f, its quadratic block cut to model.quad_pairs; without dq, f[:_QUAD]."""
+    t0, t1, t2, t3, t4 = t = [*accumulate(q)]  # theta = M_map q
+    f = _cos_sin([t0 - t1, t0 - t2, t0 - t3, t0 - t4, t1 - t2,
+                  t1 - t3, t1 - t4, t2 - t3, t2 - t4, t3 - t4, *t]) + q + [1.0]
+    if dq is None:
+        return f
+    sq = [v * v for v in accumulate(dq)]
+    trig, (c, k) = f[_C:_Q], model.quad_pairs
+    return f + [*map(mul, map(trig.__getitem__, c), map(sq.__getitem__, k))]
+
+
+def _state_rows(model: PlanarBiped, q: list, dq: list):
+    """(f @ term_map as an ndarray, its list of floats)."""
+    f = _features(model, q, dq)
+    rows = np.fromiter(f, float, len(f)).dot(model.term_map_one)
+    return rows, rows.tolist()
 
 
 # _term_rows, _dyn_terms and _checked_solve take one state, q and dq of shape
@@ -484,10 +527,9 @@ def com_velocity(model: PlanarBiped, q, dq) -> np.ndarray:
 
 def com_acceleration(model: PlanarBiped, q, dq, ddq) -> np.ndarray:
     """CoM acceleration (x, z) given joint accelerations ddq."""
-    q = _as_vec5("com_acceleration.q", q)
-    dq = _as_vec5("com_acceleration.dq", dq)
-    ddq = _as_vec5("com_acceleration.ddq", ddq)
-    return _centroidal_terms(model, q, dq, ddq)[4]
+    q, dq, ddq = (_as_vec5(f"com_acceleration.{n}", v).tolist()
+                  for n, v in (("q", q), ("dq", dq), ("ddq", ddq)))
+    return np.array(_centroidal_terms(model, _state_rows(model, q, dq)[1], dq, ddq)[4])
 
 
 def com_jacobian(model: PlanarBiped, q) -> np.ndarray:
@@ -518,20 +560,21 @@ def centroidal(model: PlanarBiped, state: BipedState) -> CentroidalState:
     I_i * dtheta_i, is the momentum conjugate to the cyclic q0 and is
     computed as such, (D dq)_0; L_c = L - m * wedge(p_c, v_c).
     """
-    p_c, v_c, L, L_c, _ = _centroidal_terms(model, state.q, state.dq, None)
-    return CentroidalState(p_c=p_c, v_c=v_c, L=L, L_c=L_c)
+    dq = state.dq.tolist()
+    p_c, v_c, L, L_c, _ = _centroidal_terms(model, _state_rows(model, state.q.tolist(), dq)[1], dq)
+    return CentroidalState(p_c=np.array(p_c), v_c=np.array(v_c), L=L, L_c=L_c)
 
 
-def _centroidal_terms(model: PlanarBiped, q, dq, ddq):
-    """Unchecked kernel of centroidal and com_acceleration, from the rows of
-    f @ term_map (the module docstring): (p_c, v_c, L, L_c, a_c), with a_c
-    None when ddq is None.  q, dq and ddq must be finite (5,) float arrays."""
-    rows = _term_rows(model, q, dq)
-    J_c, p_c = rows[_JC].reshape(2, 5), rows[_PC]
-    L = float(rows[_D0].dot(dq))
-    v_c = J_c.dot(dq)
-    L_c = L - model.m_total * wedge(p_c, v_c)
-    return p_c, v_c, L, L_c, None if ddq is None else J_c.dot(ddq) + rows[_JDOTC]
+def _centroidal_terms(model: PlanarBiped, rows: list, dq: list, ddq: list | None = None):
+    """Unchecked kernel of centroidal, com_acceleration and the five-link
+    recorder, on one state's floats: (p_c, v_c, L, L_c, a_c), a_c None
+    without ddq."""
+    jx, jz, (x, z, ax, az) = _JC.start, _JC.start + 5, rows[_PC.start : _JDOTC.stop]
+    v_c = _dot(rows, jx, dq), _dot(rows, jz, dq)
+    L = _dot(rows, _D0.start, dq)
+    L_c = L - model.m_total * wedge((x, z), v_c)
+    a_c = None if ddq is None else (_dot(rows, jx, ddq) + ax, _dot(rows, jz, ddq) + az)
+    return (x, z), v_c, L, L_c, a_c
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +610,10 @@ def _impact_solution(model: PlanarBiped, state_minus: BipedState):
     already relabeled.
     """
     q, dq, m = state_minus.q, state_minus.dq, model.m_total
-    rows = _term_rows(model, q, dq)
-    S, J = m * rows[_JC].reshape(2, 5), np.hstack([rows[_JSW].reshape(2, 5), np.eye(2)])
+    D, J_c, J_sw = np.split(np.array(_features(model, q.tolist())).dot(model.impact_map), [25, 35])
+    S, J = m * J_c.reshape(2, 5), np.hstack([J_sw.reshape(2, 5), np.eye(2)])
     K, rhs = np.zeros((9, 9)), np.zeros(9)
-    K[:5, :5], K[5:7, :5], K[:5, 5:7], K[5:7, 5:7] = rows[_D].reshape(5, 5), S, S.T, m * np.eye(2)
+    K[:5, :5], K[5:7, :5], K[:5, 5:7], K[5:7, 5:7] = D.reshape(5, 5), S, S.T, m * np.eye(2)
     K[:7, 7:], K[7:, :7] = -J.T, J
     rhs[:7] = K[:7, :5] @ dq  # M_e [dq; 0]
     sol = _checked_solve(K, rhs, "impact_map")

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Config, check_fields
-from .biped import _H, _H0, _J, _JDOT, _R  # entries of the rows of _dyn_terms
+from .biped import _D, _H, _H0, _J, _JDOT, _R  # entries of the rows of _dyn_terms
 from .biped import (
     PlanarBiped,
     BipedState,
     _checked_solve,
+    _dot,
     _dyn_terms,
-    _mv,
+    _state_rows,
 )
 from .errors import NumericalError, ValidationError
 from .pendulum import PendulumParams
@@ -345,28 +346,31 @@ def virtual_constraint_derivatives(
             "virtual_constraint_reference: h0_start must have shape (4,), or (N, 4) for "
             f"N lanes' p_des, got {h0_start.shape}"
         )
-    return tuple(_reference_rows(spec, cmd.T, s, h0_start, p_des, (spec.H, 0.0, 0.0)))
+    rows = _reference_rows(spec, cmd.T, s, h0_start[..., 2], p_des, (spec.H, 0.0, 0.0))
+    if h0_start.ndim == 1:
+        return tuple(np.array(row) for row in rows)
+    return tuple(_lane_rows(rows, len(h0_start)))
 
 
-def _reference_rows(spec: VirtualConstraintSpec, T: float, s: float, h0_start, p_des, z):
-    """Unchecked kernel of virtual_constraint_derivatives: the (3, 4) stack
-    of h_d, dh_d/dt and d2h_d/dt2 at phase s, from the step-start outputs
-    h0_start (4,) and the target p_des, with (z, dz/dt, d2z/dt2) = z in the
-    height row; for N lanes (h0_start (N, 4), p_des (N,)) a (3, N, 4) stack."""
-    one = h0_start.ndim == 1
-    swx0 = float(h0_start[2]) if one else h0_start[:, 2]  # one state's in float arithmetic
+def _reference_rows(spec: VirtualConstraintSpec, T: float, s: float, swx0, p_des, z):
+    """Unchecked kernel of virtual_constraint_derivatives: the rows h_d, dh_d/dt
+    and d2h_d/dt2 at phase s from the step-start swing-x output swx0, the
+    target p_des (for N lanes, (N,) arrays, as the swing-x entries then are)
+    and (z, dz/dt, d2z/dt2) = z in the height row."""
     mid = 0.5 * (swx0 + p_des)
     half = 0.5 * (swx0 - p_des)
     cpi = math.cos(math.pi * s)
     spi = math.sin(math.pi * s)
-    rows = (
+    return (
         (0.0, z[0], mid + half * cpi, 4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl)),
         (0.0, z[1], -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T),
         (0.0, z[2], -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T)),
     )
-    if one:
-        return np.array(rows)
-    out = np.empty((3, len(swx0), 4))  # a row per lane
+
+
+def _lane_rows(rows, n: int) -> np.ndarray:
+    """The (3, n, 4) stack of _reference_rows' rows for n lanes."""
+    out = np.empty((3, n, 4))
     for k, row in enumerate(rows):
         for j, value in enumerate(row):
             out[k, :, j] = value
@@ -422,14 +426,19 @@ def io_linearizing_torque(
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"io_linearizing_torque: non-finite {name}")
-    Kp = _gain_vec("io_linearizing_torque.Kp", Kp, 100.0)
-    Kd = _gain_vec("io_linearizing_torque.Kd", Kd, 20.0)
-    terms = _dyn_terms(model, state.q, state.dq)
-    u, _, _ = _io_torque_core(model, state.q, state.dq, terms, h_d, dh_d, ddh_d, Kp, Kd)
-    return u
+    gains = (_gain_vec(f"io_linearizing_torque.{n}", k, v).tolist()
+             for n, k, v in (("Kp", Kp, 100.0), ("Kd", Kd, 20.0)))
+    q, dq = state.q.tolist(), state.dq.tolist()
+    refs = (h_d.tolist(), dh_d.tolist(), ddh_d.tolist())
+    u, _, _ = _io_torque_core(model, q, dq, _state_rows(model, q, dq), *refs, *gains)
+    return np.array(u)
 
 
-def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
+_DECOUPLING = "io_linearizing_torque (decoupling matrix)"
+_PAIR = (_DECOUPLING, "io_linearizing_torque (mass matrix)")
+
+
+def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
     """(u, ddq, y): the tracking torque, the closed-loop acceleration under u
     and the stance-ankle torque u_a, and the output error, from one solve.
     Kp and Kd are the diagonals of the gain matrices.
@@ -438,9 +447,12 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
     out as unknown to it, solves [D_0; J] ddq0 = [-(C dq + G)_0; v - Jdot dq],
     and u = D_1: ddq0 + (C dq + G)_1:.  A nonzero u_a adds u_a D^-1 e_0, with
     D as the second system of a pair in the same solve: the first 50 entries
-    of the rows of _dyn_terms.  For a stack of states (q, dq and terms
-    stacked, the references (N, 4)) each result is stacked.
+    of the rows.  One state is lists of floats (terms from _state_rows); for
+    a stack of states (q, dq and the terms of _dyn_terms stacked, the
+    references (N, 4)) each result is stacked.  with_u=False gives u None.
     """
+    if type(dq) is list:
+        return _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
     D_q, rows = terms[0], terms[3]
     h0, J, _ = _outputs_full(model, terms)
     h = rows[..., _H]
@@ -449,14 +461,69 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0):
     r = np.zeros(lead + (5,))
     r_law = r[..., 0, :] if u_a else r
     r_law[...] = rows[..., _R]  # [-(C dq + G)_0; -Jdot dq]
-    r_law[..., 1:] += ddh_d - Kd * (_mv(J, dq) - dh_d) - Kp * y
+    r_law[..., 1:] += ddh_d - Kd * ((J @ dq[..., None])[..., 0] - dh_d) - Kp * y
     K = rows[..., : 50 if u_a else 25].reshape(lead + (5, 5))
-    what = "io_linearizing_torque (decoupling matrix)"
     if not u_a:
-        ddq0 = ddq = _checked_solve(K, r, what)
+        ddq0 = ddq = _checked_solve(K, r, _DECOUPLING)
     else:
         r[..., 1, 0] = 1.0
-        x = _checked_solve(K, r, (what, "io_linearizing_torque (mass matrix)"))
+        x = _checked_solve(K, r, _PAIR)
         ddq0 = x[..., 0, :]
         ddq = ddq0 + u_a * x[..., 1, :]
-    return _mv(D_q[..., 1:, :], ddq0) + h[..., 1:], ddq, y
+    u = (D_q[..., 1:, :] @ ddq0[..., None])[..., 0] + h[..., 1:] if with_u else None
+    return u, ddq, y
+
+
+def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
+    """_io_torque_core of one state, on floats: numpy only solves.  Each
+    system must meet max |A x - b| <= 1e-8 max |b|, checked on floats; a
+    solve that fails it, or raises, is redone by _checked_solve, which
+    passes it on the full scale or raises its error."""
+    K, rows = terms
+    d0, d1, d2, d3, d4 = dq
+    y = [a - b for a, b in zip(rows[_H0], h_d)]
+    r = rows[_R]  # [-(C dq + G)_0; -Jdot dq], with v added to the last four
+    for i, j in enumerate(range(_J.start, _J.stop, 5)):
+        jdq = rows[j] * d0 + rows[j + 1] * d1 + rows[j + 2] * d2 + rows[j + 3] * d3
+        r[i + 1] += ddh_d[i] - Kd[i] * (jdq + rows[j + 4] * d4 - dh_d[i]) - Kp[i] * y[i]
+    if u_a:
+        A = K[:50].reshape(2, 5, 5)
+        x = _solved(A, np.array(r + _E0).reshape(2, 5, 1))
+        if x is None or not (_meets_bound(rows, 0, x, r) and _meets_bound(rows, 25, x[5:], _E0)):
+            x = _checked_solve(A, np.array((r, _E0)), _PAIR).ravel().tolist()
+        ddq0 = x[:5]
+        ddq = [a + u_a * c for a, c in zip(ddq0, x[5:])]
+    else:
+        A = K[:25].reshape(5, 5)
+        x = _solved(A, r)
+        if x is None or not _meets_bound(rows, 0, x, r):
+            x = _checked_solve(A, np.array(r), _DECOUPLING).tolist()
+        ddq0 = ddq = x
+    if not with_u:
+        return None, ddq, y
+    u = [_dot(rows, j, ddq0) + h for j, h in zip(range(_D.start + 5, _D.stop, 5), rows[_H][1:])]
+    return u, ddq, y
+
+
+_E0 = [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def _solved(A, b):
+    """np.linalg.solve(A, b) as a list of floats; None if it raises."""
+    try:
+        return np.linalg.solve(A, b).ravel().tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _meets_bound(a: list, i: int, x: list, b: list) -> bool:
+    """max |A x - b| <= 1e-8 max |b| for A = the 5 x 5 a[i:i + 25] and
+    x[:5]; False if any entry is NaN."""
+    x0, x1, x2, x3, x4 = x[:5]
+    bound = 1e-8 * max(map(abs, b))
+    for b_k in b:
+        Ax_k = a[i] * x0 + a[i + 1] * x1 + a[i + 2] * x2 + a[i + 3] * x3 + a[i + 4] * x4
+        if not abs(Ax_k - b_k) <= bound:
+            return False
+        i += 5
+    return True

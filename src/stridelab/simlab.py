@@ -34,6 +34,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,6 +49,7 @@ from .control import (
     _check_placement_finite,
     _finite,
     _io_torque_core,
+    _lane_rows,
     _placement_law,
     _reference_rows,
     foot_placement_asymptotic,
@@ -272,9 +274,10 @@ class WalkingController:
     four-output virtual-constraint tracker.
 
     Holds the per-step context (step-start outputs, current placement target,
-    per-step L_des); one instance belongs to exactly one rollout.  For a
-    stack of N states stepping in lockstep (lanes) the context is per lane:
-    `_h0_start` is (N, 4) and `p_des` is (N,).
+    per-step L_des); one instance belongs to exactly one rollout.  One state
+    runs on floats (`rows` holds its last term rows); for a stack of N states
+    stepping in lockstep (lanes) the context is per lane: `_h0_start` is
+    (N, 4) and `p_des` is (N,).
     """
 
     def __init__(
@@ -297,9 +300,10 @@ class WalkingController:
         self.placement_source = placement_source
         self.placement_update = placement_update
         self.L_des = gait.L_des
-        self._Kp, self._Kd = constraints.Kp, constraints.Kd
-        self._h0_start = np.zeros(4)
+        self._gains = constraints.Kp.tolist(), constraints.Kd.tolist()  # lists serve lanes too
+        self._h0_start = [0.0] * 4
         self.p_des = 0.0
+        self.rows = self.step_centroidal = None
         # Kinematic workspace clamp on the placement target: the swing foot
         # cannot land beyond the leg's reach from the hip (which rides a
         # little above the CoM for humanoid mass splits).  Keeps transient
@@ -316,52 +320,60 @@ class WalkingController:
         """Start a step from a BipedState, or from an (N, 10) stack of
         [q; dq] rows, one per lane."""
         if isinstance(state, BipedState):
-            q, dq = state.q, state.dq
+            dq = state.dq.tolist()
+            rows = bp._state_rows(self.model, state.q.tolist(), dq)[1]
+            self._h0_start, p_start = rows[bp._H0], rows[bp._H0.start + 2]
         elif np.ndim(state) == 2 and np.shape(state)[1] == 10:
-            q, dq = state[:, :5], state[:, 5:]
+            dq = state[:, 5:]
+            rows = bp._dyn_terms(self.model, state[:, :5], dq)[3]
+            self._h0_start = rows[:, bp._H0]
+            p_start = self._h0_start[:, 2].copy()
         else:  # the one check of the shape _reference relies on
             shape = np.shape(state)
             raise ValidationError(f"on_step_start: expected a BipedState or (N, 10), got {shape}")
-        terms = bp._dyn_terms(self.model, q, dq)
-        h0 = self._h0_start = terms[3][..., bp._H0]
         if self.placement_update == "step_start":
             # Decide the whole step's placement from the fresh post-impact
             # state; the reference curve then stays fixed for the step.
-            self.p_des = self._placement(q, dq, terms, 0.0)
+            self.p_des = self._placement(rows, dq, 0.0)
         else:
-            # refined immediately by the first torque eval
-            self.p_des = float(h0[2]) if h0.ndim == 1 else h0[:, 2].copy()
+            self.p_des = p_start  # refined immediately by the first torque eval
 
     def _lanes(self, idx) -> "WalkingController":
         """This controller cut to the lanes idx (an index array or mask); an
-        int gives the single-state controller of that one lane."""
+        integer gives the single-state controller of that one lane."""
         lanes = copy.copy(self)
         lanes._h0_start, lanes.p_des = self._h0_start[idx], self.p_des[idx]
+        if np.ndim(idx) == 0:
+            lanes._h0_start, lanes.p_des = lanes._h0_start.tolist(), float(lanes.p_des)
         return lanes
 
-    def _placement(self, q: np.ndarray, dq: np.ndarray, terms, tau: float):
-        rows, p = terms[3], self.params
-        at_dq = (lambda a: a.dot(dq)) if q.ndim == 1 else (lambda a: np.einsum("ni,ni->n", a, dq))
-        x_c = rows[..., bp._PC.start]
-        remaining = max(self.gait.T - tau, 0.0)
-        ell = p.ell
+    def _placement(self, rows, dq, tau: float):
+        """The target at in-step time tau from term rows and dq: one state's
+        floats, or lanes' arrays."""
+        p, T, one = self.params, self.gait.T, type(dq) is list
+        ell, remaining = p.ell, (T - tau if tau < T else 0.0)
         sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
-        if self.placement_source == "v":
-            vx = at_dq(rows[..., bp._JC.start : bp._JC.start + 5])  # the CoM Jacobian's x row
-            law, gain, des = "foot_placement_velocity", 1.0, self.L_des / (p.m * p.H)
-            hat = ell * sh * x_c + ch * vx
+        i, j = bp._PC.start, bp._JC.start if self.placement_source == "v" else bp._D0.start
+        if one:
+            x_c, rate = rows[i], bp._dot(rows, j, dq)
         else:
-            # momentum conjugate to q0 = L about the contact
+            x_c, rate = rows[:, i], np.einsum("ni,ni->n", rows[:, j : j + 5], dq)
+        if self.placement_source == "v":
+            # rate = the CoM x-velocity, from the CoM Jacobian's x row
+            law, gain, des = "foot_placement_velocity", 1.0, self.L_des / (p.m * p.H)
+            hat = ell * sh * x_c + ch * rate
+        else:
+            # rate = L about the contact, the momentum conjugate to q0
             law, gain, des = "foot_placement_asymptotic", p.m * p.H, self.L_des
-            hat = p.m * p.H * ell * sh * x_c + ch * at_dq(rows[..., bp._D0])
+            hat = p.m * p.H * ell * sh * x_c + ch * rate
         _check_placement_finite(law, des)  # the target; T and alpha are GaitCommand's to check
         if not _finite(hat):
             raise GaitFailureError(
                 f"{law}: predicted end-of-step value is not finite at tau = {tau:.4f} s"
             )
-        p_raw = _placement_law(gain, ell, hat, des, self.gait.T, self.gait.alpha)
-        if q.ndim == 1:
-            return self._clamp(float(p_raw))
+        p_raw = _placement_law(gain, ell, hat, des, T, self.gait.alpha)
+        if one:
+            return self._clamp(p_raw)
         return np.array([self._clamp(v) for v in p_raw.tolist()])  # lane by lane
 
     def _clamp(self, p_raw: float) -> float:
@@ -370,22 +382,26 @@ class WalkingController:
     def _reference(self, s_phase: float, tau: float):
         # on_step_start gave _h0_start its shape and s_phase lies in [0, 1];
         # only p_des, refined as the state moves, can turn bad on the way.
-        if not _finite(self.p_des):
+        p_des, T = self.p_des, self.gait.T
+        if not _finite(p_des):
             raise ValidationError("virtual_constraint_reference: non-finite p_des")
-        T = self.gait.T
         z = (self.vc.H, 0.0, 0.0) if self.z_profile is None else self.z_profile(min(tau, T))
-        return _reference_rows(self.vc, T, s_phase, self._h0_start, self.p_des, z)
+        if type(p_des) is float:
+            return _reference_rows(self.vc, T, s_phase, self._h0_start[2], p_des, z)
+        rows = _reference_rows(self.vc, T, s_phase, self._h0_start[:, 2], p_des, z)
+        return _lane_rows(rows, len(p_des))
 
-    def torques_from_terms(self, q, dq, tau, terms, u_a):
-        """(u, y, ddq) at in-step time tau, given precomputed dynamics terms;
-        ddq is the acceleration under u and the ankle torque u_a."""
+    def torques_from_terms(self, q, dq, tau, terms, u_a, with_u=True):
+        """(u, y, ddq) at in-step time tau, given the terms of _state_rows (one
+        state's floats) or _dyn_terms (lanes); ddq is the acceleration under u
+        and the ankle torque u_a, and u is None when with_u is False."""
+        one = type(dq) is list
         if self.placement_update == "continuous":
-            self.p_des = self._placement(q, dq, terms, tau)
+            self.p_des = self._placement(terms[1] if one else terms[3], dq, tau)
         s_phase = min(tau / self.gait.T, 1.0)
         h_d, dh_d, ddh_d = self._reference(s_phase, tau)
-        u, ddq, y = _io_torque_core(
-            self.model, q, dq, terms, h_d, dh_d, ddh_d, self._Kp, self._Kd, u_a
-        )
+        Kp, Kd = self._gains
+        u, ddq, y = _io_torque_core(self.model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
         return u, y, ddq
 
     def ankle(self, tau: float) -> float:
@@ -489,14 +505,24 @@ def assemble_posture(
 # ---------------------------------------------------------------------------
 
 
-def _five_link_rhs(model, controller, tau, y):
+def _five_link_rhs(model, controller, tau, y, with_u=True):
     """Closed-loop derivative (ydot, u, y_out), with u and ddq from one solve
-    of the [D_0; J] system.  y is one state [q; dq], or an (N, 10) stack of
-    lanes at the same tau, and then each result is stacked."""
-    q, dq = y[..., :5], y[..., 5:]
-    terms = bp._dyn_terms(model, q, dq)
-    u, y_out, ddq = controller.torques_from_terms(q, dq, tau, terms, controller.ankle(tau))
-    return np.concatenate([dq, ddq], axis=-1), u, y_out
+    of the [D_0; J] system; u is None when with_u is False (an RK4 stage).
+    y is one state [q; dq], a list of 10 floats giving lists (an ndarray
+    (10,) gives ndarrays), or an (N, 10) stack of lanes at one tau."""
+    one = y if type(y) is list else None if y.ndim == 2 else y.tolist()
+    if one is None:
+        q, dq = y[:, :5], y[:, 5:]
+        terms = bp._dyn_terms(model, q, dq)
+    else:
+        q, dq = one[:5], one[5:]
+        terms = bp._state_rows(model, q, dq)
+        controller.rows = terms[1]
+    u, y_out, ddq = controller.torques_from_terms(q, dq, tau, terms, controller.ankle(tau), with_u)
+    if one is None:
+        return np.concatenate([dq, ddq], axis=-1), u, y_out
+    out = dq + ddq, u, y_out
+    return out if one is y else tuple(None if v is None else np.array(v) for v in out)
 
 
 def _rk4(f, tau, y, h, k1=None):
@@ -510,15 +536,45 @@ def _rk4(f, tau, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_advance(model, controller, tau, y, h, k1=None):
-    """One RK4 step of the five-link closed loop from (tau, y) by h."""
-    return _rk4(lambda t, x: _five_link_rhs(model, controller, t, x)[0], tau, y, h, k1)
+def _rk4_floats(f, tau, y, h, k1):
+    """_rk4 on lists of floats, operation for operation: the same bits."""
+    h2, h6 = h / 2.0, h / 6.0
+    k2 = f(tau + h2, [a + h2 * b for a, b in zip(y, k1)])
+    k3 = f(tau + h2, [a + h2 * b for a, b in zip(y, k2)])
+    k4 = f(tau + h, [a + h * b for a, b in zip(y, k3)])
+    stages = zip(y, k1, k2, k3, k4)
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
+
+
+def _rk4_advance(model, controller, tau, y, h, k1):
+    """One RK4 step of the five-link closed loop from (tau, y) by h, given
+    k1: on floats for one state (a list), on arrays for a stack of lanes."""
+    step = _rk4_floats if type(y) is list else _rk4
+    return step(lambda t, x: _five_link_rhs(model, controller, t, x, False)[0], tau, y, h, k1)
 
 
 def _swing_z(model, y):
-    """Swing-foot height of one state (a float), or of each row of a stack."""
-    z = np.cos(y[..., :5].dot(model.M_map.T)).dot(model.b_sw)
-    return float(z) if y.ndim == 1 else z
+    """Swing-foot height of one state (a list, a float), or of each row of a stack."""
+    if type(y) is not list:
+        return np.cos(y[:, :5].dot(model.M_map.T)).dot(model.b_sw)
+    return bp._dot(bp._cos_sin([*accumulate(y[:5])]), 0, model.b_sw_floats)  # cos theta
+
+
+def _bisect(model, controller, tau, y, k1, h, y_hi, tol):
+    """(t_event, y_event, the derivative there) of one state's floats: the
+    RK4 sub-step from (tau, y) that ends on the guard, h (ending at y_hi)
+    bisected until the crossing time is pinned."""
+    lo, hi = 0.0, h
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # bracket one float wide: the tolerance is below resolution
+        y_mid = _rk4_advance(model, controller, tau, y, mid, k1)
+        if _swing_z(model, y_mid) <= 0.0:
+            hi, y_hi = mid, y_mid
+        else:
+            lo = mid
+    return tau + hi, y_hi, _five_link_rhs(model, controller, tau + hi, y_hi)
 
 
 def integrate_step(model, controller, state, T, integrator: IntegratorConfig, recorder=None):
@@ -528,11 +584,13 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     touchdown guard crossing by bisection to integrator.event_tolerance; the
     guard is armed at tau >= T/2 (the swing trajectory peaks mid-step).  If no
     impact occurs by 2T a GaitFailureError is raised.  The five-link `state`
-    is a BipedState, or an (N, 10) stack of [q; dq] rows (lanes) under a
-    controller that holds N lanes' context: the lanes step in lockstep on
-    one tau grid, a lane leaves the stack at its own guard crossing, which
-    is bisected on that lane alone, and the result is the (N, 10) stack of
-    pre-switch states with the (N,) switch times.  Reduced plants (pass
+    is a BipedState, stepped on Python floats (numpy forms only the term
+    product and the solve), or an (N, 10) stack of [q; dq] rows (lanes),
+    stepped on arrays under a controller that holds N lanes' context: the
+    lanes step in lockstep on one tau grid, a lane leaves the stack at its
+    own guard crossing, bisected on that lane's floats, and the result is the
+    (N, 10) stack of pre-switch states with the (N,) switch times; a lane
+    agrees with its state alone to about 1e-12.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
     torque.  `recorder(taus, y, us, y_out, ydot=None)` is called once per
@@ -542,87 +600,96 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     float64 stack of [q; dq], `us` and `y_out` the (n, 4) torques and output
     errors, and `ydot` the (n, 10) state derivatives, so integrand-exact
     rates need no refactoring downstream; the samples are the first state,
-    each accepted grid point and the event.  Reduced: `y` is (xs, vs),
-    array('d') of x_c and of L (ALIP) or v_c (LIP), `us` the ankle torque
-    (0.0 at tau = 0), `y_out` None and no `ydot`.
+    each accepted grid point and the event, and meanwhile the controller's
+    `step_centroidal` holds (y, each sample's centroidal terms).  Reduced:
+    `y` is (xs, vs), array('d') of x_c and of L (ALIP) or v_c (LIP), `us`
+    the ankle torque (0.0 at tau = 0), `y_out` None and no `ydot`.
     A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, PlanarBiped):
-            return _integrate_step_five_link(model, controller, state, T, integrator, recorder)
+            one = isinstance(state, BipedState)
+            step = _integrate_step_one if one else _integrate_step_lanes
+            return step(model, controller, state, T, integrator, recorder)
         if isinstance(model, PendulumParams):
             return _integrate_step_reduced(model, controller, state, T, integrator, recorder)
     raise ValidationError(f"integrate_step: unsupported model type {type(model)!r}")
 
 
-def _integrate_step_five_link(model, controller, state, T, cfg, recorder):
-    stacked = not isinstance(state, BipedState)
-    if stacked and not (np.ndim(state) == 2 and np.shape(state)[1] == 10 and recorder is None):
+def _no_impact(T: float) -> GaitFailureError:
+    return GaitFailureError(f"integrate_step: no impact within 2T = {2 * T:.6g} s (gait failure)")
+
+
+def _integrate_step_one(model, controller, state, T, cfg, recorder):
+    h, tau, y = cfg.step_size, 0.0, state.q.tolist() + state.dq.tolist()
+    samples, cents = [], []  # the recorder's (tau, y, u, y_out, ydot), and centroidal terms
+
+    def record(tau, y, ydot, u, y_out):  # centroidal terms from the derivative's rows
+        if recorder is not None:
+            samples.append((tau, y, u, y_out, ydot))
+            cents.append(bp._centroidal_terms(model, controller.rows, y[5:], ydot[5:]))
+
+    rhs, u, y_out = _five_link_rhs(model, controller, tau, y)
+    record(tau, y, rhs, u, y_out)
+    pz_prev = _swing_z(model, y)
+    while tau < 2.0 * T - 1e-12:
+        y_next = _rk4_advance(model, controller, tau, y, h, rhs)
+        if not all(map(math.isfinite, y_next)):
+            raise GaitFailureError(f"integrate_step: state diverged at tau = {tau + h:.4f} s")
+        tau_next, pz_next = tau + h, _swing_z(model, y_next)
+        if tau_next >= 0.5 * T and pz_prev > 0.0 and pz_next <= 0.0:
+            t_event, y_hi, (rhs, u, y_out) = _bisect(
+                model, controller, tau, y, rhs, h, y_next, cfg.event_tolerance
+            )
+            record(t_event, y_hi, rhs, u, y_out)
+            if recorder is not None:
+                taus, ys, us, y_outs, ydots = map(np.array, zip(*samples))
+                controller.step_centroidal = ys, cents
+                recorder(taus, ys, us, y_outs, ydot=ydots)
+                controller.step_centroidal = None
+            return BipedState(y_hi[:5], y_hi[5:]), t_event
+        rhs, u, y_out = _five_link_rhs(model, controller, tau_next, y_next)
+        record(tau_next, y_next, rhs, u, y_out)
+        tau, y, pz_prev = tau_next, y_next, pz_next
+    raise _no_impact(T)
+
+
+def _integrate_step_lanes(model, controller, state, T, cfg, recorder):
+    if not (np.ndim(state) == 2 and np.shape(state)[1] == 10 and recorder is None):
         raise ValidationError(
             "integrate_step: a five-link state is a BipedState, or an (N, 10) stack "
             "of lanes without a recorder"
         )
-    h = cfg.step_size
-    tau = 0.0
-    y = state if stacked else np.concatenate([state.q, state.dq])
+    h, tau, y = cfg.step_size, 0.0, state
     # The rows of y are the lanes still stepping; lanes[i] is row i's place
     # in the result, which holds each crossed lane's pre-switch state and time.
-    lanes = np.arange(len(y) if stacked else 1)
+    lanes = np.arange(len(y))
     y_sw, t_sw = np.empty((len(lanes), 10)), np.empty(len(lanes))
     caller = controller  # keeps every lane's p_des; `controller` drops crossed lanes
-    rhs, u, y_out = _five_link_rhs(model, controller, tau, y)
-    samples = [(tau, y, u, y_out, rhs)]  # the recorder's, in (tau, y, u, y_out, ydot) order
+    rhs = _five_link_rhs(model, controller, tau, y, False)[0]
     pz_prev = _swing_z(model, y)
     while tau < 2.0 * T - 1e-12:
-        y_next = _rk4_advance(model, controller, tau, y, h, k1=rhs)
+        y_next = _rk4_advance(model, controller, tau, y, h, rhs)
         if not np.all(np.isfinite(y_next)):
-            raise GaitFailureError(
-                f"integrate_step: state diverged at tau = {tau + h:.4f} s"
-            )
-        tau_next = tau + h
-        pz_next = _swing_z(model, y_next)
+            raise GaitFailureError(f"integrate_step: state diverged at tau = {tau + h:.4f} s")
+        tau_next, pz_next = tau + h, _swing_z(model, y_next)
         if tau_next >= 0.5 * T and np.any(hit := (pz_prev > 0.0) & (pz_next <= 0.0)):
-            for i in np.flatnonzero(hit):
-                # Bisect the lane's sub-step length until the crossing time is
-                # pinned, on that one lane's state.
-                lane = controller._lanes(i) if stacked else controller
-                y0, k1 = y.reshape(-1, 10)[i], rhs.reshape(-1, 10)[i]
-                lo, hi = 0.0, h
-                y_hi = y_next.reshape(-1, 10)[i]
-                while hi - lo > cfg.event_tolerance:
-                    mid = 0.5 * (lo + hi)
-                    if not lo < mid < hi:
-                        break  # bracket one float wide: the tolerance is below resolution
-                    y_mid = _rk4_advance(model, lane, tau, y0, mid, k1=k1)
-                    if _swing_z(model, y_mid) <= 0.0:
-                        hi, y_hi = mid, y_mid
-                    else:
-                        lo = mid
-                t_event = tau + hi
-                rhs_e, u_e, y_out_e = _five_link_rhs(model, lane, t_event, y_hi)
-                y_sw[lanes[i]], t_sw[lanes[i]] = y_hi, t_event
-                if stacked:
-                    caller.p_des[lanes[i]] = lane.p_des  # the placement at the lane's event
-            if not stacked:
-                if recorder is not None:
-                    samples.append((t_event, y_hi, u_e, y_out_e, rhs_e))
-                    taus, ys, us, y_outs, ydots = map(np.array, zip(*samples))
-                    recorder(taus, ys, us, y_outs, ydot=ydots)
-                return BipedState(y_hi[:5], y_hi[5:]), t_event
+            for i in np.flatnonzero(hit).tolist():
+                lane, k1 = controller._lanes(i), rhs[i].tolist()
+                t_sw[lanes[i]], y_sw[lanes[i]], _ = _bisect(
+                    model, lane, tau, y[i].tolist(), k1, h, y_next[i].tolist(), cfg.event_tolerance
+                )
+                caller.p_des[lanes[i]] = lane.p_des  # the placement at the lane's event
             keep = ~hit
             if not keep.any():
                 return y_sw, t_sw
             lanes, controller = lanes[keep], controller._lanes(keep)
             y_next, pz_next = y_next[keep], pz_next[keep]
-        rhs, u, y_out = _five_link_rhs(model, controller, tau_next, y_next)
-        if recorder is not None:
-            samples.append((tau_next, y_next, u, y_out, rhs))
+        rhs = _five_link_rhs(model, controller, tau_next, y_next, False)[0]
         tau, y, pz_prev = tau_next, y_next, pz_next
-    raise GaitFailureError(
-        f"integrate_step: no impact within 2T = {2 * T:.6g} s (gait failure)"
-    )
+    raise _no_impact(T)
 
 
 def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
@@ -855,9 +922,15 @@ class _FiveLinkPlant:
         """The step's columns after t and step, from integrate_step's recorder
         arguments: a column per name, one row per sample."""
         model = self.model
-        # Every recorded y has passed integrate_step's finiteness check, so
-        # each sample calls the unchecked kernel.
-        terms = [bp._centroidal_terms(model, y[:5], y[5:], a[5:]) for y, a in zip(ys, ydots)]
+        # The centroidal terms integrate_step formed while it records this
+        # step; else formed here, the same bits.  Every recorded y has passed
+        # integrate_step's finiteness check, so each sample calls the
+        # unchecked kernel.
+        known = self.controller.step_centroidal
+        terms = known[1] if known is not None and known[0] is ys else [
+            bp._centroidal_terms(model, bp._state_rows(model, y[:5], y[5:])[1], y[5:], a[5:])
+            for y, a in zip(ys.tolist(), ydots.tolist())
+        ]
         p_c, v_c, L, L_c, a_c = map(np.array, zip(*terms))
         ankle = np.array([self.controller.ankle(tau) for tau in taus.tolist()])
         # Analytic rate of the centroidal momentum: differentiate

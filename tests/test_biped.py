@@ -317,7 +317,7 @@ def close(a, b, rel):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(model=generated_models, q=angles, dq=rates)
 def test_term_map_matches_the_definitions_on_generated_models(model, q, dq):
-    from stridelab.biped import _centroidal_terms, _dyn_terms
+    from stridelab.biped import _centroidal_terms, _dyn_terms, _state_rows
     from stridelab.control import _outputs_full
 
     oracle = Oracle(model)
@@ -339,7 +339,8 @@ def test_term_map_matches_the_definitions_on_generated_models(model, q, dq):
     # The recorder's kernel: CoM, its rates, and L as the sum over links of
     # m_i wedge(p_i, v_i) plus each link's spin.
     ddq = -dq[::-1]
-    p_c, v_c, L, L_c, a_c = _centroidal_terms(model, q, dq, ddq)
+    rows = _state_rows(model, q.tolist(), dq.tolist())[1]
+    p_c, v_c, L, L_c, a_c = _centroidal_terms(model, rows, dq.tolist(), ddq.tolist())
     links, p_c_ref, p_sw_ref = oracle.points(q)
     v_links = oracle.jacobians(q) @ dq
     L_ref = sum(m * wedge(p, v) for m, p, v in zip(oracle.m, links, v_links))
@@ -559,7 +560,8 @@ def test_checked_solve_scales_the_residual_by_the_whole_system():
 def test_five_link_rhs_singular_at_coincident_feet():
     # Swing foot on the stance foot, every link upright: the output
     # decoupling matrix is singular, and the closed-loop derivative says so,
-    # also when an ankle torque puts the mass matrix into the same solve.
+    # also when an ankle torque puts the mass matrix into the same solve, and
+    # so does io_linearizing_torque.
     gait = GaitCommand(L_des=14.4, T=0.35, alpha=0.5)
     message = "io_linearizing_torque (decoupling matrix): singular matrix"
     for ankle_fn in (None, lambda tau: 2.0):
@@ -570,6 +572,10 @@ def test_five_link_rhs_singular_at_coincident_feet():
         with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
             _five_link_rhs(MODEL, controller, 0.1, np.zeros(10))
         assert len(str(exc.value).splitlines()) == 1 and "lane" not in str(exc.value)
+    # The public law on the same state and any reference.
+    with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
+        sl.io_linearizing_torque(MODEL, BipedState(np.zeros(5), np.zeros(5)), *np.zeros((3, 4)))
+    assert len(str(exc.value).splitlines()) == 1 and "lane" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,29 @@ def test_simulate_unreachable_posture_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_simulate_diverging_gait_exit_3_names_the_singular_decoupling_matrix(tmp_path, capsys):
+    # The seed-0 poincare-five-link benchmark gait under velocity placement
+    # decided at step start, from 0.5 m/s: the walk diverges until the output
+    # decoupling matrix degenerates, which ends in one line and exit 3.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        from rhs_timeit import scenario_doc
+    finally:
+        sys.path.pop(0)
+    doc = scenario_doc("poincare-five-link")
+    doc.update(placement_source="v", placement_update="step_start", initial_velocity=0.5,
+               duration=10)
+    cfg = tmp_path / "diverging.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: io_linearizing_torque (decoupling matrix): non-finite solve "
+        "result (condition estimate inf)\n"
+    )
+
+
 def test_poincare_alip_two_step_grid(tmp_path, capsys):
     out = tmp_path / "p"
     rc = main(["poincare", "--alpha-grid", "0:0.9:10", "--plant", "ALIP",

@@ -1154,15 +1154,15 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
     # The tracking law and the plant share one solve: with the ankle torque
     # off or on, for one state and for a stack of lanes.
     calls = []
-    solve = control._checked_solve
+    solve = np.linalg.solve
 
     def counted(*args):
         calls.append(args[0].shape)
         return solve(*args)
 
-    monkeypatch.setattr(control, "_checked_solve", counted)
     state = assemble_posture(PlanarBiped.default(), 0.02, 0.6, -0.2, 0.02, (0.7, 0.0))
     y = np.concatenate([state.q, state.dq])
+    monkeypatch.setattr(np.linalg, "solve", counted)
     for ankle, pair in ((0.0, ()), (1.0, (2,))):
         for Y in (y, np.array([y, y, y])):
             controller = five_link_plant(ankle).controller
@@ -1249,6 +1249,73 @@ def test_five_link_step_records_the_whole_step_in_one_call(ankle, source, update
     for tau, y, u, y_out, ydot in zip(taus.tolist(), ys, us, y_outs, ydots):
         ydot_1, u_1, y_out_1 = simlab._five_link_rhs(plant.model, plant.controller, tau, y)
         assert (bits(ydot), bits(u), bits(y_out)) == (bits(ydot_1), bits(u_1), bits(y_out_1))
+
+
+@pytest.mark.parametrize("ankle, z_amplitude", [(0.0, 0.0), (1.0, 0.02)])
+def test_five_link_trace_centroidal_columns_are_centroidal_bit_for_bit(ankle, z_amplitude):
+    # The recorder takes each sample's centroidal columns from the rows its
+    # derivative formed: they are the bits of centroidal() on the recorded
+    # state, as if each sample had been formed alone.
+    cfg = ScenarioConfig(
+        plant="FIVE_LINK",
+        gait=FIVE_GAIT,
+        constraints=VC,
+        duration=2,
+        integrator=IntegratorConfig(step_size=2e-3),
+        ankle_amplitude=ankle,
+        z_amplitude=z_amplitude,
+    )
+    s = run_scenario(cfg).samples
+    model = cfg.build_model()
+    q = np.column_stack([s[f"q{i}"] for i in range(5)])
+    dq = np.column_stack([s[f"dq{i}"] for i in range(5)])
+    got = np.column_stack([s[c] for c in ("x_c", "z_c", "vx_c", "vz_c", "L", "L_c")])
+    want = []
+    for q_i, dq_i in zip(q, dq):
+        cs = centroidal(model, sl.BipedState(q_i, dq_i))
+        want.append([*cs.p_c, *cs.v_c, cs.L, cs.L_c])
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+vec10 = st.lists(st.floats(-1e6, 1e6), min_size=10, max_size=10)
+
+
+@st.composite
+def step_lengths(draw):
+    """An RK4 step length h, or a sub-step of the touchdown bisection: the
+    midpoint it tries after a drawn path of halvings of [0, h]."""
+    h = draw(st.floats(1e-5, 1e-2))
+    path = draw(st.lists(st.booleans(), max_size=40))
+    if not path:
+        return h
+    lo, hi = 0.0, h
+    for lower in path:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if lower else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(y=vec10, ks=st.lists(vec10, min_size=4, max_size=4), tau=st.floats(0.0, 0.7),
+       h=step_lengths())
+def test_float_rk4_is_array_rk4_bit_for_bit(y, ks, tau, h):
+    # The one-state step combines its stages on floats in _rk4's operation
+    # order: the same stage times, stage states and result, bit for bit.
+    def field(convert):
+        calls, stages = [], iter(ks[1:])
+
+        def f(t, x):
+            calls.append((bits(t), bits(np.asarray(x, dtype=float))))
+            return convert(next(stages))
+
+        return f, calls
+
+    f_floats, calls_floats = field(list)
+    f_array, calls_array = field(np.array)
+    out = simlab._rk4_floats(f_floats, tau, y, h, ks[0])
+    assert isinstance(out, list)
+    assert bits(np.array(out)) == bits(simlab._rk4(f_array, tau, np.array(y), h, np.array(ks[0])))
+    assert calls_floats == calls_array and len(calls_floats) == 3
 
 
 # ---------------------------------------------------------------------------

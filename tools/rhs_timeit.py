@@ -16,6 +16,8 @@ read only):
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane
     recorder row      `_FiveLinkPlant.row` on the scenario's first step, as
                       integrate_step hands it to the recorder, per sample
+    five-link step    one whole `integrate_step` of the start state, through
+                      `_FiveLinkPlant.row` as run_scenario's recorder calls it
     alip step         `run_scenario` of one ALIP step, through its recorder
     write_csv alip    `write_csv(path, columns)` of the whole 100-step ALIP
                       trace
@@ -110,6 +112,16 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     )
     n = sum(np.size(a[0]) for a in calls)
     out["recorder row"] = (lambda: [row_plant.row(*a) for a in calls], n, n)
+    step_plant = simlab._FiveLinkPlant(config)
+
+    def five_link_step():
+        step_plant.begin_step(state, config.gait.L_des)
+        simlab.integrate_step(
+            step_plant.model, step_plant.controller, state, config.gait.T, config.integrator,
+            lambda taus, y, us, y_out, ydot=None: step_plant.row(taus, y, us, y_out, ydot),
+        )
+
+    out["five-link step"] = (five_link_step, 1, 1000)
     alip = simlab.ScenarioConfig.from_json(alip_doc)
     one_step = replace(alip, duration=1)
     out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
