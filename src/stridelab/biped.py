@@ -44,14 +44,16 @@ P_lin q of control.planar_outputs, is a product of one constant matrix,
 PlanarBiped.term_map, with the features of the angle vector
 a = [theta_i - theta_j (i < j); theta] = ANGLE_MAP q (one sin, one cos):
 
-    f = [cos a; sin a; q; 1; (cos theta, sin(theta_i - theta_j), sin theta) (x) dtheta^2]
+    f = [cos a; sin a; q; 1; (cos theta, sin(theta_i - theta_j), sin theta) (x) dtheta^2],
 
-f @ term_map holds, in order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0;
--Jdot dq] | C dq + G | C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the
-swing-foot position and Jacobian.  Its first 50 entries are the (2, 5, 5)
-pair [D_0; J], D_q the closed loop solves; L = D_0 dq, v_c = J_c dq and
-a_c = J_c ddq + Jdot_c dq give the centroidal columns.  One state forms f on
-Python floats (_state_rows), a stack of states on arrays (_term_rows).
+its quadratic block cut to the products whose rows of the map are not all
+zero (PlanarBiped.quad_pairs, chosen per model).  f @ term_map holds, in
+order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0; -Jdot dq] | C dq + G |
+C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the swing-foot position
+and Jacobian.  Its first 50 entries are the (2, 5, 5) pair [D_0; J], D_q
+the closed loop solves; L = D_0 dq, v_c = J_c dq and a_c = J_c ddq +
+Jdot_c dq give the centroidal columns.  One f, one term_map: one state forms
+f on Python floats (_state_rows), a stack of states on arrays (_term_rows).
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class LinkParams:
 _LINKS = ("torso", "stance_thigh", "stance_shin", "swing_thigh", "swing_shin")
 
 # f (module docstring): cos theta at _C, sin theta at _S, q at _Q, 1 at _ONE,
-# the quadratic block from _QUAD; _NF entries.
+# the quadratic block from _QUAD; _NF entries before the block is cut.
 _C, _S, _Q, _ONE, _QUAD, _NF = 10, 25, 30, 35, 36, 136
 # Entries of f @ term_map.
 _D0, _J, _D, _H0, _JDOT, _R, _H, _CVEC, _G, _JC, _PC, _JDOTC, _PSW, _JSW = (
@@ -220,7 +222,7 @@ class PlanarBiped:
         self.B_b.flags.writeable = self.B_a.flags.writeable = False
 
         # angle_map_T and term_map of the module docstring, term_map's columns
-        # built feature axis first, (_NF, rows) per block.
+        # built feature axis first, (_NF, rows) per block, then cut to f's rows.
         M, W, k, p = self.M_map, self.W, np.arange(5), np.arange(10)
         i, j = np.triu_indices(5, 1)
         self.angle_map_T = np.vstack([M[i] - M[j], M]).T.copy()
@@ -251,15 +253,15 @@ class PlanarBiped:
         c_th[_QUAD + 5 * (5 + p) + j, i], c_th[_QUAD + 5 * (5 + p) + i, j] = W[i, j], -W[i, j]
         c_q = c_th @ M
         cols = (D_q[:, :5], J, D_q, h0, Jdot, -(c_q + G_q)[:, :1], -Jdot, c_q + G_q, c_q, G_q)
-        self.term_map = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
-        # One state's product keeps the quadratic features f[_C + c] dtheta_k^2
-        # whose rows are not zero, (all c, all k) in quad_pairs; the impact's
-        # D_q, J_c and J_sw take no quadratic feature.
-        kept = np.flatnonzero(self.term_map[_QUAD:].any(axis=1))
+        full = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
+        # f keeps the quadratic features f[_C + c] dtheta_k^2 whose rows are
+        # not zero, (all c, all k) in quad_pairs; the impact's D_q, J_c and
+        # J_sw take no quadratic feature.
+        kept = np.flatnonzero(full[_QUAD:].any(axis=1))
         self.quad_pairs = (kept // 5).tolist(), (kept % 5).tolist()
-        self.term_map_one = np.vstack([self.term_map[:_QUAD], self.term_map[_QUAD + kept]])
+        self.term_map = np.vstack([full[:_QUAD], full[_QUAD + kept]])
         self.impact_map = np.hstack([self.term_map[:_QUAD, cols] for cols in (_D, _JC, _JSW)])
-        for a in (self.angle_map_T, self.term_map, self.term_map_one, self.impact_map):
+        for a in (self.angle_map_T, self.term_map, self.impact_map):
             a.flags.writeable = False
 
     @classmethod
@@ -375,7 +377,7 @@ def _features(model: PlanarBiped, q: list, dq: list | None = None) -> list:
 def _state_rows(model: PlanarBiped, q: list, dq: list):
     """(f @ term_map as an ndarray, its list of floats)."""
     f = _features(model, q, dq)
-    rows = np.fromiter(f, float, len(f)).dot(model.term_map_one)
+    rows = np.fromiter(f, float, len(f)).dot(model.term_map)
     return rows, rows.tolist()
 
 
@@ -386,14 +388,14 @@ def _state_rows(model: PlanarBiped, q: list, dq: list):
 def _term_rows(model: PlanarBiped, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """f @ term_map (the module docstring): every closed-form term at once."""
     lead = q.shape[:-1]
-    f = np.empty(lead + (_NF,))
+    f = np.empty(lead + (len(model.term_map),))
     a = q.dot(model.angle_map_T)
     np.cos(a, out=f[..., :15])
     np.sin(a, out=f[..., 15:30])
     f[..., _Q:_ONE], f[..., _ONE] = q, 1.0
     dtheta = dq.dot(model.M_map.T)
-    quad = f[..., _QUAD:].reshape(lead + (20, 5))  # a view: only the last axis splits
-    np.multiply(f[..., _C:_Q, None], (dtheta * dtheta)[..., None, :], out=quad)
+    c, k = model.quad_pairs
+    np.multiply(f[..., _C:_Q][..., c], (dtheta * dtheta)[..., k], out=f[..., _QUAD:])
     return f.dot(model.term_map)
 
 

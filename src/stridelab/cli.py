@@ -183,6 +183,9 @@ def _cmd_poincare(args) -> dict:
         }}
     # FIVE_LINK: warm up a rollout onto the orbit, polish the fixed point,
     # then take symmetric differences of the two-step return map.
+    if args.steps_per_return != 2:
+        raise ValidationError(f"poincare: --steps-per-return {args.steps_per_return} applies "
+                              "to --plant ALIP only (the five-link return map takes 2 steps)")
     model = PlanarBiped.default()
     integ = IntegratorConfig(step_size=args.step_size)
     for a in alphas:
@@ -426,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", choices=("ALIP", "FIVE_LINK"), default="ALIP")
     p.add_argument("--l-des", dest="l_des", type=float, default=0.0,
                    help="momentum target at step end")
-    p.add_argument("--steps-per-return", type=int, choices=(1, 2), default=2)
+    p.add_argument("--steps-per-return", type=int, choices=(1, 2), default=2,
+                   help="ALIP: steps per return map (--plant FIVE_LINK takes only 2)")
     p.add_argument("--warmup", type=int, default=14, bound=(1, _STEP_CAP),
                    help="five-link: steps walked before polishing the fixed point")
     p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-9, bound=_POSITIVE,

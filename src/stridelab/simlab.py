@@ -275,9 +275,8 @@ class WalkingController:
 
     Holds the per-step context (step-start outputs, current placement target,
     per-step L_des); one instance belongs to exactly one rollout.  One state
-    runs on floats (`rows` holds its last term rows); for a stack of N states
-    stepping in lockstep (lanes) the context is per lane: `_h0_start` is
-    (N, 4) and `p_des` is (N,).
+    runs on floats; for a stack of N states stepping in lockstep (lanes) the
+    context is per lane: `_h0_start` is (N, 4) and `p_des` is (N,).
     """
 
     def __init__(
@@ -303,7 +302,6 @@ class WalkingController:
         self._gains = constraints.Kp.tolist(), constraints.Kd.tolist()  # lists serve lanes too
         self._h0_start = [0.0] * 4
         self.p_des = 0.0
-        self.rows = self.step_centroidal = None
         # Kinematic workspace clamp on the placement target: the swing foot
         # cannot land beyond the leg's reach from the hip (which rides a
         # little above the CoM for humanoid mass splits).  Keeps transient
@@ -394,10 +392,10 @@ class WalkingController:
     def torques_from_terms(self, q, dq, tau, terms, u_a, with_u=True):
         """(u, y, ddq) at in-step time tau, given the terms of _state_rows (one
         state's floats) or _dyn_terms (lanes); ddq is the acceleration under u
-        and the ankle torque u_a, and u is None when with_u is False."""
-        one = type(dq) is list
+        and the ankle torque u_a, and u is None when with_u is False.  The
+        term rows are the last item of either."""
         if self.placement_update == "continuous":
-            self.p_des = self._placement(terms[1] if one else terms[3], dq, tau)
+            self.p_des = self._placement(terms[-1], dq, tau)
         s_phase = min(tau / self.gait.T, 1.0)
         h_d, dh_d, ddh_d = self._reference(s_phase, tau)
         Kp, Kd = self._gains
@@ -506,23 +504,16 @@ def assemble_posture(
 
 
 def _five_link_rhs(model, controller, tau, y, with_u=True):
-    """Closed-loop derivative (ydot, u, y_out), with u and ddq from one solve
-    of the [D_0; J] system; u is None when with_u is False (an RK4 stage).
-    y is one state [q; dq], a list of 10 floats giving lists (an ndarray
-    (10,) gives ndarrays), or an (N, 10) stack of lanes at one tau."""
-    one = y if type(y) is list else None if y.ndim == 2 else y.tolist()
-    if one is None:
-        q, dq = y[:, :5], y[:, 5:]
-        terms = bp._dyn_terms(model, q, dq)
-    else:
-        q, dq = one[:5], one[5:]
-        terms = bp._state_rows(model, q, dq)
-        controller.rows = terms[1]
+    """Closed-loop derivative (ydot, u, y_out, rows), with u and ddq from one
+    solve of the [D_0; J] system, and rows the term rows of y; u is None when
+    with_u is False (an RK4 stage).  y is one state [q; dq], a list of 10
+    floats giving lists, or an (N, 10) stack of lanes at one tau giving arrays."""
+    one = type(y) is list
+    q, dq = (y[:5], y[5:]) if one else (y[:, :5], y[:, 5:])
+    terms = (bp._state_rows if one else bp._dyn_terms)(model, q, dq)
     u, y_out, ddq = controller.torques_from_terms(q, dq, tau, terms, controller.ankle(tau), with_u)
-    if one is None:
-        return np.concatenate([dq, ddq], axis=-1), u, y_out
-    out = dq + ddq, u, y_out
-    return out if one is y else tuple(None if v is None else np.array(v) for v in out)
+    ydot = dq + ddq if one else np.concatenate([dq, ddq], axis=-1)
+    return ydot, u, y_out, terms[-1]  # the rows: a list of floats, or an array
 
 
 def _rk4(f, tau, y, h, k1=None):
@@ -593,18 +584,18 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     agrees with its state alone to about 1e-12.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
-    torque.  `recorder(taus, y, us, y_out, ydot=None)` is called once per
-    step, after the switch, with the whole step: `taus` is the float64
+    torque.  `recorder(taus, y, us, y_out, centroidal=None)` is called once
+    per step, after the switch, with the whole step: `taus` is the float64
     ndarray of grid times from 0 to the switch time (included), `us` the
     float64 input there and `y` the states.  Five-link: `y` is the (n, 10)
     float64 stack of [q; dq], `us` and `y_out` the (n, 4) torques and output
-    errors, and `ydot` the (n, 10) state derivatives, so integrand-exact
-    rates need no refactoring downstream; the samples are the first state,
-    each accepted grid point and the event, and meanwhile the controller's
-    `step_centroidal` holds (y, each sample's centroidal terms).  Reduced:
-    `y` is (xs, vs), array('d') of x_c and of L (ALIP) or v_c (LIP), `us`
-    the ankle torque (0.0 at tau = 0), `y_out` None and no `ydot`.
-    A stack of lanes takes no recorder.
+    errors, and `centroidal` the n tuples (p_c, v_c, L, L_c, a_c) of
+    biped._centroidal_terms, each formed from its sample's derivative (the
+    term rows and ddq), so integrand-exact rates need no second pass; the
+    samples are the first state, each accepted grid point and the event.
+    Reduced: `y` is (xs, vs), array('d') of x_c and of L (ALIP) or v_c
+    (LIP), `us` the ankle torque (0.0 at tau = 0), `y_out` None and no
+    `centroidal`.  A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
@@ -623,16 +614,17 @@ def _no_impact(T: float) -> GaitFailureError:
 
 
 def _integrate_step_one(model, controller, state, T, cfg, recorder):
-    h, tau, y = cfg.step_size, 0.0, state.q.tolist() + state.dq.tolist()
-    samples, cents = [], []  # the recorder's (tau, y, u, y_out, ydot), and centroidal terms
+    h, tol, tau = cfg.step_size, cfg.event_tolerance, 0.0
+    y = state.q.tolist() + state.dq.tolist()
+    samples, cents = [], []  # the recorder's (tau, y, u, y_out), and centroidal terms
 
-    def record(tau, y, ydot, u, y_out):  # centroidal terms from the derivative's rows
+    def record(tau, y, out):  # keeps out = (ydot, u, y_out, rows) at (tau, y); gives ydot
         if recorder is not None:
-            samples.append((tau, y, u, y_out, ydot))
-            cents.append(bp._centroidal_terms(model, controller.rows, y[5:], ydot[5:]))
+            samples.append((tau, y, out[1], out[2]))
+            cents.append(bp._centroidal_terms(model, out[3], y[5:], out[0][5:]))
+        return out[0]
 
-    rhs, u, y_out = _five_link_rhs(model, controller, tau, y)
-    record(tau, y, rhs, u, y_out)
+    rhs = record(tau, y, _five_link_rhs(model, controller, tau, y))
     pz_prev = _swing_z(model, y)
     while tau < 2.0 * T - 1e-12:
         y_next = _rk4_advance(model, controller, tau, y, h, rhs)
@@ -640,18 +632,12 @@ def _integrate_step_one(model, controller, state, T, cfg, recorder):
             raise GaitFailureError(f"integrate_step: state diverged at tau = {tau + h:.4f} s")
         tau_next, pz_next = tau + h, _swing_z(model, y_next)
         if tau_next >= 0.5 * T and pz_prev > 0.0 and pz_next <= 0.0:
-            t_event, y_hi, (rhs, u, y_out) = _bisect(
-                model, controller, tau, y, rhs, h, y_next, cfg.event_tolerance
-            )
-            record(t_event, y_hi, rhs, u, y_out)
+            t_event, y_hi, out = _bisect(model, controller, tau, y, rhs, h, y_next, tol)
+            record(t_event, y_hi, out)
             if recorder is not None:
-                taus, ys, us, y_outs, ydots = map(np.array, zip(*samples))
-                controller.step_centroidal = ys, cents
-                recorder(taus, ys, us, y_outs, ydot=ydots)
-                controller.step_centroidal = None
+                recorder(*map(np.array, zip(*samples)), centroidal=cents)
             return BipedState(y_hi[:5], y_hi[5:]), t_event
-        rhs, u, y_out = _five_link_rhs(model, controller, tau_next, y_next)
-        record(tau_next, y_next, rhs, u, y_out)
+        rhs = record(tau_next, y_next, _five_link_rhs(model, controller, tau_next, y_next))
         tau, y, pz_prev = tau_next, y_next, pz_next
     raise _no_impact(T)
 
@@ -838,7 +824,7 @@ class _PointMassPlant:
     def begin_step(self, state, L_des: float) -> None:
         self.L_des = L_des
 
-    def row(self, taus, y, us, y_out, ydot):
+    def row(self, taus, y, us, y_out, centroidal):
         """The step's columns after t and step, from integrate_step's recorder
         arguments."""
         x, m = map(np.frombuffer, y)
@@ -918,25 +904,15 @@ class _FiveLinkPlant:
         self.controller.set_target(L_des)
         self.controller.on_step_start(state)
 
-    def row(self, taus, ys, us, y_outs, ydots):
+    def row(self, taus, ys, us, y_outs, centroidal):
         """The step's columns after t and step, from integrate_step's recorder
         arguments: a column per name, one row per sample."""
-        model = self.model
-        # The centroidal terms integrate_step formed while it records this
-        # step; else formed here, the same bits.  Every recorded y has passed
-        # integrate_step's finiteness check, so each sample calls the
-        # unchecked kernel.
-        known = self.controller.step_centroidal
-        terms = known[1] if known is not None and known[0] is ys else [
-            bp._centroidal_terms(model, bp._state_rows(model, y[:5], y[5:])[1], y[5:], a[5:])
-            for y, a in zip(ys.tolist(), ydots.tolist())
-        ]
-        p_c, v_c, L, L_c, a_c = map(np.array, zip(*terms))
+        p_c, v_c, L, L_c, a_c = map(np.array, zip(*centroidal))
         ankle = np.array([self.controller.ankle(tau) for tau in taus.tolist()])
         # Analytic rate of the centroidal momentum: differentiate
         # L_c = L - m*wedge(p_c, v_c) using dL/dt = m g x_c + u_a.
-        m = model.m_total
-        dL_c = m * model.g * p_c[:, 0] + ankle - m * wedge(p_c.T, a_c.T)
+        m, g = self.model.m_total, self.model.g
+        dL_c = m * g * p_c[:, 0] + ankle - m * wedge(p_c.T, a_c.T)
         return (*ys.T, *p_c.T, *v_c.T, L, L_c, dL_c, *y_outs.T, *us.T)
 
     def exchange(self, s: BipedState):
@@ -969,11 +945,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
     per_step: list[StepRecord] = []
     state, t_base, k = plant.start(), 0.0, 0
 
-    def recorder(taus, y, us, y_out, ydot=None):
+    def recorder(taus, y, us, y_out, centroidal=None):
         head = (t_base + taus, np.full(len(taus), float(k)))
         # The boundary sample at k > 0 is already recorded by the previous step.
         cut = int(k > 0)
-        buf.extend(c[cut:] for c in head + plant.row(taus, y, us, y_out, ydot))
+        buf.extend(c[cut:] for c in head + plant.row(taus, y, us, y_out, centroidal))
 
     for k in range(config.duration):
         plant.begin_step(state, _step_target(gait, config.l_des_final, config.duration, k + 1))

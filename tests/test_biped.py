@@ -315,9 +315,10 @@ def close(a, b, rel):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(model=generated_models, q=angles, dq=rates)
-def test_term_map_matches_the_definitions_on_generated_models(model, q, dq):
-    from stridelab.biped import _centroidal_terms, _dyn_terms, _state_rows
+@given(model=generated_models, q=angles, dq=rates,
+       more=st.lists(st.tuples(angles, rates), max_size=2))
+def test_term_map_matches_the_definitions_on_generated_models(model, q, dq, more):
+    from stridelab.biped import _centroidal_terms, _dyn_terms, _state_rows, _term_rows
     from stridelab.control import _outputs_full
 
     oracle = Oracle(model)
@@ -357,6 +358,11 @@ def test_term_map_matches_the_definitions_on_generated_models(model, q, dq):
     assert close(
         swing_foot_jacobian(model, q), oracle.gradient(lambda x: oracle.points(x)[2], q), 1e-7
     )
+    # One layout: a stack of 1-3 states through _term_rows gives each state's
+    # rows of _state_rows, with the quadratic features this model keeps.
+    Q, DQ = np.array([q, *(a for a, _ in more)]), np.array([dq, *(b for _, b in more)])
+    for row, q_i, dq_i in zip(_term_rows(model, Q, DQ), Q, DQ):
+        assert close(row, _state_rows(model, q_i.tolist(), dq_i.tolist())[0], 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +576,7 @@ def test_five_link_rhs_singular_at_coincident_feet():
         )
         controller.on_step_start(BipedState(np.zeros(5), np.zeros(5)))
         with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:
-            _five_link_rhs(MODEL, controller, 0.1, np.zeros(10))
+            _five_link_rhs(MODEL, controller, 0.1, [0.0] * 10)
         assert len(str(exc.value).splitlines()) == 1 and "lane" not in str(exc.value)
     # The public law on the same state and any reference.
     with pytest.raises(SingularMatrixError, match=re.escape(message)) as exc:

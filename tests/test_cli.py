@@ -391,6 +391,8 @@ BAD_FLAGS = [
     (["predict-fidelity", "--T", "1e-300"], 2, ("gait.T = 1e-300",)),
     (["predict-fidelity", "--T", "1e-160"], 2, ("gait.T = 1e-160",)),
     (["predict-fidelity", "--T", "1e-155"], 2, ("gait.T = 1e-155",)),
+    # The five-link return map always takes two steps.
+    (POINCARE_FIVE_LINK + ["--steps-per-return", "1"], 2, ("poincare: --steps-per-return 1",)),
 ]
 
 

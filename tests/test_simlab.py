@@ -37,6 +37,8 @@ from stridelab import (
 )
 from stridelab import analysis, cli, control, simlab
 from stridelab.biped import (
+    _centroidal_terms,
+    _state_rows,
     centroidal,
     com_acceleration,
     com_velocity,
@@ -587,7 +589,7 @@ def test_controller_placement_rejects_a_non_finite_target(source, L_des):
     state = plant.start()
     plant.begin_step(state, L_des)
     law = "foot_placement_velocity" if source == "v" else "foot_placement_asymptotic"
-    y = np.concatenate([state.q, state.dq])
+    y = state.q.tolist() + state.dq.tolist()
     with pytest.raises(ValidationError, match=f"{law}: non-finite input"):
         simlab._five_link_rhs(plant.model, plant.controller, 0.1, y)
 
@@ -1101,8 +1103,8 @@ def test_five_link_rhs_matches_reference(kw, tau, ankle, z_amplitude, source):
     plant = five_link_plant(ankle, z_amplitude, source)
     state = posture(plant.model, kw)
     plant.begin_step(state, FIVE_GAIT.L_des)
-    y = np.concatenate([state.q, state.dq])
-    ydot, u, y_out = simlab._five_link_rhs(plant.model, plant.controller, tau, y)
+    y = state.q.tolist() + state.dq.tolist()
+    ydot, u, y_out, _ = map(np.array, simlab._five_link_rhs(plant.model, plant.controller, tau, y))
     ddq, u_ref, y_ref = reference_closed_loop(plant.controller, tau, state.q, state.dq)
     assert np.array_equal(ydot[:5], state.dq)
     assert rel_gap(ydot[5:], ddq) <= 1e-12
@@ -1132,13 +1134,13 @@ def test_five_link_rhs_satisfies_the_closed_loop_equations(kws, tau, ankle, z_am
     Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
     lanes = five_link_plant(ankle, z_amplitude, source).controller
     lanes.on_step_start(Y)
-    ydot, u, _ = simlab._five_link_rhs(lanes.model, lanes, tau, Y)
+    ydot, u, _, _ = simlab._five_link_rhs(lanes.model, lanes, tau, Y)
     u_a, model = lanes.ankle(tau), lanes.model
     B = np.vstack([np.zeros(4), np.eye(4)])
     for i, state in enumerate(states):
         one = five_link_plant(ankle, z_amplitude, source).controller
         one.on_step_start(state)
-        ydot_1, u_1, _ = simlab._five_link_rhs(model, one, tau, Y[i])
+        ydot_1, u_1, _, _ = map(np.array, simlab._five_link_rhs(model, one, tau, Y[i].tolist()))
         D, h, J, Jdot_dq, v, _ = reference_terms(one, tau, state.q, state.dq)
         for ddq_k, u_k in ((ydot_1[5:], u_1), (ydot[i, 5:], u[i])):
             Bu = B @ u_k + np.eye(5)[0] * u_a
@@ -1164,11 +1166,11 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
     y = np.concatenate([state.q, state.dq])
     monkeypatch.setattr(np.linalg, "solve", counted)
     for ankle, pair in ((0.0, ()), (1.0, (2,))):
-        for Y in (y, np.array([y, y, y])):
+        for Y in (y.tolist(), np.array([y, y, y])):
             controller = five_link_plant(ankle).controller
-            controller.on_step_start(Y if Y.ndim == 2 else state)
+            controller.on_step_start(state if type(Y) is list else Y)
             simlab._five_link_rhs(controller.model, controller, 0.1, Y)
-            assert calls == [Y.shape[:-1] + pair + (5, 5)]
+            assert calls == [np.shape(Y)[:-1] + pair + (5, 5)]
             calls.clear()
 
 
@@ -1193,10 +1195,15 @@ def test_five_link_row_matches_centroidal_bit_for_bit(samples, ankle):
     states = [posture(model, kw) for kw, _, _ in samples]
     taus = np.array([tau for _, tau, _ in samples])
     ys = np.array([np.concatenate([s.q, s.dq]) for s in states])
-    ydots = np.array([np.concatenate([s.dq, ddq]) for s, (_, _, ddq) in zip(states, samples)])
+    # The centroidal terms integrate_step forms from each sample's derivative.
+    terms = [
+        _centroidal_terms(model, _state_rows(model, s.q.tolist(), s.dq.tolist())[1],
+                          s.dq.tolist(), ddq)
+        for s, (_, _, ddq) in zip(states, samples)
+    ]
     us = np.arange(1.0, 5.0) + np.arange(len(ys))[:, None]
     y_outs = np.arange(-4.0, 0.0) - np.arange(len(ys))[:, None]
-    columns = plant.row(taus, ys, us, y_outs, ydots)
+    columns = plant.row(taus, ys, us, y_outs, terms)
     assert len(columns) == len(plant.columns) - 2  # t and step come first
     for i, (state, (_, tau, ddq)) in enumerate(zip(states, samples)):
         cs = centroidal(model, state)
@@ -1220,9 +1227,10 @@ def test_five_link_row_matches_centroidal_bit_for_bit(samples, ankle):
 )
 def test_five_link_step_records_the_whole_step_in_one_call(ankle, source, update, h):
     # The five-link recorder contract of integrate_step: one call per step,
-    # after the event, with (taus, ys, us, y_outs, ydot=ydots) over the first
-    # state, each accepted grid point and the event, each sample the bits of
-    # _five_link_rhs at its (tau, y).
+    # after the event, with (taus, ys, us, y_outs, centroidal=terms) over the
+    # first state, each accepted grid point and the event, each sample the
+    # bits of _five_link_rhs at its (tau, y) and of the centroidal terms of
+    # its derivative.
     plant = five_link_plant(ankle, source=source)
     plant.controller.placement_update = update
     state = plant.start()
@@ -1234,21 +1242,43 @@ def test_five_link_step_records_the_whole_step_in_one_call(ankle, source, update
     )
     assert len(calls) == 1
     (taus, ys, us, y_outs), kwargs = calls[0]
-    assert list(kwargs) == ["ydot"]
-    ydots = kwargs["ydot"]
+    assert list(kwargs) == ["centroidal"]
+    terms = kwargs["centroidal"]
     n = len(taus)
-    for array_, shape in ((taus, (n,)), (ys, (n, 10)), (us, (n, 4)), (y_outs, (n, 4)),
-                          (ydots, (n, 10))):
+    for array_, shape in ((taus, (n,)), (ys, (n, 10)), (us, (n, 4)), (y_outs, (n, 4))):
         assert isinstance(array_, np.ndarray) and array_.dtype == np.float64
         assert array_.shape == shape
+    assert len(terms) == n
     assert taus[0] == 0.0 and taus[-1] == t_end and np.all(np.diff(taus) > 0)
     assert np.all(np.diff(taus[:-1]) == pytest.approx(h, rel=1e-9))
     assert 0.0 < t_end - taus[-2] <= h
     assert bits(ys[0]) == bits(np.concatenate([state.q, state.dq]))
     assert bits(ys[-1]) == bits(np.concatenate([end.q, end.dq]))
-    for tau, y, u, y_out, ydot in zip(taus.tolist(), ys, us, y_outs, ydots):
-        ydot_1, u_1, y_out_1 = simlab._five_link_rhs(plant.model, plant.controller, tau, y)
-        assert (bits(ydot), bits(u), bits(y_out)) == (bits(ydot_1), bits(u_1), bits(y_out_1))
+    for tau, y, u, y_out, term in zip(taus.tolist(), ys.tolist(), us, y_outs, terms):
+        ydot_1, u_1, y_out_1, rows_1 = simlab._five_link_rhs(
+            plant.model, plant.controller, tau, y
+        )
+        term_1 = _centroidal_terms(plant.model, rows_1, y[5:], ydot_1[5:])
+        assert (bits(u), bits(y_out)) == (bits(np.array(u_1)), bits(np.array(y_out_1)))
+        assert bits(np.hstack(term)) == bits(np.hstack(term_1))
+
+
+def test_controller_keeps_no_per_sample_state():
+    # The controller holds gait context only: a recorded one-state step
+    # leaves every attribute as it was, but for the placement target it
+    # refines along the step.
+    plant = five_link_plant(1.0)
+    state = plant.start()
+    plant.begin_step(state, FIVE_GAIT.L_des)
+    controller = plant.controller
+    before = {name: (value, repr(value)) for name, value in vars(controller).items()}
+    integrate_step(plant.model, controller, state, FIVE_GAIT.T, IntegratorConfig(step_size=2e-3),
+                   lambda *a, **kw: None)
+    after = vars(controller)
+    changed = {name for name in before.keys() | after.keys()
+               if name not in before or name not in after
+               or after[name] is not before[name][0] or repr(after[name]) != before[name][1]}
+    assert changed <= {"p_des"}
 
 
 @pytest.mark.parametrize("ankle, z_amplitude", [(0.0, 0.0), (1.0, 0.02)])
@@ -1339,13 +1369,14 @@ def test_stacked_rhs_rows_match_single_states(kws, tau, ankle, z_amplitude, sour
     Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
     lanes = plant.controller
     lanes.on_step_start(Y)
-    ydot, u, y_out = simlab._five_link_rhs(plant.model, lanes, tau, Y)
+    ydot, u, y_out, _ = simlab._five_link_rhs(plant.model, lanes, tau, Y)
     assert ydot.shape == Y.shape and u.shape == y_out.shape == (len(Y), 4)
     for i, state in enumerate(states):
         one = five_link_plant(ankle, z_amplitude, source).controller
         one.placement_update = update
         one.on_step_start(state)
-        ydot_1, u_1, y_out_1 = simlab._five_link_rhs(plant.model, one, tau, Y[i])
+        y_1 = Y[i].tolist()
+        ydot_1, u_1, _, _ = map(np.array, simlab._five_link_rhs(plant.model, one, tau, y_1))
         assert rel_gap(ydot[i], ydot_1) <= 1e-12
         assert rel_gap(u[i], u_1) <= 1e-12
         assert abs(lanes.p_des[i] - one.p_des) <= 1e-12

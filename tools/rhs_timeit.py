@@ -14,8 +14,11 @@ read only):
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane
-    recorder row      `_FiveLinkPlant.row` on the scenario's first step, as
-                      integrate_step hands it to the recorder, per sample
+    recorder row      `_FiveLinkPlant.row` on the scenario's first step, with
+                      the arguments integrate_step hands the recorder (a
+                      tree that passes `ydot` has row form the centroidal
+                      terms, one that passes `centroidal` has them formed
+                      already), per sample
     five-link step    one whole `integrate_step` of the start state, through
                       `_FiveLinkPlant.row` as run_scenario's recorder calls it
     alip step         `run_scenario` of one ALIP step, through its recorder
@@ -85,7 +88,7 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
         plant = simlab._FiveLinkPlant(cfg)
         state = plant.start()
         plant.begin_step(state, cfg.gait.L_des)
-        y = np.concatenate([state.q, state.dq])
+        y = state.q.tolist() + state.dq.tolist()  # one state is a list of 10 floats
         model, controller = plant.model, plant.controller
         if label == "rhs ankle on" and controller.ankle(TAU_ANKLE) == 0.0:
             raise SystemExit("rhs_timeit: the scenario's ankle torque is zero")
@@ -103,12 +106,13 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
     # One call per step, or one per sample in a tree whose recorder took
     # samples one at a time; either way the row of every sample of the step.
+    # The recorder's keyword (`ydot` or `centroidal`) is row's last argument.
     row_plant = simlab._FiveLinkPlant(config)
     row_plant.begin_step(state, config.gait.L_des)
     calls = []
     simlab.integrate_step(
         row_plant.model, row_plant.controller, state, config.gait.T, config.integrator,
-        lambda *a, **kw: calls.append(a + (kw["ydot"],)),
+        lambda *a, **kw: calls.append(a + tuple(kw.values())),
     )
     n = sum(np.size(a[0]) for a in calls)
     out["recorder row"] = (lambda: [row_plant.row(*a) for a in calls], n, n)
@@ -118,7 +122,7 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
         step_plant.begin_step(state, config.gait.L_des)
         simlab.integrate_step(
             step_plant.model, step_plant.controller, state, config.gait.T, config.integrator,
-            lambda taus, y, us, y_out, ydot=None: step_plant.row(taus, y, us, y_out, ydot),
+            lambda *a, **kw: step_plant.row(*a, *kw.values()),
         )
 
     out["five-link step"] = (five_link_step, 1, 1000)
