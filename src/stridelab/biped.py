@@ -259,9 +259,10 @@ class PlanarBiped:
         # J_sw take no quadratic feature.
         kept = np.flatnonzero(full[_QUAD:].any(axis=1))
         self.quad_pairs = (kept // 5).tolist(), (kept % 5).tolist()
+        self.quad_index = kept // 5, kept % 5  # the same pairs as intp arrays, for stacks
         self.term_map = np.vstack([full[:_QUAD], full[_QUAD + kept]])
         self.impact_map = np.hstack([self.term_map[:_QUAD, cols] for cols in (_D, _JC, _JSW)])
-        for a in (self.angle_map_T, self.term_map, self.impact_map):
+        for a in (self.angle_map_T, self.term_map, self.impact_map, *self.quad_index):
             a.flags.writeable = False
 
     @classmethod
@@ -394,7 +395,7 @@ def _term_rows(model: PlanarBiped, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     np.sin(a, out=f[..., 15:30])
     f[..., _Q:_ONE], f[..., _ONE] = q, 1.0
     dtheta = dq.dot(model.M_map.T)
-    c, k = model.quad_pairs
+    c, k = model.quad_index
     np.multiply(f[..., _C:_Q][..., c], (dtheta * dtheta)[..., k], out=f[..., _QUAD:])
     return f.dot(model.term_map)
 

@@ -29,6 +29,7 @@ digits (lossless round-trip).
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -756,7 +757,10 @@ class _SampleBuffer:
         return np.array(self.data[self.columns.index(name)][start:])
 
     def as_dict(self) -> dict:
-        return {c: np.array(col) for c, col in zip(self.columns, self.data)}
+        """Each column as an ndarray view of its float array, no copy: the
+        buffer must not grow after this (its arrays refuse to resize while
+        a view holds them)."""
+        return {c: np.frombuffer(col) for c, col in zip(self.columns, self.data)}
 
 
 def _ankle_fn(config: ScenarioConfig) -> Callable[[float], float] | None:
@@ -1099,32 +1103,167 @@ def _placement_gap(config: ScenarioConfig, traces: dict) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-_CSV_CHUNK_CELLS = 16384  # cells formatted at a time: bounds the text held in memory
+# Cells encoded at a time.  The encoder's arrays for one chunk must keep
+# write_csv of five 200 000-row columns under the 2 MB tracemalloc bound of
+# test_write_csv_columns_hold_one_chunk_at_a_time.
+_CSV_CHUNK_CELLS = 4096
+
+# The %.17g encoder lays each cell out in 48 source bytes: '-', '0', '.',
+# '0', '0', '0', then the 17 digits each followed by '.', then 'e', the
+# exponent's sign and two digits, ',', '\r', '\n' and a NUL pad.  A cell's
+# text is the source bytes its template keeps, in order: the others are
+# zeroed and every NUL deleted.
+_G17_EXP, _G17_ZERO = 21, 22  # layout classes after the fixed ones, X + 4 for -4 <= X < 17
+
+
+def _g17_layout(cls: int, k: int) -> list[int]:
+    """Source bytes of an unsigned cell of layout class cls with k significant digits."""
+    digit = [6 + 2 * i for i in range(17)]
+    if cls == _G17_ZERO:
+        return [1]
+    if cls == _G17_EXP:
+        return [6] + ([7] + digit[1:k] if k > 1 else []) + [40, 41, 42, 43]
+    X = cls - 4
+    if X < 0:
+        return [1, 2, 3, 4, 5][: 1 - X] + digit[:k]
+    return digit[: X + 1] + ([7 + 2 * X] + digit[X + 1 : k] if k > X + 1 else [])
+
+
+@functools.cache
+def _g17_tables():
+    """The encoder's read-only constants, built on the first write (none at
+    import): the least double >= 10^k for k = -30..18; 10^s = hi + lo
+    exactly for s = 0..45, hi in Veltkamp halves; the half-distance under
+    which a remainder counts as a tie at each s; the little-endian source
+    words of the lead digit, of each 4-digit group (b"d.d.d.d.") and of each
+    exponent; the trailing zeros of each group; the first template of each
+    X's layout class; and the templates as word masks, 68 per class: 17
+    digit counts, two signs, two cell ends."""
+    pow10 = [float(10**k) for k in range(19)]  # exact
+    for k in range(1, 31):
+        v = 1 / 10**k  # correctly rounded
+        num, den = v.as_integer_ratio()
+        pow10.insert(0, math.nextafter(v, math.inf) if num * 10**k < den else v)
+    hi = np.array([float(10**s) for s in range(46)])
+    lo = np.array([float(10**s - int(h)) for s, h in zip(range(46), hi)])
+    hi1 = hi * 134217729.0
+    hi1 -= hi1 - hi
+    words = lambda texts: np.array([int.from_bytes(t, "little") for t in texts], "<u8")
+    lead = words(b"-0.000%d." % d for d in range(10))
+    tail = words(b"e%+03d,\r\n\0" % X for X in range(-30, 19))
+    g = np.arange(10_000, dtype="<u8")
+    group = sum((g // 10 ** (3 - j) % 10 + 48 + (46 << 8)) << np.uint64(16 * j) for j in range(4))
+    zeros4 = sum((g % 10**j == 0).astype(np.uint8) for j in (1, 2, 3)) + (g == 0)
+    first = np.array([X + 4 if -4 <= X < 17 else _G17_EXP for X in range(-30, 19)]) * 68
+    keep = np.zeros((23 * 17 * 4, 48), np.uint8)
+    for t in range(len(keep)):
+        c, k, neg, last = t // 68, t // 4 % 17 + 1, t // 2 % 2, t % 2
+        keep[t, [0] * neg + _g17_layout(c, k) + ([45, 46] if last else [44])] = 0xFF
+    tie = np.where(lo == 0.0, 0.0, 1e-7)  # lo = 0: r is exact, and so is rint's half-even
+    tables = (np.array(pow10), hi, hi1, hi - hi1, lo, tie, lead, group, tail, zeros4, first,
+              keep.view("<u8"))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _g17_rows(block: np.ndarray) -> bytes | None:
+    """The rows of a 2-D numeric block as "%.17g" cells joined by ',', each
+    row ending in '\\r\\n', byte for byte; None if a cell is not proven.
+
+    A nonzero cell |x| in [1e-28, 1e17) with decimal exponent X has the
+    digits D = round(|x| 10^s), s = 16 - X, in [10^16, 10^17).  X is
+    floor(log10|x|) corrected by comparing |x| with the least doubles >= 10^X
+    and 10^(X+1), so it is exact.  |x| 10^s is a Dekker two-product with the
+    exact pair hi + lo = 10^s, whose rounded high part p is an even integer,
+    plus a remainder r: D = p + rint(r), and D = 10^17 means X + 1 with
+    D = 10^16.  For s <= 22, lo = 0 and r is exact, so rint's half-even is
+    %.17g's tie rule; for s > 22, r is good to 1e-14 and no exact tie exists.
+    Proven means D in [10^16, 10^17] and, for s > 22, r not within 1e-7 of
+    a half.  The digits go to ASCII four at a time; each cell keeps the
+    source bytes of its %g layout (fixed for -4 <= X < 17 with trailing
+    zeros and a bare point dropped, else d.ddde±XX; '0' and '-0' for zeros),
+    and one translate of the block deletes the rest."""
+    if block.dtype.kind not in "biuf" or block.itemsize > 8:
+        return None
+    rows, width = block.shape
+    x = block.astype(float, copy=False).ravel()  # float(v) of ints and bools
+    a = np.abs(x)
+    zero = a == 0.0
+    if not ((a < 1e17) & ((a >= 1e-28) | zero)).all():  # also false on nan
+        return None
+    pow10, hi, hi1, hi2, lo, tie, lead_word, group_word, tail_word, zeros4, first, keep = (
+        _g17_tables()
+    )
+    a[zero] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp)
+    X += a >= pow10[X + 31]
+    X -= a < pow10[X + 30]
+    s = 16 - X
+    p = a * hi[s]
+    a1 = a * 134217729.0
+    a1 -= a1 - a
+    a2 = a - a1
+    h1, h2 = hi1[s], hi2[s]
+    r = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo[s]
+    n = np.rint(r)
+    D = p.astype(np.int64) + n.astype(np.int64)
+    if not ((np.abs(np.abs(r - n) - 0.5) >= tie[s]) & (D >= 10**16) & (D <= 10**17)).all():
+        return None
+    top = D == 10**17
+    X += top
+    D[top] = 10**16
+    lead, rest = np.divmod(D, 10**16)
+    hi8, lo8 = np.divmod(rest, 10**8)
+    groups = np.empty((len(D), 4), np.int64)
+    np.divmod(hi8, 10**4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(lo8, 10**4, out=(groups[:, 2], groups[:, 3]))
+    z = zeros4.take(groups)
+    tz = z[:, 0]  # trailing zeros of D, from the leading group down
+    for j in (1, 2, 3):
+        tz = z[:, j] + (z[:, j] == 4) * tz
+    tid = first.take(X + 30)  # template: class * 68 + (digits - 1) * 4 + sign * 2 + end
+    tid[zero] = _G17_ZERO * 68
+    tid += (16 - tz) * 4 + np.signbit(x) * 2
+    tid.reshape(rows, width)[:, -1] += 1  # the row's last cell ends in '\r\n'
+    src = np.empty((len(D), 6), "<u8")
+    src[:, 0] = lead_word.take(lead)
+    src[:, 1:5] = group_word.take(groups)
+    src[:, 5] = tail_word.take(X + 30)
+    src &= keep.take(tid, axis=0)
+    return src.tobytes().translate(None, b"\0")
 
 
 def _chunks(columns: dict):
-    """The text of a CSV, chunk by chunk: the header, then blocks of rows."""
-    yield ",".join(columns) + "\r\n"
+    """The bytes of a CSV, chunk by chunk: the header, then blocks of rows,
+    each through _g17_rows, or through Python's "%.17g" if the encoder
+    cannot prove the block (a non-finite value, |x| outside [1e-28, 1e17) or,
+    below 1e-6, a near-tie), so every byte is what Python writes."""
+    yield (",".join(columns) + "\r\n").encode()
     cols = [np.asarray(col) for col in columns.values()]
     n = max(1, _CSV_CHUNK_CELLS // max(1, len(cols)))  # rows per chunk
     # "%.17g" % v is format(float(v), ".17g"); stacking rounds ints as float(v)
     row_format = ",".join(["%.17g"] * len(cols)) + "\r\n"
     for i in range(0, max(map(len, cols), default=0), n):
         block = np.column_stack([col[i : i + n] for col in cols])
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+        data = _g17_rows(block)
+        if data is None:
+            data = ((row_format * len(block)) % tuple(block.ravel().tolist())).encode()
+        yield data
 
 
 def write_csv(path, columns: dict) -> tuple[str, int]:
     """Write a dict of equal-length numeric columns as a CSV whose header is
     its keys, which must need no quoting (csv.writer layout, floats with 17
-    significant digits), a block of rows at a time, hashing as it writes.
+    significant digits, the bytes of Python's "%.17g"), a block of rows at a
+    time, hashing as it writes.  Cells are encoded on whole numpy blocks
+    (_g17_rows); a block the encoder cannot prove exact goes through "%.17g".
     Returns (sha256 hex digest, byte count) of the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest, size = hashlib.sha256(), 0
     with path.open("wb") as fh:
-        for text in _chunks(columns):
-            data = text.encode()
+        for data in _chunks(columns):
             fh.write(data)
             digest.update(data)
             size += len(data)

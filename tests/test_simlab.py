@@ -8,6 +8,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
+import sys
 import tempfile
 import tracemalloc
 from array import array
@@ -891,6 +893,92 @@ def test_write_csv_columns_hold_one_chunk_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def g17_reference(block):
+    """The rows of a 2-D block as write_csv's fallback writes them."""
+    return "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\r\n" for row in block.tolist()
+    ).encode()
+
+
+def nudged(v, steps):
+    """v moved `steps` doubles up (down if negative)."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+# The encoder's edges: each power of ten from 1e-28 to 1e17 and its
+# neighbours, both ends of the domain and the doubles just outside them,
+# exact ties such as 1000000000000000.25 (dyadic fractions past 1e12),
+# integral floats and signed zeros, and random mantissas at every exponent.
+G17_CELLS = st.one_of(
+    st.builds(lambda k, d: nudged(float(f"1e{k}"), d), st.integers(-28, 17), st.integers(-2, 2)),
+    st.sampled_from([1e-28, nudged(1e-28, -1), nudged(1e17, -1), 1e17, 0.0, -0.0,
+                     1000000000000000.25, 999999999999999.875, 0.5, 2.5, 1e-6, 1e-7]),
+    st.builds(lambda i, e: i * 2.0**e, st.integers(-(2**53), 2**53), st.integers(-3, 3)),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-28, 16)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(rows=st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(G17_CELLS | G17_CELLS.map(operator.neg),
+                                    min_size=width, max_size=width), min_size=1, max_size=6)))
+def test_g17_rows_match_format_on_generated_cells(rows):
+    # Inside the domain (0, or |x| in [1e-28, 1e17)) the encoder proves the
+    # block and writes format's bytes; one cell outside it sends the whole
+    # block to the fallback.
+    block = np.array(rows)
+    got = simlab._g17_rows(block)
+    if all(v == 0.0 or 1e-28 <= abs(v) < 1e17 for v in block.ravel()):
+        assert got == g17_reference(block)
+    else:
+        assert got is None
+
+
+# Cells the encoder leaves to "%.17g": not finite, outside [1e-28, 1e17), and
+# a near-tie below 1e-6, where the remainder is good to 1e-14 only: this
+# one times 10^23 lies 2.4e-8 from a half.
+@pytest.mark.parametrize("poison", [math.nan, 1e300, 5.766281328811719e-07])
+def test_write_csv_encodes_around_a_fallback_chunk(tmp_path, poison):
+    # Three chunks; the poison cell sends only the middle one through "%.17g".
+    width = 3
+    n = simlab._CSV_CHUNK_CELLS // width  # rows per chunk
+    rng = np.random.default_rng(11)
+    cols = {f"c{j}": rng.standard_normal(3 * n) * 10.0 ** rng.integers(-9, 9, 3 * n)
+            for j in range(width)}
+    cols["c1"][n + 5] = poison
+    blocks = [np.column_stack([c[i : i + n] for c in cols.values()]) for i in (0, n, 2 * n)]
+    assert [simlab._g17_rows(b) is None for b in blocks] == [False, True, False]
+    got = simlab.write_csv(tmp_path / "mixed.csv", cols)
+    reference_csv(tmp_path / "ref.csv", list(cols), zip(*cols.values()))
+    blob = (tmp_path / "mixed.csv").read_bytes()
+    assert blob == (tmp_path / "ref.csv").read_bytes()
+    assert got == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+
+@pytest.mark.parametrize("workload", ["simulate-alip", "simulate-five-link"])
+def test_g17_rows_prove_every_block_of_the_benchmark_traces(tmp_path, monkeypatch, workload):
+    # A block the encoder cannot prove costs the fallback's "%.17g", about
+    # three times as much: on the benchmark's seed-0 traces none may.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        from rhs_timeit import scenario_doc
+    finally:
+        sys.path.pop(0)
+    encode, results = simlab._g17_rows, []
+
+    def recorded(block):
+        results.append(encode(block))
+        return results[-1]
+
+    trace = run_scenario(ScenarioConfig.from_json(scenario_doc(workload)))
+    monkeypatch.setattr(simlab, "_g17_rows", recorded)
+    simlab.write_csv(tmp_path / "trace.csv", trace.samples)
+    assert len(results) > 1 and all(r is not None for r in results)
 
 
 # ---------------------------------------------------------------------------

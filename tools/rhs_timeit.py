@@ -6,10 +6,11 @@ and the CSV writer, for two stridelab source trees side by side.
 Each SRC is a directory that holds the `stridelab` package (a checkout's
 `src/`).  Both trees are imported into this one process under names of their
 own, and every repeat times each case on the parent and then on the change,
-so slow drift of the machine falls on both alike.  The five-link cases run on
-the start state of the seed-0 `simulate-five-link` benchmark scenario, the
-last two on the seed-0 `simulate-alip` scenario (perfbench/scenarios.py,
-read only):
+so slow drift of the machine falls on both alike.  The first five cases run
+on the start state of the seed-0 `simulate-five-link` benchmark scenario,
+the next two on the seed-0 `simulate-alip` scenario and the last on the
+whole seed-0 `simulate-five-link` rollout (perfbench/scenarios.py, read
+only):
 
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
@@ -24,6 +25,10 @@ read only):
     alip step         `run_scenario` of one ALIP step, through its recorder
     write_csv alip    `write_csv(path, columns)` of the whole 100-step ALIP
                       trace
+    write_csv five-link  `write_csv(path, columns)` of the whole 14-step
+                      five-link trace, 27 columns, whose output errors
+                      (y_torso ... y_swing_z) fall below 1e-4, where %.17g
+                      writes them in scientific notation
 
 The table gives each case's median over the repeats in microseconds per
 call (per lane for the stack, per sample for the recorder row), the change's
@@ -132,6 +137,9 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     trace = simlab.run_scenario(alip)
     csv_path = out_dir / f"{package.__name__}.csv"
     out["write_csv alip"] = (lambda: simlab.write_csv(csv_path, trace.samples), 1, 10**9)
+    five_link = simlab.run_scenario(config)
+    five_path = out_dir / f"{package.__name__}-five-link.csv"
+    out["write_csv five-link"] = (lambda: simlab.write_csv(five_path, five_link.samples), 1, 10**9)
     return out
 
 
@@ -159,13 +167,13 @@ def main(argv=None) -> int:
                     number = max(1, args.number // weight)
                     seconds = timeit.timeit(fn, number=number)
                     times[side][label].append(1e6 * seconds / (number * lanes))
-    print(f"{'case':<16} {'parent us':>12} {'change us':>12} {'change/parent':>14}"
+    print(f"{'case':<20} {'parent us':>12} {'change us':>12} {'change/parent':>14}"
           f"   parent q1-q3            change q1-q3")
     for label in sides["parent"]:
         p, c = times["parent"][label], times["change"][label]
         pq, cq = statistics.quantiles(p, n=4), statistics.quantiles(c, n=4)
         mp, mc = statistics.median(p), statistics.median(c)
-        print(f"{label:<16} {mp:12.2f} {mc:12.2f} {mc / mp:14.3f}"
+        print(f"{label:<20} {mp:12.2f} {mc:12.2f} {mc / mp:14.3f}"
               f"   {pq[0]:10.2f}-{pq[2]:10.2f}   {cq[0]:10.2f}-{cq[2]:10.2f}")
     return 0
 
