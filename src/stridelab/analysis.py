@@ -314,7 +314,9 @@ def numeric_poincare_jacobian(
     across that list is the practical check that the linearization is
     trustworthy).  ||F(x*) - x*||_inf is checked against residual_tol before
     any column is formed, and a FixedPointError (with the residual) raised
-    when x_star is not actually on a periodic orbit.
+    when x_star is not actually on a periodic orbit.  A delta that some
+    x*_i +- delta does not resolve (the two lie other than 2 delta apart, to
+    a relative 1e-8) raises ValidationError before the map is called.
 
     Stack contract: step_map maps a (k, n) stack of states to the (k, n)
     stack of their images, row by row.  x* and every x* +- delta e_i, for all
@@ -331,6 +333,15 @@ def numeric_poincare_jacobian(
         if not (math.isfinite(d) and d > 0):
             raise ValidationError(
                 f"numeric_poincare_jacobian: delta must be finite and > 0 (got {d})"
+            )
+        # Column i divides by 2 d: x*_i + d and x*_i - d must lie 2 d apart,
+        # to a relative 1e-8, or rounding, not the map, scales the column.
+        unresolved = np.flatnonzero(np.abs((x_star + d) - (x_star - d) - 2.0 * d) > 2e-8 * d)
+        if unresolved.size:
+            i = int(unresolved[0])
+            raise ValidationError(
+                f"numeric_poincare_jacobian: delta = {d:g} is below the resolution of "
+                f"x*[{i}] = {float(x_star[i])!r}: x*[{i}] +- delta do not lie 2 delta apart"
             )
     n = x_star.size
     eye = np.eye(n)

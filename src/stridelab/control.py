@@ -328,9 +328,8 @@ def virtual_constraint_derivatives(
 
     Analytic derivatives of the same rows as virtual_constraint_reference;
     p_des is treated as frozen for differentiation (its slow drift as the
-    prediction refines is feedback's job, not the feedforward's).  For N lanes
-    at one phase, h0_start is (N, 4) and p_des (N,), and each of the three
-    is (N, 4).
+    prediction refines is feedback's job, not the feedforward's).  h0_start
+    is one (4,) output stack and p_des one number; each result is (4,).
     """
     if not math.isfinite(s):
         raise ValidationError("virtual_constraint_reference: non-finite phase")
@@ -341,15 +340,13 @@ def virtual_constraint_derivatives(
     if not _finite(p_des):
         raise ValidationError("virtual_constraint_reference: non-finite p_des")
     h0_start = np.asarray(h0_start, dtype=float)
-    if h0_start.shape != getattr(p_des, "shape", ()) + (4,):
+    if h0_start.shape != (4,) or np.ndim(p_des) != 0:
         raise ValidationError(
-            "virtual_constraint_reference: h0_start must have shape (4,), or (N, 4) for "
-            f"N lanes' p_des, got {h0_start.shape}"
+            "virtual_constraint_reference: h0_start must have shape (4,) and p_des be a "
+            f"number, got shapes {h0_start.shape} and {np.shape(p_des)}"
         )
-    rows = _reference_rows(spec, cmd.T, s, h0_start[..., 2], p_des, (spec.H, 0.0, 0.0))
-    if h0_start.ndim == 1:
-        return tuple(np.array(row) for row in rows)
-    return tuple(_lane_rows(rows, len(h0_start)))
+    rows = _reference_rows(spec, cmd.T, s, float(h0_start[2]), float(p_des), (spec.H, 0.0, 0.0))
+    return tuple(np.array(row) for row in rows)
 
 
 def _reference_rows(spec: VirtualConstraintSpec, T: float, s: float, swx0, p_des, z):
@@ -449,28 +446,19 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with
     D as the second system of a pair in the same solve: the first 50 entries
     of the rows.  One state is lists of floats (terms from _state_rows); for
     a stack of states (q, dq and the terms of _dyn_terms stacked, the
-    references (N, 4)) each result is stacked.  with_u=False gives u None.
+    references (N, 4)) each result is stacked, and u_a is not read: a stack
+    takes no ankle torque (WalkingController.on_step_start refuses one).
+    with_u=False gives u None.
     """
     if type(dq) is list:
         return _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
     D_q, rows = terms[0], terms[3]
     h0, J, _ = _outputs_full(model, terms)
-    h = rows[..., _H]
     y = h0 - h_d
-    lead = q.shape[:-1] + ((2,) if u_a else ())
-    r = np.zeros(lead + (5,))
-    r_law = r[..., 0, :] if u_a else r
-    r_law[...] = rows[..., _R]  # [-(C dq + G)_0; -Jdot dq]
-    r_law[..., 1:] += ddh_d - Kd * ((J @ dq[..., None])[..., 0] - dh_d) - Kp * y
-    K = rows[..., : 50 if u_a else 25].reshape(lead + (5, 5))
-    if not u_a:
-        ddq0 = ddq = _checked_solve(K, r, _DECOUPLING)
-    else:
-        r[..., 1, 0] = 1.0
-        x = _checked_solve(K, r, _PAIR)
-        ddq0 = x[..., 0, :]
-        ddq = ddq0 + u_a * x[..., 1, :]
-    u = (D_q[..., 1:, :] @ ddq0[..., None])[..., 0] + h[..., 1:] if with_u else None
+    r = rows[:, _R].copy()  # [-(C dq + G)_0; -Jdot dq]
+    r[:, 1:] += ddh_d - Kd * ((J @ dq[..., None])[..., 0] - dh_d) - Kp * y
+    ddq = _checked_solve(rows[:, :25].reshape(-1, 5, 5), r, _DECOUPLING)
+    u = (D_q[:, 1:, :] @ ddq[..., None])[..., 0] + rows[:, _H][:, 1:] if with_u else None
     return u, ddq, y
 
 

@@ -274,10 +274,11 @@ class WalkingController:
     """Stance-phase controller: momentum-based foot placement feeding the
     four-output virtual-constraint tracker.
 
-    Holds the per-step context (step-start outputs, current placement target,
-    per-step L_des); one instance belongs to exactly one rollout.  One state
-    runs on floats; for a stack of N states stepping in lockstep (lanes) the
-    context is per lane: `_h0_start` is (N, 4) and `p_des` is (N,).
+    Holds the per-step context only (step-start outputs, the placement
+    committed under "step_start", per-step L_des), which no derivative writes;
+    one instance belongs to exactly one rollout.  One state runs on floats; for
+    a stack of N states stepping in lockstep (lanes, which take no ankle
+    torque) the context is per lane: `_h0_start` is (N, 4) and `p_des` (N,).
     """
 
     def __init__(
@@ -302,7 +303,7 @@ class WalkingController:
         self.L_des = gait.L_des
         self._gains = constraints.Kp.tolist(), constraints.Kd.tolist()  # lists serve lanes too
         self._h0_start = [0.0] * 4
-        self.p_des = 0.0
+        self.p_des = None
         # Kinematic workspace clamp on the placement target: the swing foot
         # cannot land beyond the leg's reach from the hip (which rides a
         # little above the CoM for humanoid mass splits).  Keeps transient
@@ -317,34 +318,38 @@ class WalkingController:
 
     def on_step_start(self, state) -> None:
         """Start a step from a BipedState, or from an (N, 10) stack of
-        [q; dq] rows, one per lane."""
+        [q; dq] rows, one per lane, which an ankle torque rules out."""
         if isinstance(state, BipedState):
             dq = state.dq.tolist()
             rows = bp._state_rows(self.model, state.q.tolist(), dq)[1]
-            self._h0_start, p_start = rows[bp._H0], rows[bp._H0.start + 2]
+            self._h0_start = rows[bp._H0]
         elif np.ndim(state) == 2 and np.shape(state)[1] == 10:
+            if self.ankle_fn is not None:
+                raise ValidationError("on_step_start: a stack of lanes takes no ankle torque")
             dq = state[:, 5:]
             rows = bp._dyn_terms(self.model, state[:, :5], dq)[3]
             self._h0_start = rows[:, bp._H0]
-            p_start = self._h0_start[:, 2].copy()
         else:  # the one check of the shape _reference relies on
             shape = np.shape(state)
             raise ValidationError(f"on_step_start: expected a BipedState or (N, 10), got {shape}")
-        if self.placement_update == "step_start":
-            # Decide the whole step's placement from the fresh post-impact
-            # state; the reference curve then stays fixed for the step.
-            self.p_des = self._placement(rows, dq, 0.0)
-        else:
-            self.p_des = p_start  # refined immediately by the first torque eval
+        step_start = self.placement_update == "step_start"  # placed once, from this state
+        self.p_des = self._placement(rows, dq, 0.0) if step_start else None
 
     def _lanes(self, idx) -> "WalkingController":
         """This controller cut to the lanes idx (an index array or mask); an
         integer gives the single-state controller of that one lane."""
-        lanes = copy.copy(self)
-        lanes._h0_start, lanes.p_des = self._h0_start[idx], self.p_des[idx]
-        if np.ndim(idx) == 0:
-            lanes._h0_start, lanes.p_des = lanes._h0_start.tolist(), float(lanes.p_des)
+        lanes, one = copy.copy(self), np.ndim(idx) == 0
+        lanes._h0_start = self._h0_start[idx].tolist() if one else self._h0_start[idx]
+        if self.p_des is not None:  # committed under "step_start"
+            lanes.p_des = float(self.p_des[idx]) if one else self.p_des[idx]
         return lanes
+
+    def placement(self, rows, dq, tau: float):
+        """The placement target at in-step time tau: the step's committed
+        p_des under "step_start", else the law at the term rows and dq."""
+        if self.placement_update == "step_start":
+            return self.p_des
+        return self._placement(rows, dq, tau)
 
     def _placement(self, rows, dq, tau: float):
         """The target at in-step time tau from term rows and dq: one state's
@@ -378,10 +383,10 @@ class WalkingController:
     def _clamp(self, p_raw: float) -> float:
         return min(max(p_raw, -self._p_max), self._p_max)
 
-    def _reference(self, s_phase: float, tau: float):
+    def _reference(self, s_phase: float, tau: float, p_des):
         # on_step_start gave _h0_start its shape and s_phase lies in [0, 1];
-        # only p_des, refined as the state moves, can turn bad on the way.
-        p_des, T = self.p_des, self.gait.T
+        # only p_des, which follows the state, can turn bad on the way.
+        T = self.gait.T
         if not _finite(p_des):
             raise ValidationError("virtual_constraint_reference: non-finite p_des")
         z = (self.vc.H, 0.0, 0.0) if self.z_profile is None else self.z_profile(min(tau, T))
@@ -389,19 +394,6 @@ class WalkingController:
             return _reference_rows(self.vc, T, s_phase, self._h0_start[2], p_des, z)
         rows = _reference_rows(self.vc, T, s_phase, self._h0_start[:, 2], p_des, z)
         return _lane_rows(rows, len(p_des))
-
-    def torques_from_terms(self, q, dq, tau, terms, u_a, with_u=True):
-        """(u, y, ddq) at in-step time tau, given the terms of _state_rows (one
-        state's floats) or _dyn_terms (lanes); ddq is the acceleration under u
-        and the ankle torque u_a, and u is None when with_u is False.  The
-        term rows are the last item of either."""
-        if self.placement_update == "continuous":
-            self.p_des = self._placement(terms[-1], dq, tau)
-        s_phase = min(tau / self.gait.T, 1.0)
-        h_d, dh_d, ddh_d = self._reference(s_phase, tau)
-        Kp, Kd = self._gains
-        u, ddq, y = _io_torque_core(self.model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
-        return u, y, ddq
 
     def ankle(self, tau: float) -> float:
         return float(self.ankle_fn(tau)) if self.ankle_fn is not None else 0.0
@@ -508,11 +500,16 @@ def _five_link_rhs(model, controller, tau, y, with_u=True):
     """Closed-loop derivative (ydot, u, y_out, rows), with u and ddq from one
     solve of the [D_0; J] system, and rows the term rows of y; u is None when
     with_u is False (an RK4 stage).  y is one state [q; dq], a list of 10
-    floats giving lists, or an (N, 10) stack of lanes at one tau giving arrays."""
+    floats giving lists, or an (N, 10) stack of lanes at one tau giving arrays;
+    pure in (tau, y) under the controller's step context."""
     one = type(y) is list
     q, dq = (y[:5], y[5:]) if one else (y[:, :5], y[:, 5:])
     terms = (bp._state_rows if one else bp._dyn_terms)(model, q, dq)
-    u, y_out, ddq = controller.torques_from_terms(q, dq, tau, terms, controller.ankle(tau), with_u)
+    p_des = controller.placement(terms[-1], dq, tau)
+    s_phase = min(tau / controller.gait.T, 1.0)
+    h_d, dh_d, ddh_d = controller._reference(s_phase, tau, p_des)
+    (Kp, Kd), u_a = controller._gains, controller.ankle(tau)
+    u, ddq, y_out = _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
     ydot = dq + ddq if one else np.concatenate([dq, ddq], axis=-1)
     return ydot, u, y_out, terms[-1]  # the rows: a list of floats, or an array
 
@@ -578,11 +575,12 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     impact occurs by 2T a GaitFailureError is raised.  The five-link `state`
     is a BipedState, stepped on Python floats (numpy forms only the term
     product and the solve), or an (N, 10) stack of [q; dq] rows (lanes),
-    stepped on arrays under a controller that holds N lanes' context: the
-    lanes step in lockstep on one tau grid, a lane leaves the stack at its
-    own guard crossing, bisected on that lane's floats, and the result is the
-    (N, 10) stack of pre-switch states with the (N,) switch times; a lane
-    agrees with its state alone to about 1e-12.  Reduced plants (pass
+    stepped on arrays under a controller that holds N lanes' context and no
+    ankle torque: the lanes step in lockstep on one tau grid, a lane leaves
+    the stack at its own guard crossing, bisected on that lane's floats, and
+    the result is the (N, 10) stack of pre-switch states with the (N,)
+    switch times; a lane agrees with its state alone to about 1e-12.  No
+    call writes to the controller.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
     torque.  `recorder(taus, y, us, y_out, centroidal=None)` is called once
@@ -654,7 +652,6 @@ def _integrate_step_lanes(model, controller, state, T, cfg, recorder):
     # in the result, which holds each crossed lane's pre-switch state and time.
     lanes = np.arange(len(y))
     y_sw, t_sw = np.empty((len(lanes), 10)), np.empty(len(lanes))
-    caller = controller  # keeps every lane's p_des; `controller` drops crossed lanes
     rhs = _five_link_rhs(model, controller, tau, y, False)[0]
     pz_prev = _swing_z(model, y)
     while tau < 2.0 * T - 1e-12:
@@ -664,11 +661,10 @@ def _integrate_step_lanes(model, controller, state, T, cfg, recorder):
         tau_next, pz_next = tau + h, _swing_z(model, y_next)
         if tau_next >= 0.5 * T and np.any(hit := (pz_prev > 0.0) & (pz_next <= 0.0)):
             for i in np.flatnonzero(hit).tolist():
-                lane, k1 = controller._lanes(i), rhs[i].tolist()
                 t_sw[lanes[i]], y_sw[lanes[i]], _ = _bisect(
-                    model, lane, tau, y[i].tolist(), k1, h, y_next[i].tolist(), cfg.event_tolerance
+                    model, controller._lanes(i), tau, y[i].tolist(), rhs[i].tolist(), h,
+                    y_next[i].tolist(), cfg.event_tolerance,
                 )
-                caller.p_des[lanes[i]] = lane.p_des  # the placement at the lane's event
             keep = ~hit
             if not keep.any():
                 return y_sw, t_sw
@@ -836,7 +832,7 @@ class _PointMassPlant:
             return x, m, m / self.mH
         return x, self.mH * m, m
 
-    def exchange(self, s):
+    def exchange(self, s, t_imp: float):  # t_imp is T: the step switches on the clock
         gait, mH = self.config.gait, self.mH
         if self.is_alip:
             L = s.L
@@ -919,8 +915,12 @@ class _FiveLinkPlant:
         dL_c = m * g * p_c[:, 0] + ankle - m * wedge(p_c.T, a_c.T)
         return (*ys.T, *p_c.T, *v_c.T, L, L_c, dL_c, *y_outs.T, *us.T)
 
-    def exchange(self, s: BipedState):
-        model = self.model
+    def exchange(self, s: BipedState, t_imp: float):
+        # The placement at the event, from the inputs of the guard search's
+        # last derivative (the pre-impact state at t_imp): the same bits.
+        model, dq = self.model, s.dq.tolist()
+        rows = bp._state_rows(model, s.q.tolist(), dq)[1]
+        placement = self.controller.placement(rows, dq, t_imp)
         cs_minus = bp.centroidal(model, s)
         plus, impulse = bp._impact_solution(model, s)
         p_sw = bp.swing_foot_position(model, s.q)
@@ -931,7 +931,7 @@ class _FiveLinkPlant:
             cs_minus.v_c.copy(),
             np.array([-p_sw[0], -p_sw[1]]),
             np.asarray(impulse, dtype=float),
-            float(self.controller.p_des),
+            placement,
         )
 
 
@@ -962,7 +962,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:
             plant.model, plant.controller, state, gait.T, config.integrator, recorder
         )
         # exchange() returns the event's fields from state_plus on
-        state, *exchanged = plant.exchange(state_minus)
+        state, *exchanged = plant.exchange(state_minus, t_imp)
         ev = ImpactEvent(k, t_base + t_imp, state_minus, state, *exchanged)
         events.append(ev)
         step_vx = buf.column("vx_c", n_before)

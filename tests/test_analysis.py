@@ -407,6 +407,23 @@ def test_numeric_jacobian_rejects_bad_delta_before_any_call(delta):
         numeric_poincare_jacobian(never, np.zeros(2), delta)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-15, [1e-4, 1e-15]])
+def test_numeric_jacobian_rejects_a_delta_below_the_resolution_of_x_star(delta):
+    # At x* = (-0.1005, 14.4), 1e-300 leaves every entry where it was (J = 0)
+    # and 1e-15 moves 14.4 by one ulp, 1.8e-15, on each side: neither
+    # difference is 2 delta wide, so the columns would be rounding.
+    step = alip_closed_loop_step_map(PARAMS, 0.3, 0.5, 14.4)
+    x_star = alip_closed_loop_poincare(PARAMS, 0.3, 0.5, 14.4).fixed_point
+
+    def never(x):
+        raise AssertionError("the map was called")
+
+    with pytest.raises(ValidationError, match="delta = 1e-(300|15) is below the resolution of x"):
+        numeric_poincare_jacobian(never, x_star, delta)
+    res = numeric_poincare_jacobian(step, x_star, 1e-4)
+    assert abs(np.max(np.abs(res.eigenvalues)) - 0.5) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # prediction fidelity
 # ---------------------------------------------------------------------------

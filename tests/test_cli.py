@@ -454,6 +454,18 @@ def test_poincare_five_link_divergence_exits_3(capsys):
     assert "numerical failure: foot_placement_asymptotic" in lines[0] and "tau =" in lines[0]
 
 
+def test_poincare_five_link_delta_below_resolution_exits_2(capsys):
+    # Within --delta's bound (> 0, at most 1), yet below the resolution of
+    # x*: found at the Jacobian, after a short warm-up and fixed point.
+    argv = POINCARE_FIVE_LINK + ["--warmup", "1", "--fp-tol", "1e-3", "--delta", "1e-300"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1, lines
+    assert "delta = 1e-300 is below the resolution of x*" in lines[0]
+    assert "dominant" not in out.out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

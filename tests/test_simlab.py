@@ -6,6 +6,7 @@ artifact determinism/round-trip, and the twin-placement comparison protocol.
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -48,7 +49,13 @@ from stridelab.biped import (
     gravity_vector,
     mass_matrix,
 )
-from stridelab.control import planar_outputs, virtual_constraint_derivatives
+from stridelab.control import (
+    foot_placement_asymptotic,
+    foot_placement_velocity,
+    planar_outputs,
+    predict_L_end,
+    virtual_constraint_derivatives,
+)
 from stridelab.errors import GaitFailureError
 from stridelab.simlab import (
     SineHeightProfile,
@@ -1137,12 +1144,37 @@ def posture(model, kw):
         assume(False)
 
 
+def placement_oracle(controller, tau, state):
+    """The placement law at in-step time tau from the public laws: the
+    end-of-step momentum (predict_L_end at T - tau) or CoM velocity (its LIP
+    counterpart) predicted from centroidal(state), through
+    foot_placement_asymptotic or foot_placement_velocity toward the
+    controller's L_des, clamped to the leg's reach from a hip 8 cm above H."""
+    model, gait, params = controller.model, controller.gait, controller.params
+    cs, remaining = centroidal(model, state), max(gait.T - tau, 0.0)
+    if controller.placement_source == "v":
+        ell, mH = params.ell, params.m * params.H
+        sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
+        v_hat = ell * sh * cs.p_c[0] + ch * cs.v_c[0]
+        p = foot_placement_velocity(params, v_hat, controller.L_des / mH, gait.T, gait.alpha)
+    else:
+        L_hat = predict_L_end(params, cs.p_c[0], cs.L, remaining)
+        p = foot_placement_asymptotic(params, L_hat, controller.L_des, gait.T, gait.alpha)
+    reach, hip_z = 0.97 * (model.thigh.length + model.shin.length), params.H + 0.08
+    p_max = math.sqrt(reach * reach - hip_z * hip_z)
+    return min(max(p, -p_max), p_max)
+
+
 def reference_terms(controller, tau, q, dq):
     """(D, C dq + G, J, Jdot dq, v, y) of one state under a single-state
     controller, from mass_matrix, coriolis_matrix, gravity_vector and
     planar_outputs: v = ddh_d - Kd dy - Kp y is the output acceleration the
-    tracking law commands."""
+    tracking law commands toward the step's committed placement
+    ("step_start") or placement_oracle's."""
     model, gait = controller.model, controller.gait
+    p_des = controller.p_des
+    if controller.placement_update == "continuous":
+        p_des = placement_oracle(controller, tau, sl.BipedState(q, dq))
     D = mass_matrix(model, q)
     h = coriolis_matrix(model, q, dq) @ dq + gravity_vector(model, q)
     h0, J = planar_outputs(model, q)
@@ -1152,7 +1184,7 @@ def reference_terms(controller, tau, q, dq):
     dt2 = dtheta * dtheta
     Jdot_dq = -(model.P_sin @ (np.sin(theta) * dt2)) - model.P_cos @ (np.cos(theta) * dt2)
     h_d, dh_d, ddh_d = virtual_constraint_derivatives(
-        controller.vc, gait, min(tau / gait.T, 1.0), controller._h0_start, controller.p_des
+        controller.vc, gait, min(tau / gait.T, 1.0), controller._h0_start, p_des
     )
     if controller.z_profile is not None:
         h_d[1], dh_d[1], ddh_d[1] = controller.z_profile(min(tau, gait.T))
@@ -1214,35 +1246,40 @@ def equation_gap(lhs, rhs, *terms):
     source=st.sampled_from(["L", "v"]),
 )
 def test_five_link_rhs_satisfies_the_closed_loop_equations(kws, tau, ankle, z_amplitude, source):
-    # The derivative's (ddq, u), for one state and for a stack of lanes,
-    # satisfy the plant's equations D ddq + C dq + G = B_b u + B_a u_a, and,
-    # when no ankle torque disturbs the law, the commanded output
-    # acceleration J ddq + Jdot dq = v.
+    # The derivative's (ddq, u), for one state with no ankle torque and with
+    # the drawn one, and for a stack of lanes (which takes none), satisfy
+    # the plant's equations D ddq + C dq + G = B_b u + B_a u_a, and, when no
+    # ankle torque disturbs the law, the commanded output acceleration
+    # J ddq + Jdot dq = v.
     states = [posture(PlanarBiped.default(), kw) for kw in kws]
     Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
-    lanes = five_link_plant(ankle, z_amplitude, source).controller
+    lanes = five_link_plant(0.0, z_amplitude, source).controller
     lanes.on_step_start(Y)
     ydot, u, _, _ = simlab._five_link_rhs(lanes.model, lanes, tau, Y)
-    u_a, model = lanes.ankle(tau), lanes.model
+    model = lanes.model
     B = np.vstack([np.zeros(4), np.eye(4)])
     for i, state in enumerate(states):
-        one = five_link_plant(ankle, z_amplitude, source).controller
-        one.on_step_start(state)
-        ydot_1, u_1, _, _ = map(np.array, simlab._five_link_rhs(model, one, tau, Y[i].tolist()))
+        derivatives = [(0.0, ydot[i], u[i])]  # (u_a, ydot, u): lane i, then one state
+        for amplitude in dict.fromkeys((0.0, ankle)):
+            one = five_link_plant(amplitude, z_amplitude, source).controller
+            one.on_step_start(state)
+            ydot_1, u_1, _, _ = map(np.array, simlab._five_link_rhs(model, one, tau, Y[i].tolist()))
+            derivatives.append((one.ankle(tau), ydot_1, u_1))
         D, h, J, Jdot_dq, v, _ = reference_terms(one, tau, state.q, state.dq)
-        for ddq_k, u_k in ((ydot_1[5:], u_1), (ydot[i, 5:], u[i])):
-            Bu = B @ u_k + np.eye(5)[0] * u_a
+        for u_a, ydot_k, u_k in derivatives:
+            ddq_k, Bu = ydot_k[5:], B @ u_k + np.eye(5)[0] * u_a
             assert equation_gap(D @ ddq_k + h, Bu, np.abs(D) @ np.abs(ddq_k), h, Bu) <= 1e-9
             if u_a == 0.0:
                 Jddq_size = np.abs(J) @ np.abs(ddq_k)
                 assert equation_gap(J @ ddq_k + Jdot_dq, v, Jddq_size, Jdot_dq, v) <= 1e-9
+        _, ydot_1, u_1 = derivatives[1]  # one state without ankle torque, as the lanes
         assert rel_gap(ydot[i], ydot_1) <= 1e-12
         assert rel_gap(u[i], u_1) <= 1e-12
 
 
 def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
-    # The tracking law and the plant share one solve: with the ankle torque
-    # off or on, for one state and for a stack of lanes.
+    # The tracking law and the plant share one solve: for one state with the
+    # ankle torque off or on, and for a stack of lanes, which takes none.
     calls = []
     solve = np.linalg.solve
 
@@ -1253,13 +1290,16 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
     state = assemble_posture(PlanarBiped.default(), 0.02, 0.6, -0.2, 0.02, (0.7, 0.0))
     y = np.concatenate([state.q, state.dq])
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for ankle, pair in ((0.0, ()), (1.0, (2,))):
-        for Y in (y.tolist(), np.array([y, y, y])):
-            controller = five_link_plant(ankle).controller
-            controller.on_step_start(state if type(Y) is list else Y)
-            simlab._five_link_rhs(controller.model, controller, 0.1, Y)
-            assert calls == [np.shape(Y)[:-1] + pair + (5, 5)]
-            calls.clear()
+    for ankle, Y, shape in (
+        (0.0, y.tolist(), (5, 5)),
+        (1.0, y.tolist(), (2, 5, 5)),
+        (0.0, np.array([y, y, y]), (3, 5, 5)),
+    ):
+        controller = five_link_plant(ankle).controller
+        controller.on_step_start(state if type(Y) is list else Y)
+        simlab._five_link_rhs(controller.model, controller, 0.1, Y)
+        assert calls == [shape]
+        calls.clear()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -1352,21 +1392,66 @@ def test_five_link_step_records_the_whole_step_in_one_call(ankle, source, update
 
 
 def test_controller_keeps_no_per_sample_state():
-    # The controller holds gait context only: a recorded one-state step
-    # leaves every attribute as it was, but for the placement target it
-    # refines along the step.
+    # The controller holds step context only: under either placement update,
+    # a recorded one-state step (with an ankle torque) and a step of lanes
+    # leave every attribute as it was.
+    for update, (ankle, lanes) in itertools.product(
+        ("continuous", "step_start"), ((1.0, False), (0.0, True))
+    ):
+        plant = five_link_plant(ankle)
+        plant.controller.placement_update = update
+        state = plant.start()
+        x0 = np.concatenate([state.q, state.dq])
+        start = x0 + np.outer([0.0, 0.01], np.eye(10)[5]) if lanes else state
+        plant.begin_step(start, FIVE_GAIT.L_des)
+        controller = plant.controller
+        before = {name: (value, repr(value)) for name, value in vars(controller).items()}
+        recorder = None if lanes else (lambda *a, **kw: None)
+        integrate_step(plant.model, controller, start, FIVE_GAIT.T,
+                       IntegratorConfig(step_size=2e-3), recorder)
+        after = vars(controller)
+        changed = {name for name in before.keys() | after.keys()
+                   if name not in before or name not in after
+                   or after[name] is not before[name][0] or repr(after[name]) != before[name][1]}
+        assert not changed, (update, lanes)
+
+
+def test_controller_refuses_lanes_under_an_ankle_torque():
     plant = five_link_plant(1.0)
     state = plant.start()
-    plant.begin_step(state, FIVE_GAIT.L_des)
-    controller = plant.controller
-    before = {name: (value, repr(value)) for name, value in vars(controller).items()}
-    integrate_step(plant.model, controller, state, FIVE_GAIT.T, IntegratorConfig(step_size=2e-3),
-                   lambda *a, **kw: None)
-    after = vars(controller)
-    changed = {name for name in before.keys() | after.keys()
-               if name not in before or name not in after
-               or after[name] is not before[name][0] or repr(after[name]) != before[name][1]}
-    assert changed <= {"p_des"}
+    with pytest.raises(ValidationError, match="ankle torque") as info:
+        plant.begin_step(np.concatenate([state.q, state.dq])[None], FIVE_GAIT.L_des)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("update", ["continuous", "step_start"])
+@pytest.mark.parametrize("source", ["L", "v"])
+@pytest.mark.parametrize("ankle, z_amplitude", [(0.0, 0.0), (1.0, 0.02)])
+def test_event_placement_is_the_law_at_the_event(update, source, ankle, z_amplitude):
+    # Each five-link ImpactEvent.placement is the public laws' target: at
+    # the pre-impact state and the in-step event time ("continuous"), or at
+    # the step's start state and time 0 ("step_start").
+    cfg = ScenarioConfig(
+        plant="FIVE_LINK",
+        gait=FIVE_GAIT,
+        constraints=VC,
+        duration=3,
+        integrator=IntegratorConfig(step_size=2e-3),
+        ankle_amplitude=ankle,
+        z_amplitude=z_amplitude,
+        placement_source=source,
+        placement_update=update,
+    )
+    trace = run_scenario(cfg)
+    controller = simlab._FiveLinkPlant(cfg).controller  # the law's settings, never stepped
+    starts = [simlab._FiveLinkPlant(cfg).start()] + [ev.state_plus for ev in trace.events]
+    t_starts = [0.0] + [ev.t for ev in trace.events]
+    for ev, start, t_start in zip(trace.events, starts, t_starts):
+        if update == "step_start":
+            want = placement_oracle(controller, 0.0, start)
+        else:
+            want = placement_oracle(controller, ev.t - t_start, ev.state_minus)
+        assert abs(ev.placement - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("ankle, z_amplitude", [(0.0, 0.0), (1.0, 0.02)])
@@ -1445,13 +1530,12 @@ def test_float_rk4_is_array_rk4_bit_for_bit(y, ks, tau, h):
 @given(
     kws=st.lists(five_link_states, min_size=1, max_size=4),
     tau=st.floats(0.0, 0.7),
-    ankle=st.floats(0.0, 1.5),
     z_amplitude=st.sampled_from([0.0, 0.02]),
     source=st.sampled_from(["L", "v"]),
     update=st.sampled_from(["continuous", "step_start"]),
 )
-def test_stacked_rhs_rows_match_single_states(kws, tau, ankle, z_amplitude, source, update):
-    plant = five_link_plant(ankle, z_amplitude, source)
+def test_stacked_rhs_rows_match_single_states(kws, tau, z_amplitude, source, update):
+    plant = five_link_plant(0.0, z_amplitude, source)  # a stack takes no ankle torque
     plant.controller.placement_update = update
     states = [posture(plant.model, kw) for kw in kws]
     Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
@@ -1460,14 +1544,15 @@ def test_stacked_rhs_rows_match_single_states(kws, tau, ankle, z_amplitude, sour
     ydot, u, y_out, _ = simlab._five_link_rhs(plant.model, lanes, tau, Y)
     assert ydot.shape == Y.shape and u.shape == y_out.shape == (len(Y), 4)
     for i, state in enumerate(states):
-        one = five_link_plant(ankle, z_amplitude, source).controller
+        one = five_link_plant(0.0, z_amplitude, source).controller
         one.placement_update = update
         one.on_step_start(state)
         y_1 = Y[i].tolist()
         ydot_1, u_1, _, _ = map(np.array, simlab._five_link_rhs(plant.model, one, tau, y_1))
         assert rel_gap(ydot[i], ydot_1) <= 1e-12
         assert rel_gap(u[i], u_1) <= 1e-12
-        assert abs(lanes.p_des[i] - one.p_des) <= 1e-12
+        if update == "step_start":  # the placement each lane committed at its start
+            assert abs(lanes.p_des[i] - one.p_des) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -1508,7 +1593,6 @@ def test_stacked_lanes_cross_at_different_grid_steps(orbit_map):
         s_1, t_1 = integrate_step(model, one, state, FIVE_GAIT.T, cfg.integrator)
         assert abs(t - t_1) <= 1e-12
         assert np.max(np.abs(y - np.concatenate([s_1.q, s_1.dq]))) <= 1e-12 * np.max(np.abs(y))
-        assert abs(lanes.p_des[i] - one.p_des) <= 1e-12  # the placement at each event
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)

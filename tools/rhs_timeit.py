@@ -14,12 +14,12 @@ only):
 
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
-    rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane
+    rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane,
+                      with the ankle torque zero (`ankle_amplitude=0.0`):
+                      a stack takes none
     recorder row      `_FiveLinkPlant.row` on the scenario's first step, with
-                      the arguments integrate_step hands the recorder (a
-                      tree that passes `ydot` has row form the centroidal
-                      terms, one that passes `centroidal` has them formed
-                      already), per sample
+                      the arguments integrate_step hands the recorder, per
+                      sample
     five-link step    one whole `integrate_step` of the start state, through
                       `_FiveLinkPlant.row` as run_scenario's recorder calls it
     alip step         `run_scenario` of one ALIP step, through its recorder
@@ -98,8 +98,9 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
         if label == "rhs ankle on" and controller.ankle(TAU_ANKLE) == 0.0:
             raise SystemExit("rhs_timeit: the scenario's ankle torque is zero")
         out[label] = (lambda m=model, c=controller, y=y: rhs(m, c, TAU_ANKLE, y), 1, 1)
-    # The stack: the start state and 19 small, fixed perturbations of it.
-    plant = simlab._FiveLinkPlant(config)
+    # The stack: the start state and 19 small, fixed perturbations of it,
+    # without the ankle torque, which a stack of lanes does not take.
+    plant = simlab._FiveLinkPlant(replace(config, ankle_amplitude=0.0))
     state = plant.start()
     y = np.concatenate([state.q, state.dq])
     offsets = 1e-3 * np.sin(np.arange(LANES * 10).reshape(LANES, 10))
@@ -109,9 +110,8 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     plant.controller.on_step_start(Y)
     lanes = plant.controller
     out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
-    # One call per step, or one per sample in a tree whose recorder took
-    # samples one at a time; either way the row of every sample of the step.
-    # The recorder's keyword (`ydot` or `centroidal`) is row's last argument.
+    # The row of every sample of the step, from the one recorder call; the
+    # recorder's keyword `centroidal` is row's last argument.
     row_plant = simlab._FiveLinkPlant(config)
     row_plant.begin_step(state, config.gait.L_des)
     calls = []
