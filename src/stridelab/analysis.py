@@ -299,6 +299,19 @@ def find_fixed_point(
     raise FixedPointError("find_fixed_point: no convergence", residual=residual)
 
 
+def _check_delta_resolves(owner: str, name: str, x: np.ndarray, d: float) -> None:
+    """Raise ValidationError unless each x_i + d and x_i - d lie 2 d apart,
+    to a relative 1e-8: a symmetric difference divides by 2 d, so otherwise
+    rounding, not the map, scales its column."""
+    unresolved = np.flatnonzero(np.abs((x + d) - (x - d) - 2.0 * d) > 2e-8 * d)
+    if unresolved.size:
+        i = int(unresolved[0])
+        raise ValidationError(
+            f"{owner}: delta = {d:g} is below the resolution of "
+            f"{name}[{i}] = {float(x[i])!r}: {name}[{i}] +- delta do not lie 2 delta apart"
+        )
+
+
 def numeric_poincare_jacobian(
     step_map: Callable[[np.ndarray], np.ndarray],
     x_star,
@@ -334,15 +347,7 @@ def numeric_poincare_jacobian(
             raise ValidationError(
                 f"numeric_poincare_jacobian: delta must be finite and > 0 (got {d})"
             )
-        # Column i divides by 2 d: x*_i + d and x*_i - d must lie 2 d apart,
-        # to a relative 1e-8, or rounding, not the map, scales the column.
-        unresolved = np.flatnonzero(np.abs((x_star + d) - (x_star - d) - 2.0 * d) > 2e-8 * d)
-        if unresolved.size:
-            i = int(unresolved[0])
-            raise ValidationError(
-                f"numeric_poincare_jacobian: delta = {d:g} is below the resolution of "
-                f"x*[{i}] = {float(x_star[i])!r}: x*[{i}] +- delta do not lie 2 delta apart"
-            )
+        _check_delta_resolves("numeric_poincare_jacobian", "x*", x_star, d)
     n = x_star.size
     eye = np.eye(n)
     # Rows: x*, then x* + d e_i for i < n, then x* - d e_i, for each d in turn.

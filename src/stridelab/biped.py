@@ -52,8 +52,11 @@ order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0; -Jdot dq] | C dq + G |
 C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the swing-foot position
 and Jacobian.  Its first 50 entries are the (2, 5, 5) pair [D_0; J], D_q
 the closed loop solves; L = D_0 dq, v_c = J_c dq and a_c = J_c ddq +
-Jdot_c dq give the centroidal columns.  One f, one term_map: one state forms
-f on Python floats (_state_rows), a stack of states on arrays (_term_rows).
+Jdot_c dq give the centroidal columns.  The impact reads D_q, J_c and J_sw
+from the same rows, with no second constant, so one evaluation of the
+pre-impact state gives every touchdown quantity.  One f, one term_map: one
+state forms f on Python floats (_state_rows), a stack of states on arrays
+(_term_rows).
 """
 
 from __future__ import annotations
@@ -255,14 +258,12 @@ class PlanarBiped:
         cols = (D_q[:, :5], J, D_q, h0, Jdot, -(c_q + G_q)[:, :1], -Jdot, c_q + G_q, c_q, G_q)
         full = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
         # f keeps the quadratic features f[_C + c] dtheta_k^2 whose rows are
-        # not zero, (all c, all k) in quad_pairs; the impact's D_q, J_c and
-        # J_sw take no quadratic feature.
+        # not zero, (all c, all k) in quad_pairs.
         kept = np.flatnonzero(full[_QUAD:].any(axis=1))
         self.quad_pairs = (kept // 5).tolist(), (kept % 5).tolist()
         self.quad_index = kept // 5, kept % 5  # the same pairs as intp arrays, for stacks
         self.term_map = np.vstack([full[:_QUAD], full[_QUAD + kept]])
-        self.impact_map = np.hstack([self.term_map[:_QUAD, cols] for cols in (_D, _JC, _JSW)])
-        for a in (self.angle_map_T, self.term_map, self.impact_map, *self.quad_index):
+        for a in (self.angle_map_T, self.term_map, *self.quad_index):
             a.flags.writeable = False
 
     @classmethod
@@ -363,13 +364,11 @@ def _cos_sin(a: list) -> list:
         return _cos_sin([v if math.isfinite(v) else math.nan for v in a])
 
 
-def _features(model: PlanarBiped, q: list, dq: list | None = None) -> list:
-    """f, its quadratic block cut to model.quad_pairs; without dq, f[:_QUAD]."""
+def _features(model: PlanarBiped, q: list, dq: list) -> list:
+    """f, its quadratic block cut to model.quad_pairs."""
     t0, t1, t2, t3, t4 = t = [*accumulate(q)]  # theta = M_map q
     f = _cos_sin([t0 - t1, t0 - t2, t0 - t3, t0 - t4, t1 - t2,
                   t1 - t3, t1 - t4, t2 - t3, t2 - t4, t3 - t4, *t]) + q + [1.0]
-    if dq is None:
-        return f
     sq = [v * v for v in accumulate(dq)]
     trig, (c, k) = f[_C:_Q], model.quad_pairs
     return f + [*map(mul, map(trig.__getitem__, c), map(sq.__getitem__, k))]
@@ -457,16 +456,15 @@ def _cond_estimate(D: np.ndarray) -> float:
         return float("inf")
 
 
-def _checked_solve(D: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
-    """x with D x = rhs, for one system, D (n, n) with rhs (n,) or (n, k), or
-    for a stack of them, D (N, n, n) with rhs (N, n) or (N, n, k).  Each
-    system must meet the relative residual bound.  `what` names the system in
-    an error, or is a pair of names for a pair of systems on the axis before
-    each matrix (after the lanes', if any)."""
+def _checked_solve(D: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """x with D x = rhs, for one system, D (n, n) with rhs (n,), or for a
+    stack of N systems, D (N, n, n) with rhs (N, n).  Each system must meet
+    the relative residual bound.  `what` names the system in an error, which
+    names the first failing lane of a stack."""
     lead = D.shape[:-2]
     # np.linalg.solve reads a stack of vectors as one matrix: give each
     # system's vector a column of its own.
-    b = rhs[..., None] if lead and rhs.ndim < D.ndim else rhs
+    b = rhs[..., None] if lead else rhs
     try:
         x = np.linalg.solve(D, b)
     except np.linalg.LinAlgError:
@@ -484,14 +482,11 @@ def _checked_solve(D: np.ndarray, rhs: np.ndarray, what) -> np.ndarray:
             scale = np.maximum.reduce((mul(np.abs(D), np.abs(x)) + np.abs(b)).reshape(flat), -1)
             ok = res / (scale + 1e-300) <= 1e-8
         if all(ok.ravel().tolist()):
-            return x[..., 0] if b is not rhs else x
+            return x[..., 0] if lead else x
         bad = ~ok
         why = "ill-conditioned solve" if np.isfinite(x[bad]).all() else "non-finite solve result"
-    first = np.unravel_index(np.argmax(bad), lead)  # the first failing system
-    if not isinstance(what, str):
-        what, first, lead = what[first[-1]], first[:-1], lead[:-1]
     if lead:
-        why += f" in lane {first[0]} of {lead[0]}"
+        why += f" in lane {np.argmax(bad)} of {lead[0]}"  # the first failing system
     raise SingularMatrixError(f"{what}: {why}", cond=_cond_estimate(D[bad] if bad.any() else D))
 
 
@@ -595,7 +590,7 @@ def relabel(model: PlanarBiped, state: BipedState) -> BipedState:
     return BipedState(model.R_relabel @ state.q, model.R_relabel @ state.dq)
 
 
-def _impact_solution(model: PlanarBiped, state_minus: BipedState):
+def _impact_solution(model: PlanarBiped, state_minus: BipedState, rows: list):
     """Solve the rigid impact at the swing foot on the floating-base model.
 
     Unknowns: post-impact rates (dq, v_base) of the 7-DoF unpinned chain
@@ -606,17 +601,19 @@ def _impact_solution(model: PlanarBiped, state_minus: BipedState):
         [J     0  ] [impulse] = [0        ],             [S    m I],
 
     with S = m J_c (J_c the CoM Jacobian) and J = [J_sw, I] (J_sw the
-    swing-foot Jacobian).
+    swing-foot Jacobian).  D, J_c and J_sw are read from `rows`, the list of
+    state_minus's term rows (_state_rows), which hold every other touchdown
+    quantity too.
 
     Raises InfeasibleImpactError if the vertical impulse is negative (the
     ground would have to pull).  Returns (state_plus, impulse) with the legs
     already relabeled.
     """
     q, dq, m = state_minus.q, state_minus.dq, model.m_total
-    D, J_c, J_sw = np.split(np.array(_features(model, q.tolist())).dot(model.impact_map), [25, 35])
-    S, J = m * J_c.reshape(2, 5), np.hstack([J_sw.reshape(2, 5), np.eye(2)])
+    D, J_c, J_sw = (np.reshape(rows[part], (-1, 5)) for part in (_D, _JC, _JSW))
+    S, J = m * J_c, np.hstack([J_sw, np.eye(2)])
     K, rhs = np.zeros((9, 9)), np.zeros(9)
-    K[:5, :5], K[5:7, :5], K[:5, 5:7], K[5:7, 5:7] = D.reshape(5, 5), S, S.T, m * np.eye(2)
+    K[:5, :5], K[5:7, :5], K[:5, 5:7], K[5:7, 5:7] = D, S, S.T, m * np.eye(2)
     K[:7, 7:], K[7:, :7] = -J.T, J
     rhs[:7] = K[:7, :5] @ dq  # M_e [dq; 0]
     sol = _checked_solve(K, rhs, "impact_map")
@@ -639,11 +636,11 @@ def impact_map(model: PlanarBiped, state_minus: BipedState) -> BipedState:
     InfeasibleImpactError if the computed vertical contact impulse is
     negative (the ground would have to pull).
     """
-    return _impact_solution(model, state_minus)[0]
+    rows = _state_rows(model, state_minus.q.tolist(), state_minus.dq.tolist())[1]
+    return _impact_solution(model, state_minus, rows)[0]
 
 
 def guard(model: PlanarBiped, state: BipedState) -> bool:
     """Touchdown guard: swing-foot height <= 0 with negative vertical rate."""
-    p = swing_foot_position(model, state.q)
-    v = swing_foot_velocity(model, state.q, state.dq)
-    return bool(p[1] <= 0.0 and v[1] < 0.0)
+    rows, dq = _checked_rows(model, "guard", state.q, state.dq)
+    return bool(rows[_PSW][1] <= 0.0 and rows[_JSW].reshape(2, 5).dot(dq)[1] < 0.0)

@@ -202,6 +202,8 @@ def _cmd_poincare(args) -> dict:
         x0 = np.concatenate(
             [warm.events[-1].state_plus.q, warm.events[-1].state_plus.dq]
         )
+        # x* lies near x0: a --delta that x0 does not resolve fails before the search.
+        analysis._check_delta_resolves("poincare", "x0", x0, args.delta)
         ret = make_five_link_return_map(
             model, gait, constraints, integ, steps_per_return=2
         )

@@ -432,7 +432,7 @@ def io_linearizing_torque(
 
 
 _DECOUPLING = "io_linearizing_torque (decoupling matrix)"
-_PAIR = (_DECOUPLING, "io_linearizing_torque (mass matrix)")
+_MASS = "io_linearizing_torque (mass matrix)"
 
 
 def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
@@ -466,7 +466,8 @@ def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
     """_io_torque_core of one state, on floats: numpy only solves.  Each
     system must meet max |A x - b| <= 1e-8 max |b|, checked on floats; a
     solve that fails it, or raises, is redone by _checked_solve, which
-    passes it on the full scale or raises its error."""
+    passes it on the full scale or raises its error: with an ankle torque,
+    the decoupling system first, then the mass matrix, one call each."""
     K, rows = terms
     d0, d1, d2, d3, d4 = dq
     y = [a - b for a, b in zip(rows[_H0], h_d)]
@@ -478,7 +479,8 @@ def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
         A = K[:50].reshape(2, 5, 5)
         x = _solved(A, np.array(r + _E0).reshape(2, 5, 1))
         if x is None or not (_meets_bound(rows, 0, x, r) and _meets_bound(rows, 25, x[5:], _E0)):
-            x = _checked_solve(A, np.array((r, _E0)), _PAIR).ravel().tolist()
+            x = [*_checked_solve(A[0], np.array(r), _DECOUPLING).tolist(),
+                 *_checked_solve(A[1], np.array(_E0), _MASS).tolist()]
         ddq0 = x[:5]
         ddq = [a + u_a * c for a, c in zip(ddq0, x[5:])]
     else:

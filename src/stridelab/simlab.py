@@ -585,16 +585,16 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
     torque.  `recorder(taus, y, us, y_out, centroidal=None)` is called once
     per step, after the switch, with the whole step: `taus` is the float64
-    ndarray of grid times from 0 to the switch time (included), `us` the
-    float64 input there and `y` the states.  Five-link: `y` is the (n, 10)
-    float64 stack of [q; dq], `us` and `y_out` the (n, 4) torques and output
-    errors, and `centroidal` the n tuples (p_c, v_c, L, L_c, a_c) of
-    biped._centroidal_terms, each formed from its sample's derivative (the
-    term rows and ddq), so integrand-exact rates need no second pass; the
-    samples are the first state, each accepted grid point and the event.
+    ndarray of grid times from 0 to the switch time (included) and `y` the
+    states there.  Five-link: `y` is the (n, 10) float64 stack of [q; dq],
+    `us` and `y_out` the (n, 4) torques and output errors, and `centroidal`
+    the n tuples (p_c, v_c, L, L_c, a_c) of biped._centroidal_terms, each
+    formed from its sample's derivative (the term rows and ddq), so
+    integrand-exact rates need no second pass; the samples are the first
+    state, each accepted grid point and the event.
     Reduced: `y` is (xs, vs), array('d') of x_c and of L (ALIP) or v_c
-    (LIP), `us` the ankle torque (0.0 at tau = 0), `y_out` None and no
-    `centroidal`.  A stack of lanes takes no recorder.
+    (LIP); no column records a torque, so `us` and `y_out` are None, with
+    no `centroidal`.  A stack of lanes takes no recorder.
     """
     # Divergence is detected by explicit finite/residual checks; silence the
     # overflow warnings numpy would emit on the way there.
@@ -713,10 +713,7 @@ def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
             xs.append(x)
             vs.append(v)
     if recorder is not None:
-        us = np.zeros(len(taus))  # u at tau = 0 is 0.0, as it always was recorded
-        if ankle is not None:
-            us[1:] = [ankle(tau) for tau in taus[1:].tolist()]
-        recorder(taus, (xs, vs), us, None)
+        recorder(taus, (xs, vs), None, None)
     if not (math.isfinite(x) and math.isfinite(v)):
         raise GaitFailureError(f"integrate_step: state diverged within the step (T = {T} s)")
     return type(state)(float(x), float(v), state.tau), T
@@ -916,23 +913,16 @@ class _FiveLinkPlant:
         return (*ys.T, *p_c.T, *v_c.T, L, L_c, dL_c, *y_outs.T, *us.T)
 
     def exchange(self, s: BipedState, t_imp: float):
-        # The placement at the event, from the inputs of the guard search's
-        # last derivative (the pre-impact state at t_imp): the same bits.
+        # Every touchdown quantity from one evaluation of the pre-impact
+        # state's term rows.  These are the inputs of the guard search's last
+        # derivative (the state at t_imp), so the placement has its bits.
         model, dq = self.model, s.dq.tolist()
         rows = bp._state_rows(model, s.q.tolist(), dq)[1]
-        placement = self.controller.placement(rows, dq, t_imp)
-        cs_minus = bp.centroidal(model, s)
-        plus, impulse = bp._impact_solution(model, s)
-        p_sw = bp.swing_foot_position(model, s.q)
-        return (
-            plus,
-            float(cs_minus.L),
-            float(bp.centroidal(model, plus).L),
-            cs_minus.v_c.copy(),
-            np.array([-p_sw[0], -p_sw[1]]),
-            np.asarray(impulse, dtype=float),
-            placement,
-        )
+        _, v_c, L, _, _ = bp._centroidal_terms(model, rows, dq)
+        plus, impulse = bp._impact_solution(model, s, rows)
+        x_sw, z_sw = rows[bp._PSW]
+        L_plus, placement = bp.centroidal(model, plus).L, self.controller.placement(rows, dq, t_imp)
+        return plus, L, L_plus, np.array(v_c), np.array([-x_sw, -z_sw]), impulse, placement
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> HybridTrace:

@@ -454,15 +454,19 @@ def test_poincare_five_link_divergence_exits_3(capsys):
     assert "numerical failure: foot_placement_asymptotic" in lines[0] and "tau =" in lines[0]
 
 
-def test_poincare_five_link_delta_below_resolution_exits_2(capsys):
+def test_poincare_five_link_delta_below_resolution_exits_2(monkeypatch, capsys):
     # Within --delta's bound (> 0, at most 1), yet below the resolution of
-    # x*: found at the Jacobian, after a short warm-up and fixed point.
+    # the warm-up's end state x0: found before the fixed-point search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("the fixed-point search ran before --delta was checked")
+
+    monkeypatch.setattr("stridelab.cli.find_fixed_point", no_search)
     argv = POINCARE_FIVE_LINK + ["--warmup", "1", "--fp-tol", "1e-3", "--delta", "1e-300"]
     assert main(argv) == 2
     out = capsys.readouterr()
     lines = out.err.splitlines()
     assert len(lines) == 1, lines
-    assert "delta = 1e-300 is below the resolution of x*" in lines[0]
+    assert "delta = 1e-300 is below the resolution of x0" in lines[0]
     assert "dominant" not in out.out
 
 

@@ -41,13 +41,16 @@ from stridelab import (
 from stridelab import analysis, cli, control, simlab
 from stridelab.biped import (
     _centroidal_terms,
+    _impact_solution,
     _state_rows,
     centroidal,
     com_acceleration,
     com_velocity,
     coriolis_matrix,
     gravity_vector,
+    impact_map,
     mass_matrix,
+    swing_foot_position,
 )
 from stridelab.control import (
     foot_placement_asymptotic,
@@ -325,7 +328,7 @@ def test_point_mass_loop_bookkeeping_and_twins(L_des, alpha, v0, x0, l_des_final
 def reference_reduced_step(params, controller, state, T, cfg, recorder):
     """The reduced-plant step as an array RK4: simlab._rk4 on the ALIP and LIP
     fields written inline, one numpy array per stage.  The recorder gets the
-    samples in integrate_step's whole-step layout."""
+    samples in integrate_step's whole-step layout, with no torque column."""
     mH = params.m * params.H
 
     def ankle(tau):
@@ -344,18 +347,18 @@ def reference_reduced_step(params, controller, state, T, cfg, recorder):
     h = cfg.step_size
     n_full = int(math.floor(T / h + 1e-12))
     tau = 0.0
-    samples = [(tau, *y, 0.0)]
+    samples = [(tau, *y)]
     for i in range(n_full):
         y = _rk4(f, tau, y, h)
         tau = (i + 1) * h
-        samples.append((tau, *y, ankle(tau)))
+        samples.append((tau, *y))
     rem = T - tau
     assert rem > 1e-12  # the drawn h leaves a remainder step
     y = _rk4(f, tau, y, rem)
-    samples.append((T, *y, ankle(T)))
+    samples.append((T, *y))
     if recorder is not None:
-        taus, xs, vs, us = zip(*samples)
-        recorder(np.array(taus), (array("d", xs), array("d", vs)), np.array(us), None)
+        taus, xs, vs = zip(*samples)
+        recorder(np.array(taus), (array("d", xs), array("d", vs)), None, None)
     assert np.all(np.isfinite(y))
     return type(state)(float(y[0]), float(y[1]), state.tau), T
 
@@ -439,8 +442,8 @@ class SineAnkle:
 )
 def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T, n, frac):
     # The reduced-plant recorder contract of integrate_step: one call per
-    # step with (taus, (xs, vs), us, None), the grid from 0 to T, bit for bit
-    # the samples of the array RK4 stepped one numpy array at a time.
+    # step with (taus, (xs, vs), None, None), the grid from 0 to T, bit for
+    # bit the samples of the array RK4 stepped one numpy array at a time.
     cfg = IntegratorConfig(step_size=T / (n + frac))
     state = AlipState(x_c=x0, L=L0) if plant == "ALIP" else LipState(x_c=x0, v_c=L0 / MH)
     controller = SineAnkle(ankle, T) if ankle else None
@@ -450,9 +453,8 @@ def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T
     )
     assert len(calls) == 1
     (taus, y, us, y_out), kwargs = calls[0]
-    assert kwargs == {} and y_out is None and t_end == T
+    assert kwargs == {} and us is None and y_out is None and t_end == T
     assert isinstance(taus, np.ndarray) and taus.dtype == np.float64 and taus.ndim == 1
-    assert isinstance(us, np.ndarray) and us.dtype == np.float64 and us.shape == taus.shape
     assert isinstance(y, tuple) and len(y) == 2
     xs, vs = y
     assert all(isinstance(c, array) and c.typecode == "d" and len(c) == len(taus) for c in y)
@@ -467,12 +469,11 @@ def test_reduced_step_records_the_whole_step_in_one_call(plant, x0, L0, ankle, T
     ref = []
     reference_reduced_step(
         PARAMS, controller, state, T, cfg,
-        lambda taus, y, us, y_out: ref.extend(zip(taus.tolist(), *y, us.tolist())),
+        lambda taus, y, us, y_out: ref.extend(zip(taus.tolist(), *y)),
     )
     assert [bits(float(v)) for v in taus] == [bits(r[0]) for r in ref]
     assert [bits(v) for v in xs] == [bits(float(r[1])) for r in ref]
     assert [bits(v) for v in vs] == [bits(float(r[2])) for r in ref]
-    assert [bits(float(v)) for v in us] == [bits(float(r[3])) for r in ref]
 
 
 def test_five_link_loop_bookkeeping():
@@ -1452,6 +1453,32 @@ def test_event_placement_is_the_law_at_the_event(update, source, ankle, z_amplit
         else:
             want = placement_oracle(controller, ev.t - t_start, ev.state_minus)
         assert abs(ev.placement - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("workload", ["simulate-five-link", "poincare-five-link"])
+def test_exchange_gives_the_touchdown_of_the_public_functions_bit_for_bit(workload):
+    # The exchange reads every touchdown quantity from one evaluation of the
+    # pre-impact state's term rows: each event field is the bits of
+    # centroidal, swing_foot_position or impact_map on state_minus.  The
+    # benchmark's seed-0 simulate config carries an ankle torque and height
+    # modulation; the Poincare config is its fixed point's warm-up.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        from rhs_timeit import scenario_doc
+    finally:
+        sys.path.pop(0)
+    cfg = ScenarioConfig.from_json(scenario_doc(workload))
+    model = cfg.build_model()
+    trace = run_scenario(cfg)
+    assert len(trace.events) == cfg.duration
+    for ev in trace.events:
+        s = ev.state_minus
+        cs = centroidal(model, s)
+        _, impulse = _impact_solution(model, s, _state_rows(model, s.q.tolist(), s.dq.tolist())[1])
+        assert bits(ev.L_minus) == bits(cs.L) and bits(ev.v_c_minus) == bits(cs.v_c)
+        assert bits(ev.p_2to1) == bits(-swing_foot_position(model, s.q))
+        assert bits(ev.impulse) == bits(impulse)
+        assert bits(ev.state_plus) == bits(impact_map(model, s))
 
 
 @pytest.mark.parametrize("ankle, z_amplitude", [(0.0, 0.0), (1.0, 0.02)])
