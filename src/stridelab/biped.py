@@ -47,25 +47,23 @@ a = [theta_i - theta_j (i < j); theta] = ANGLE_MAP q (one sin, one cos):
     f = [cos a; sin a; q; 1; (cos theta, sin(theta_i - theta_j), sin theta) (x) dtheta^2],
 
 its quadratic block cut to the products whose rows of the map are not all
-zero (PlanarBiped.quad_pairs, chosen per model).  f @ term_map holds, in
+zero (PlanarBiped.quad_index, chosen per model).  f @ term_map holds, in
 order: D_0 | J | D_q | h0 | Jdot dq | [-(C dq + G)_0; -Jdot dq] | C dq + G |
 C dq | G | the CoM Jacobian J_c | p_c | Jdot_c dq | the swing-foot position
 and Jacobian.  Its first 50 entries are the (2, 5, 5) pair [D_0; J], D_q
 the closed loop solves; L = D_0 dq, v_c = J_c dq and a_c = J_c ddq +
 Jdot_c dq give the centroidal columns.  The impact reads D_q, J_c and J_sw
 from the same rows, with no second constant, so one evaluation of the
-pre-impact state gives every touchdown quantity.  One f, one term_map: one
-state forms f on Python floats (_state_rows), a stack of states on arrays
-(_term_rows).
+pre-impact state gives every touchdown quantity.  One f, one term_map, one
+former: _term_rows forms f and the product for one state or a stack of
+states alike; _state_rows is one state's rows with their list of floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from math import cos, sin
-from operator import mul
+from itertools import pairwise
 
 import numpy as np
 
@@ -257,11 +255,10 @@ class PlanarBiped:
         c_q = c_th @ M
         cols = (D_q[:, :5], J, D_q, h0, Jdot, -(c_q + G_q)[:, :1], -Jdot, c_q + G_q, c_q, G_q)
         full = np.hstack(cols + (J_c, p_c, Jdot_c, p_sw, J_sw))
-        # f keeps the quadratic features f[_C + c] dtheta_k^2 whose rows are
-        # not zero, (all c, all k) in quad_pairs.
+        # f keeps the quadratic features f[c] dtheta_k^2 whose rows are not
+        # zero, (c, k) in quad_index: c a flat index into f, k into dtheta.
         kept = np.flatnonzero(full[_QUAD:].any(axis=1))
-        self.quad_pairs = (kept // 5).tolist(), (kept % 5).tolist()
-        self.quad_index = kept // 5, kept % 5  # the same pairs as intp arrays, for stacks
+        self.quad_index = _C + kept // 5, kept % 5
         self.term_map = np.vstack([full[:_QUAD], full[_QUAD + kept]])
         for a in (self.angle_map_T, self.term_map, *self.quad_index):
             a.flags.writeable = False
@@ -347,8 +344,8 @@ class CentroidalState:
 # ---------------------------------------------------------------------------
 
 
-# One state, on Python floats: q, dq, ddq lists of 5, rows the list of its
-# f @ term_map.  Small sums run in index order.
+# One state's sums on Python floats: dq, ddq lists of 5, rows the list of its
+# f @ term_map (_state_rows).  Small sums run in index order.
 
 
 def _dot(a: list, i: int, b) -> float:
@@ -356,28 +353,10 @@ def _dot(a: list, i: int, b) -> float:
     return a[i] * b[0] + a[i + 1] * b[1] + a[i + 2] * b[2] + a[i + 3] * b[3] + a[i + 4] * b[4]
 
 
-def _cos_sin(a: list) -> list:
-    """cos of each float in a, then sin of each; NaN where one is infinite."""
-    try:
-        return [*map(cos, a), *map(sin, a)]
-    except ValueError:  # math's cos and sin of an infinity
-        return _cos_sin([v if math.isfinite(v) else math.nan for v in a])
-
-
-def _features(model: PlanarBiped, q: list, dq: list) -> list:
-    """f, its quadratic block cut to model.quad_pairs."""
-    t0, t1, t2, t3, t4 = t = [*accumulate(q)]  # theta = M_map q
-    f = _cos_sin([t0 - t1, t0 - t2, t0 - t3, t0 - t4, t1 - t2,
-                  t1 - t3, t1 - t4, t2 - t3, t2 - t4, t3 - t4, *t]) + q + [1.0]
-    sq = [v * v for v in accumulate(dq)]
-    trig, (c, k) = f[_C:_Q], model.quad_pairs
-    return f + [*map(mul, map(trig.__getitem__, c), map(sq.__getitem__, k))]
-
-
-def _state_rows(model: PlanarBiped, q: list, dq: list):
-    """(f @ term_map as an ndarray, its list of floats)."""
-    f = _features(model, q, dq)
-    rows = np.fromiter(f, float, len(f)).dot(model.term_map)
+def _state_rows(model: PlanarBiped, q, dq):
+    """(f @ term_map as an ndarray, its list of floats) of one state, q and
+    dq lists or arrays of 5."""
+    rows = _term_rows(model, np.asarray(q), np.asarray(dq))
     return rows, rows.tolist()
 
 
@@ -395,7 +374,7 @@ def _term_rows(model: PlanarBiped, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     f[..., _Q:_ONE], f[..., _ONE] = q, 1.0
     dtheta = dq.dot(model.M_map.T)
     c, k = model.quad_index
-    np.multiply(f[..., _C:_Q][..., c], (dtheta * dtheta)[..., k], out=f[..., _QUAD:])
+    np.multiply(f.take(c, axis=-1), (dtheta * dtheta).take(k, axis=-1), out=f[..., _QUAD:])
     return f.dot(model.term_map)
 
 
@@ -525,9 +504,10 @@ def com_velocity(model: PlanarBiped, q, dq) -> np.ndarray:
 
 def com_acceleration(model: PlanarBiped, q, dq, ddq) -> np.ndarray:
     """CoM acceleration (x, z) given joint accelerations ddq."""
-    q, dq, ddq = (_as_vec5(f"com_acceleration.{n}", v).tolist()
+    q, dq, ddq = (_as_vec5(f"com_acceleration.{n}", v)
                   for n, v in (("q", q), ("dq", dq), ("ddq", ddq)))
-    return np.array(_centroidal_terms(model, _state_rows(model, q, dq)[1], dq, ddq)[4])
+    rows = _state_rows(model, q, dq)[1]
+    return np.array(_centroidal_terms(model, rows, dq.tolist(), ddq.tolist())[4])
 
 
 def com_jacobian(model: PlanarBiped, q) -> np.ndarray:
@@ -558,8 +538,8 @@ def centroidal(model: PlanarBiped, state: BipedState) -> CentroidalState:
     I_i * dtheta_i, is the momentum conjugate to the cyclic q0 and is
     computed as such, (D dq)_0; L_c = L - m * wedge(p_c, v_c).
     """
-    dq = state.dq.tolist()
-    p_c, v_c, L, L_c, _ = _centroidal_terms(model, _state_rows(model, state.q.tolist(), dq)[1], dq)
+    rows = _state_rows(model, state.q, state.dq)[1]
+    p_c, v_c, L, L_c, _ = _centroidal_terms(model, rows, state.dq.tolist())
     return CentroidalState(p_c=np.array(p_c), v_c=np.array(v_c), L=L, L_c=L_c)
 
 
@@ -636,7 +616,7 @@ def impact_map(model: PlanarBiped, state_minus: BipedState) -> BipedState:
     InfeasibleImpactError if the computed vertical contact impulse is
     negative (the ground would have to pull).
     """
-    rows = _state_rows(model, state_minus.q.tolist(), state_minus.dq.tolist())[1]
+    rows = _state_rows(model, state_minus.q, state_minus.dq)[1]
     return _impact_solution(model, state_minus, rows)[0]
 
 

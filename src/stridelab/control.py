@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Config, check_fields
-from .biped import _D, _H, _H0, _J, _JDOT, _R  # entries of the rows of _dyn_terms
+from .biped import _D, _H, _H0, _J, _JDOT, _R  # entries of the term rows
 from .biped import (
     PlanarBiped,
     BipedState,
+    _checked_rows,
     _checked_solve,
     _dot,
-    _dyn_terms,
     _state_rows,
 )
 from .errors import NumericalError, ValidationError
@@ -384,15 +384,13 @@ def planar_outputs(model: PlanarBiped, q) -> tuple[np.ndarray, np.ndarray]:
 
     h0 = (torso pitch, stance-foot->CoM z, swing-foot->CoM x, swing-foot->CoM z).
     """
-    q = np.asarray(q, dtype=float)
-    return _outputs_full(model, _dyn_terms(model, q, np.zeros_like(q)))[:2]
+    return _outputs_full(_checked_rows(model, "planar_outputs", q)[0])[:2]
 
 
-def _outputs_full(model: PlanarBiped, terms):
+def _outputs_full(rows):
     """h0, J, and Jdot*dq with exact trigonometric second-derivative terms,
-    read from the rows of _dyn_terms (the output features are part of its
-    product); for a stack of states, a stack of each."""
-    rows = terms[3]
+    read from the term rows (the output features are part of their product);
+    for a stack of states' rows, a stack of each."""
     return rows[..., _H0], rows[..., _J].reshape(rows.shape[:-1] + (4, 5)), rows[..., _JDOT]
 
 
@@ -425,9 +423,9 @@ def io_linearizing_torque(
             raise ValidationError(f"io_linearizing_torque: non-finite {name}")
     gains = (_gain_vec(f"io_linearizing_torque.{n}", k, v).tolist()
              for n, k, v in (("Kp", Kp, 100.0), ("Kd", Kd, 20.0)))
-    q, dq = state.q.tolist(), state.dq.tolist()
     refs = (h_d.tolist(), dh_d.tolist(), ddh_d.tolist())
-    u, _, _ = _io_torque_core(model, q, dq, _state_rows(model, q, dq), *refs, *gains)
+    terms = _state_rows(model, state.q, state.dq)
+    u, _, _ = _io_torque_core(state.dq.tolist(), terms, *refs, *gains)
     return np.array(u)
 
 
@@ -435,7 +433,7 @@ _DECOUPLING = "io_linearizing_torque (decoupling matrix)"
 _MASS = "io_linearizing_torque (mass matrix)"
 
 
-def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
+def _io_torque_core(dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
     """(u, ddq, y): the tracking torque, the closed-loop acceleration under u
     and the stance-ankle torque u_a, and the output error, from one solve.
     Kp and Kd are the diagonals of the gain matrices.
@@ -445,7 +443,7 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with
     and u = D_1: ddq0 + (C dq + G)_1:.  A nonzero u_a adds u_a D^-1 e_0, with
     D as the second system of a pair in the same solve: the first 50 entries
     of the rows.  One state is lists of floats (terms from _state_rows); for
-    a stack of states (q, dq and the terms of _dyn_terms stacked, the
+    a stack of states (dq and the terms of _dyn_terms stacked, the
     references (N, 4)) each result is stacked, and u_a is not read: a stack
     takes no ankle torque (WalkingController.on_step_start refuses one).
     with_u=False gives u None.
@@ -453,7 +451,7 @@ def _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with
     if type(dq) is list:
         return _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
     D_q, rows = terms[0], terms[3]
-    h0, J, _ = _outputs_full(model, terms)
+    h0, J, _ = _outputs_full(rows)
     y = h0 - h_d
     r = rows[:, _R].copy()  # [-(C dq + G)_0; -Jdot dq]
     r[:, 1:] += ddh_d - Kd * ((J @ dq[..., None])[..., 0] - dh_d) - Kp * y

@@ -321,7 +321,7 @@ class WalkingController:
         [q; dq] rows, one per lane, which an ankle torque rules out."""
         if isinstance(state, BipedState):
             dq = state.dq.tolist()
-            rows = bp._state_rows(self.model, state.q.tolist(), dq)[1]
+            rows = bp._state_rows(self.model, state.q, state.dq)[1]
             self._h0_start = rows[bp._H0]
         elif np.ndim(state) == 2 and np.shape(state)[1] == 10:
             if self.ankle_fn is not None:
@@ -384,11 +384,10 @@ class WalkingController:
         return min(max(p_raw, -self._p_max), self._p_max)
 
     def _reference(self, s_phase: float, tau: float, p_des):
-        # on_step_start gave _h0_start its shape and s_phase lies in [0, 1];
-        # only p_des, which follows the state, can turn bad on the way.
+        # on_step_start gave _h0_start its shape, s_phase lies in [0, 1], and
+        # p_des is finite: _placement raises on a non-finite prediction and
+        # clamps every other target.
         T = self.gait.T
-        if not _finite(p_des):
-            raise ValidationError("virtual_constraint_reference: non-finite p_des")
         z = (self.vc.H, 0.0, 0.0) if self.z_profile is None else self.z_profile(min(tau, T))
         if type(p_des) is float:
             return _reference_rows(self.vc, T, s_phase, self._h0_start[2], p_des, z)
@@ -509,7 +508,7 @@ def _five_link_rhs(model, controller, tau, y, with_u=True):
     s_phase = min(tau / controller.gait.T, 1.0)
     h_d, dh_d, ddh_d = controller._reference(s_phase, tau, p_des)
     (Kp, Kd), u_a = controller._gains, controller.ankle(tau)
-    u, ddq, y_out = _io_torque_core(model, q, dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
+    u, ddq, y_out = _io_torque_core(dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
     ydot = dq + ddq if one else np.concatenate([dq, ddq], axis=-1)
     return ydot, u, y_out, terms[-1]  # the rows: a list of floats, or an array
 
@@ -546,7 +545,10 @@ def _swing_z(model, y):
     """Swing-foot height of one state (a list, a float), or of each row of a stack."""
     if type(y) is not list:
         return np.cos(y[:, :5].dot(model.M_map.T)).dot(model.b_sw)
-    return bp._dot(bp._cos_sin([*accumulate(y[:5])]), 0, model.b_sw_floats)  # cos theta
+    try:
+        return bp._dot([*map(math.cos, accumulate(y[:5]))], 0, model.b_sw_floats)  # cos theta
+    except ValueError:  # math.cos of an infinite angle
+        return math.nan
 
 
 def _bisect(model, controller, tau, y, k1, h, y_hi, tol):
@@ -574,7 +576,7 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     guard is armed at tau >= T/2 (the swing trajectory peaks mid-step).  If no
     impact occurs by 2T a GaitFailureError is raised.  The five-link `state`
     is a BipedState, stepped on Python floats (numpy forms only the term
-    product and the solve), or an (N, 10) stack of [q; dq] rows (lanes),
+    rows and the solve), or an (N, 10) stack of [q; dq] rows (lanes),
     stepped on arrays under a controller that holds N lanes' context and no
     ankle torque: the lanes step in lockstep on one tau grid, a lane leaves
     the stack at its own guard crossing, bisected on that lane's floats, and
@@ -889,13 +891,20 @@ class _FiveLinkPlant:
         swing_x = x_c0 - x_c_end  # previous stance foot, now swing, in stance frame
         if abs(swing_x) < 0.04:
             swing_x = -0.04
-        return assemble_posture(
-            self.model,
-            com_x=x_c0,
-            com_z=self.params.H,
-            swing_foot_x=swing_x,
-            com_velocity=(v0, 0.0),
-        )
+        try:
+            return assemble_posture(
+                self.model,
+                com_x=x_c0,
+                com_z=self.params.H,
+                swing_foot_x=swing_x,
+                com_velocity=(v0, 0.0),
+            )
+        except NumericalError as exc:
+            raise ValidationError(
+                f"five-link start: no posture puts the CoM at ({x_c0:.4g}, {self.params.H:.4g}) "
+                f"with the swing foot at x = {swing_x:.4g}: initial_velocity, initial_com_x, "
+                "constraints.H or gait.T out of range"
+            ) from exc
 
     def begin_step(self, state: BipedState, L_des: float) -> None:
         self.controller.set_target(L_des)
@@ -917,7 +926,7 @@ class _FiveLinkPlant:
         # state's term rows.  These are the inputs of the guard search's last
         # derivative (the state at t_imp), so the placement has its bits.
         model, dq = self.model, s.dq.tolist()
-        rows = bp._state_rows(model, s.q.tolist(), dq)[1]
+        rows = bp._state_rows(model, s.q, s.dq)[1]
         _, v_c, L, _, _ = bp._centroidal_terms(model, rows, dq)
         plus, impulse = bp._impact_solution(model, s, rows)
         x_sw, z_sw = rows[bp._PSW]

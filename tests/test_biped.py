@@ -333,7 +333,7 @@ def test_term_map_matches_the_definitions_on_generated_models(model, q, dq, more
     # G = grad PE, PE = g sum_i m_i z_i.
     G_ref = model.g * np.einsum("i,ik->k", oracle.m, oracle.jacobians(q)[:, 1])
     assert close(G, G_ref, 1e-12)
-    h0, J, Jdot_dq = _outputs_full(model, terms)
+    h0, J, Jdot_dq = _outputs_full(terms[3])
     assert close(h0, oracle.outputs(q), 1e-12)
     assert close(J, oracle.gradient(oracle.outputs, q), 1e-7)
     assert close(Jdot_dq, oracle.along(oracle.outputs, q, dq)[1], 1e-5)
@@ -363,6 +363,28 @@ def test_term_map_matches_the_definitions_on_generated_models(model, q, dq, more
     Q, DQ = np.array([q, *(a for a, _ in more)]), np.array([dq, *(b for _, b in more)])
     for row, q_i, dq_i in zip(_term_rows(model, Q, DQ), Q, DQ):
         assert close(row, _state_rows(model, q_i.tolist(), dq_i.tolist())[0], 1e-13)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(model=st.just(MODEL) | generated_models, q=angles, dq=rates)
+def test_state_rows_hold_the_public_kinematics_bit_for_bit(model, q, dq):
+    # One former: the rows the closed loop reads for one state, with its
+    # rates, hold exactly what the public functions return for its angles.
+    from stridelab.biped import _D, _G, _H0, _J, _PC, _PSW, _state_rows
+    from stridelab.control import planar_outputs
+
+    rows, floats = _state_rows(model, q.tolist(), dq.tolist())
+    assert floats == rows.tolist()
+    h0, J = planar_outputs(model, q)
+    for got, want in (
+        (rows[_D].reshape(5, 5), mass_matrix(model, q)),
+        (rows[_G], gravity_vector(model, q)),
+        (rows[_PC], com_position(model, q)),
+        (rows[_PSW], swing_foot_position(model, q)),
+        (rows[_H0], h0),
+        (rows[_J].reshape(4, 5), J),
+    ):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

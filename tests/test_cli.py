@@ -196,17 +196,25 @@ def test_simulate_fuzzed_config_fails_cleanly(edits):
     assert len(err.getvalue().splitlines()) <= 1
 
 
-def test_simulate_unreachable_posture_exit_3(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        plant="FIVE_LINK",
-        gait=GaitCommand(L_des=14.4, T=0.3, alpha=0.4),
-        duration=1,
-        initial_velocity=0.8,
-        initial_com_x=5.0,  # farther than any leg reaches
-    )
-    assert main(["simulate", str(cfg)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+def test_simulate_unreachable_posture_exit_2(tmp_path, capsys):
+    # A start posture no leg reaches is a config out of range, not a
+    # numerical failure: one line naming the fields that place the start.
+    for kw in (
+        {"initial_velocity": 0.8, "initial_com_x": 5.0},  # farther than any leg reaches
+        {"initial_velocity": 3.0},
+        {"initial_com_x": 0.5},
+        {"constraints": VirtualConstraintSpec(H=5.0, z_cl=0.07)},
+    ):
+        cfg = write_config(
+            tmp_path, plant="FIVE_LINK", gait=GaitCommand(L_des=14.4, T=0.35, alpha=0.5),
+            duration=1, **kw,
+        )
+        assert main(["simulate", str(cfg)]) == 2, kw
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: five-link start")
+        for name in ("initial_velocity", "initial_com_x", "constraints.H", "gait.T"):
+            assert name in err
+        assert "_two_link_ik" not in err
 
 
 def test_simulate_diverging_gait_exit_3_names_the_singular_decoupling_matrix(tmp_path, capsys):

@@ -441,6 +441,13 @@ def test_outputs_match_direct_kinematics():
         assert abs(h0[3] - (p_c[1] - p_sw[1])) < 1e-12
 
 
+def test_planar_outputs_rejects_malformed_angles():
+    for q in ([0.1] * 3, [0.1, math.nan, 0.0, 0.0, 0.0], [math.inf] + [0.0] * 4,
+              np.zeros((2, 5))):
+        with pytest.raises(ValidationError, match="planar_outputs"):
+            planar_outputs(MODEL, q)
+
+
 def test_output_jacobian_matches_finite_differences():
     rng = np.random.default_rng(19)
     q = random_biped_state(rng).q

@@ -615,6 +615,19 @@ def test_gait_failure_when_swing_never_lands():
         integrate_step(model, controller, state, 0.1, IntegratorConfig(step_size=1e-3))
 
 
+def test_swing_height_of_an_infinite_angle_is_nan():
+    # The guard reads a non-finite height as not crossed; math.cos of an
+    # infinity raises, which the guard must not pass on.
+    model = PlanarBiped.default()
+    for bad in (math.inf, -math.inf, math.nan):
+        y = [0.1, bad, 0.0, 0.2, -0.3] + [0.0] * 5
+        assert math.isnan(simlab._swing_z(model, y))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(simlab._swing_z(model, np.array([y]))).all()
+    y = [0.1, -0.2, 0.05, 0.3, -0.4] + [0.0] * 5
+    assert abs(simlab._swing_z(model, y) - swing_foot_position(model, y[:5])[1]) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
