@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._fields import Config, check_fields
 from .biped import _D, _H, _H0, _J, _JDOT, _R  # entries of the term rows
@@ -425,7 +426,8 @@ def io_linearizing_torque(
              for n, k, v in (("Kp", Kp, 100.0), ("Kd", Kd, 20.0)))
     refs = (h_d.tolist(), dh_d.tolist(), ddh_d.tolist())
     terms = _state_rows(model, state.q, state.dq)
-    u, _, _ = _io_torque_core(state.dq.tolist(), terms, *refs, *gains)
+    with np.errstate(over="ignore", invalid="ignore"):  # a singular system's NaN fails the bound
+        u, _, _ = _io_torque_core(state.dq.tolist(), terms, *refs, *gains)
     return np.array(u)
 
 
@@ -461,11 +463,14 @@ def _io_torque_core(dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
 
 
 def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
-    """_io_torque_core of one state, on floats: numpy only solves.  Each
-    system must meet max |A x - b| <= 1e-8 max |b|, checked on floats; a
-    solve that fails it, or raises, is redone by _checked_solve, which
-    passes it on the full scale or raises its error: with an ankle torque,
-    the decoupling system first, then the mass matrix, one call each."""
+    """_io_torque_core of one state, on floats: numpy only solves, through
+    the LAPACK gufuncs np.linalg.solve calls, for the same bits without its
+    wrapper.  Each system must meet max |A x - b| <= 1e-8 max |b|, checked
+    on floats; a solve that fails it (a singular or non-finite system gives
+    NaN) is redone by _checked_solve, which passes it on the full scale or
+    raises its error: with an ankle torque, the decoupling system first,
+    then the mass matrix, one call each.  A singular system raises numpy's
+    invalid flag: callers hold np.errstate(invalid="ignore")."""
     K, rows = terms
     d0, d1, d2, d3, d4 = dq
     y = [a - b for a, b in zip(rows[_H0], h_d)]
@@ -475,16 +480,16 @@ def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
         r[i + 1] += ddh_d[i] - Kd[i] * (jdq + rows[j + 4] * d4 - dh_d[i]) - Kp[i] * y[i]
     if u_a:
         A = K[:50].reshape(2, 5, 5)
-        x = _solved(A, np.array(r + _E0).reshape(2, 5, 1))
-        if x is None or not (_meets_bound(rows, 0, x, r) and _meets_bound(rows, 25, x[5:], _E0)):
+        x = _solve(A, np.array(r + _E0).reshape(2, 5, 1), signature="dd->d").ravel().tolist()
+        if not (_meets_bound(rows, 0, x, r) and _meets_bound(rows, 25, x[5:], _E0)):
             x = [*_checked_solve(A[0], np.array(r), _DECOUPLING).tolist(),
                  *_checked_solve(A[1], np.array(_E0), _MASS).tolist()]
         ddq0 = x[:5]
         ddq = [a + u_a * c for a, c in zip(ddq0, x[5:])]
     else:
         A = K[:25].reshape(5, 5)
-        x = _solved(A, r)
-        if x is None or not _meets_bound(rows, 0, x, r):
+        x = _solve1(A, r, signature="dd->d").tolist()
+        if not _meets_bound(rows, 0, x, r):
             x = _checked_solve(A, np.array(r), _DECOUPLING).tolist()
         ddq0 = ddq = x
     if not with_u:
@@ -494,14 +499,9 @@ def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
 
 
 _E0 = [1.0, 0.0, 0.0, 0.0, 0.0]
-
-
-def _solved(A, b):
-    """np.linalg.solve(A, b) as a list of floats; None if it raises."""
-    try:
-        return np.linalg.solve(A, b).ravel().tolist()
-    except np.linalg.LinAlgError:
-        return None
+# The gufuncs behind np.linalg.solve: A x = b for b of shape (m,), and for
+# b of shape (..., m, n).
+_solve1, _solve = _umath_linalg.solve1, _umath_linalg.solve
 
 
 def _meets_bound(a: list, i: int, x: list, b: list) -> bool:

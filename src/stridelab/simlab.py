@@ -378,7 +378,7 @@ class WalkingController:
         p_raw = _placement_law(gain, ell, hat, des, T, self.gait.alpha)
         if one:
             return self._clamp(p_raw)
-        return np.array([self._clamp(v) for v in p_raw.tolist()])  # lane by lane
+        return np.minimum(np.maximum(p_raw, -self._p_max), self._p_max)  # _clamp's bits
 
     def _clamp(self, p_raw: float) -> float:
         return min(max(p_raw, -self._p_max), self._p_max)
@@ -500,7 +500,7 @@ def _five_link_rhs(model, controller, tau, y, with_u=True):
     solve of the [D_0; J] system, and rows the term rows of y; u is None when
     with_u is False (an RK4 stage).  y is one state [q; dq], a list of 10
     floats giving lists, or an (N, 10) stack of lanes at one tau giving arrays;
-    pure in (tau, y) under the controller's step context."""
+    pure in (tau, y) under the controller's step context and integrate_step's errstate."""
     one = type(y) is list
     q, dq = (y[:5], y[5:]) if one else (y[:, :5], y[:, 5:])
     terms = (bp._state_rows if one else bp._dyn_terms)(model, q, dq)

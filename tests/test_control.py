@@ -5,13 +5,15 @@ behavior they promise (exact output decoupling for the linearizing law).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stridelab as sl
+from stridelab import control
 from stridelab import (
     AlipState,
     BipedState,
@@ -35,11 +37,12 @@ from stridelab import (
     virtual_constraint_reference,
 )
 from stridelab.biped import (
+    _R,
     com_position,
     forward_dynamics,
     swing_foot_position,
 )
-from stridelab.control import _placement_law, foot_placement_velocity
+from stridelab.control import _io_torque_floats, _placement_law, foot_placement_velocity
 from stridelab.errors import SingularMatrixError
 from stridelab.simlab import assemble_posture
 
@@ -580,6 +583,101 @@ def test_io_gain_validation():
         io_linearizing_torque(MODEL, st, h_d, dh_d, ddh_d, Kp=[1.0, 2.0])
     with pytest.raises(ValidationError):
         io_linearizing_torque(MODEL, st, h_d, dh_d, ddh_d, Kd=-5.0)
+
+
+# The float law's solves against np.linalg.solve, on term rows that are zero
+# but for [D_0; J] (entries 0-24), D (25-49) and the _R entries: with dq,
+# references and gains zero, the law solves [D_0; J] ddq0 = r, r the _R
+# entries, and with an ankle torque D x = e_0 as well.
+
+ZEROS = [0.0] * 5
+WELL_POSED = st.lists(st.floats(-1.0, 1.0), min_size=25, max_size=25).map(
+    lambda v: np.reshape(v, (5, 5)) + 5.0 * np.eye(5)  # strictly diagonally dominant
+)
+
+
+def _np_solve(A, b, signature):
+    """np.linalg.solve in place of the gufunc, its LinAlgError as the
+    gufunc's NaN: the float law as np.linalg.solve's wrapper gave it."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(b), math.nan)
+
+
+def _law_outcome(A, D, b, u_a):
+    """(u, ddq) of the float law as bytes, or (message, cond) of the
+    SingularMatrixError it raises."""
+    K = np.zeros(MODEL.term_map.shape[1])
+    K[:25], K[25:50], K[_R] = A.ravel(), D.ravel(), b
+    try:
+        with np.errstate(invalid="ignore"):
+            u, ddq, _ = _io_torque_floats((K, K.tolist()), ZEROS, *[ZEROS[:4]] * 5, u_a, True)
+    except SingularMatrixError as exc:
+        return str(exc), exc.cond
+    return np.array(u).tobytes(), np.array(ddq).tobytes()
+
+
+def _wrapper_outcome(A, D, b, u_a):
+    with mock.patch.object(control, "_solve1", _np_solve), \
+            mock.patch.object(control, "_solve", _np_solve):
+        return _law_outcome(A, D, b, u_a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    A=WELL_POSED,
+    D=WELL_POSED,
+    b=st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=5),
+    u_a=st.sampled_from([0.0, 2.0]) | st.floats(-5.0, 5.0),
+)
+def test_io_float_law_solves_as_numpy_solve_bit_for_bit(A, D, b, u_a):
+    # One system, or a (2, 5, 5) pair with an ankle torque: the gufunc the
+    # law calls gives np.linalg.solve's bits, and the bound passes them.
+    outcome = _law_outcome(A, D, b, u_a)
+    assert type(outcome[0]) is bytes
+    assert outcome == _wrapper_outcome(A, D, b, u_a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    A=WELL_POSED,
+    D=WELL_POSED,
+    b=st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=5),
+    system=st.sampled_from(["decoupling", "mass"]),
+    fault=st.sampled_from(["zeros", "zero row", "copied row", "nan", "inf", "-inf"]),
+    k=st.integers(0, 24),
+    u_a=st.sampled_from([0.0, 2.0]),
+)
+@example(np.eye(5), np.eye(5), ZEROS, "decoupling", "zeros", 0, 0.0)
+@example(np.eye(5), np.eye(5), ZEROS, "decoupling", "zeros", 0, 2.0)
+@example(np.eye(5), np.eye(5), ZEROS, "mass", "zeros", 0, 0.0)
+@example(np.eye(5), np.eye(5), ZEROS, "mass", "zeros", 0, 2.0)
+def test_io_float_law_fails_as_through_numpy_solve(A, D, b, system, fault, k, u_a):
+    # A singular or non-finite system: the gufunc's NaN fails the bound where
+    # np.linalg.solve raised, and _checked_solve gives the same error (text
+    # and cond), naming the decoupling matrix first, then the mass matrix,
+    # which only an ankle torque solves.
+    A, D = A.copy(), D.copy()
+    M = A if system == "decoupling" else D
+    i, j = divmod(k, 5)
+    if fault == "zeros":
+        M[:] = 0.0
+    elif fault == "zero row":
+        M[i] = 0.0
+    elif fault == "copied row":
+        M[i] = M[(i + 1) % 5]
+    else:
+        M[i, j] = float(fault)
+    outcome = _law_outcome(A, D, b, u_a)
+    assert outcome == _wrapper_outcome(A, D, b, u_a)
+    if system == "mass" and not u_a:
+        assert type(outcome[0]) is bytes
+    elif fault != "copied row":  # a rounded LU may solve that within the bound
+        assert outcome[0].startswith(f"io_linearizing_torque ({system} matrix): ")
+    if fault == "zeros" and (u_a or system == "decoupling"):
+        assert outcome == (f"io_linearizing_torque ({system} matrix): singular matrix"
+                           " (condition estimate inf)", math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ import operator
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from stridelab.biped import (
     _centroidal_terms,
     _impact_solution,
     _state_rows,
+    _term_rows,
     centroidal,
     com_acceleration,
     com_velocity,
@@ -602,6 +605,26 @@ def test_controller_placement_rejects_a_non_finite_target(source, L_des):
     y = state.q.tolist() + state.dq.tolist()
     with pytest.raises(ValidationError, match=f"{law}: non-finite input"):
         simlab._five_link_rhs(plant.model, plant.controller, 0.1, y)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(p_raw=st.lists(
+    st.sampled_from([0.0, -0.0, 0.2, -0.2, 0.5, -0.5]) | st.floats(allow_nan=True),
+    min_size=1, max_size=6,
+))
+def test_lanes_clamp_each_placement_as_one_state_does(p_raw):
+    # Lanes clamp in one array operation: the bits of _clamp on each lane's
+    # raw target, -0.0 and NaN included, inside the reach and beyond it on
+    # either side (+-0.2 and +-0.5 m straddle the default p_max).
+    plant = five_link_plant(0.0)
+    state, controller = plant.start(), plant.controller
+    assert 0.2 < controller._p_max < 0.5
+    Y = np.tile(np.concatenate([state.q, state.dq]), (len(p_raw), 1))
+    rows = _term_rows(controller.model, Y[:, :5], Y[:, 5:])
+    with mock.patch.object(simlab, "_placement_law", lambda *args: np.array(p_raw)):
+        clamped = controller._placement(rows, Y[:, 5:], 0.1)
+    expected = np.array([controller._clamp(v) for v in p_raw])
+    assert clamped.tobytes() == expected.tobytes()
 
 
 def test_gait_failure_when_swing_never_lands():
@@ -1294,16 +1317,21 @@ def test_five_link_rhs_satisfies_the_closed_loop_equations(kws, tau, ankle, z_am
 def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
     # The tracking law and the plant share one solve: for one state with the
     # ankle torque off or on, and for a stack of lanes, which takes none.
+    # One state solves through control's LAPACK gufuncs, a stack through
+    # np.linalg.solve (in _checked_solve): every solve is counted.
     calls = []
-    solve = np.linalg.solve
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return solve(*args)
+    def counted(solve):
+        def call(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        return call
 
     state = assemble_posture(PlanarBiped.default(), 0.02, 0.6, -0.2, 0.02, (0.7, 0.0))
     y = np.concatenate([state.q, state.dq])
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    for owner, name in ((np.linalg, "solve"), (control, "_solve1"), (control, "_solve")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     for ankle, Y, shape in (
         (0.0, y.tolist(), (5, 5)),
         (1.0, y.tolist(), (2, 5, 5)),
@@ -1314,6 +1342,27 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
         simlab._five_link_rhs(controller.model, controller, 0.1, Y)
         assert calls == [shape]
         calls.clear()
+
+
+def test_singular_law_raises_without_a_warning():
+    # Swing foot on the stance foot, every link upright: the gufunc's NaN
+    # raises numpy's invalid flag, which the public law and integrate_step
+    # hold, so the caller sees the error alone, with or without an ankle torque.
+    model, state = PlanarBiped.default(), sl.BipedState(np.zeros(5), np.zeros(5))
+    message = ("io_linearizing_torque (decoupling matrix): singular matrix"
+               " (condition estimate inf)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sl.SingularMatrixError) as exc:
+            sl.io_linearizing_torque(model, state, *np.zeros((3, 4)))
+        assert str(exc.value) == message
+        for ankle_fn in (None, lambda tau: 2.0):
+            gait = GaitCommand(L_des=14.4, T=0.35, alpha=0.5)
+            controller = WalkingController(model, gait, VC, ankle_fn=ankle_fn)
+            controller.on_step_start(state)
+            with pytest.raises(sl.SingularMatrixError) as exc:
+                integrate_step(model, controller, state, 0.35, IntegratorConfig())
+            assert str(exc.value) == message
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

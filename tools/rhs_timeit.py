@@ -6,7 +6,7 @@ and the CSV writer, for two stridelab source trees side by side.
 Each SRC is a directory that holds the `stridelab` package (a checkout's
 `src/`).  Both trees are imported into this one process under names of their
 own, and every repeat times each case on the parent and then on the change,
-so slow drift of the machine falls on both alike.  The first seven cases run
+so slow drift of the machine falls on both alike.  The first eight cases run
 on the start state of the seed-0 `simulate-five-link` benchmark scenario,
 the next two on the seed-0 `simulate-alip` scenario and the last on the
 whole seed-0 `simulate-five-link` rollout (perfbench/scenarios.py, read
@@ -17,6 +17,8 @@ only):
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane,
                       with the ankle torque zero (`ankle_amplitude=0.0`):
                       a stack takes none
+    placement 20 lanes  `WalkingController._placement` on the same 20 states'
+                      term rows, per lane
     term rows         `biped._state_rows` on one state, q and dq lists of 5
     term rows 20 lanes  `biped._term_rows` on the same 20 states, per lane
     recorder row      `_FiveLinkPlant.row` on the scenario's first step, with
@@ -113,8 +115,10 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     lanes = plant.controller
     out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
     biped, q, dq = package.biped, state.q.tolist(), state.dq.tolist()
-    out["term rows"] = (lambda: biped._state_rows(plant.model, q, dq), 1, 1)
     Q, DQ = Y[:, :5], Y[:, 5:]  # the views the derivative hands it
+    rows = biped._term_rows(plant.model, Q, DQ)
+    out[f"placement {LANES} lanes"] = (lambda: lanes._placement(rows, DQ, TAU_ANKLE), LANES, LANES)
+    out["term rows"] = (lambda: biped._state_rows(plant.model, q, dq), 1, 1)
     out[f"term rows {LANES} lanes"] = (lambda: biped._term_rows(plant.model, Q, DQ), LANES, LANES)
     # The row of every sample of the step, from the one recorder call; the
     # recorder's keyword `centroidal` is row's last argument.
