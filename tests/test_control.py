@@ -610,9 +610,10 @@ def _law_outcome(A, D, b, u_a):
     SingularMatrixError it raises."""
     K = np.zeros(MODEL.term_map.shape[1])
     K[:25], K[25:50], K[_R] = A.ravel(), D.ravel(), b
+    refs_and_gains = [[0.0] * 4] * 5  # h_d, dh_d, ddh_d, Kp, Kd
     try:
         with np.errstate(invalid="ignore"):
-            u, ddq, _ = _io_torque_floats((K, K.tolist()), ZEROS, *[ZEROS[:4]] * 5, u_a, True)
+            u, ddq, _ = _io_torque_floats((K, K.tolist()), ZEROS, *refs_and_gains, u_a, True)
     except SingularMatrixError as exc:
         return str(exc), exc.cond
     return np.array(u).tobytes(), np.array(ddq).tobytes()
