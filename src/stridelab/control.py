@@ -159,25 +159,29 @@ def foot_placement_deadbeat(
 
 def _finite(v) -> bool:
     """True when v, a number or an array of lanes' values, is finite throughout."""
-    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+    return math.isfinite(v) if isinstance(v, float) else all(np.isfinite(v).ravel().tolist())
 
 
 def _placement_law(gain: float, ell: float, hat_end, des: float, T: float, alpha: float):
     """The asymptotic law on a momentum (gain m H) or a velocity (gain 1),
     unchecked: ((1 - alpha) des + (alpha - cosh(ell T)) hat_end)
     / (gain ell sinh(ell T)); gain 1 multiplies exactly, so both keep their bits."""
-    return ((1.0 - alpha) * des + (alpha - math.cosh(ell * T)) * hat_end) / (
-        gain * ell * math.sinh(ell * T)
-    )
+    return _placement_from(_placement_terms(gain, ell, des, T, alpha), hat_end)
 
 
-def _check_placement_finite(name: str, hat_end, *values: float):
-    if not (all(map(math.isfinite, values)) and _finite(hat_end)):
-        raise ValidationError(f"{name}: non-finite input")
+def _placement_terms(gain: float, ell: float, des: float, T: float, alpha: float):
+    """The law's step constants: (1 - alpha) des, alpha - cosh(ell T), gain ell sinh(ell T)."""
+    return (1.0 - alpha) * des, alpha - math.cosh(ell * T), gain * ell * math.sinh(ell * T)
+
+
+def _placement_from(terms, hat_end):
+    """The law at hat_end, a number or lanes' array, from _placement_terms."""
+    return (terms[0] + terms[1] * hat_end) / terms[2]
 
 
 def _check_placement_inputs(name: str, hat_end, des: float, T: float, alpha: float):
-    _check_placement_finite(name, hat_end, des, T, alpha)
+    if not (all(map(math.isfinite, (des, T, alpha))) and _finite(hat_end)):
+        raise ValidationError(f"{name}: non-finite input")
     if T <= 0:
         raise ValidationError(f"{name}: T must be > 0 (got {T})")
     if not 0.0 <= alpha < 1.0:
@@ -346,33 +350,31 @@ def virtual_constraint_derivatives(
             "virtual_constraint_reference: h0_start must have shape (4,) and p_des be a "
             f"number, got shapes {h0_start.shape} and {np.shape(p_des)}"
         )
-    rows = _reference_rows(spec, cmd.T, s, float(h0_start[2]), float(p_des), (spec.H, 0.0, 0.0))
+    terms = _reference_terms(spec, cmd.T)
+    rows = _reference_rows(terms, s, float(h0_start[2]), float(p_des), (spec.H, 0.0, 0.0))
     return tuple(np.array(row) for row in rows)
 
 
-def _reference_rows(spec: VirtualConstraintSpec, T: float, s: float, swx0, p_des, z):
+def _reference_terms(spec: VirtualConstraintSpec, T: float):
+    """_reference_rows' step constants: 4 z_cl, H - z_cl, 8 z_cl, 8 z_cl / T^2, T, T^2."""
+    return 4.0 * spec.z_cl, spec.H - spec.z_cl, 8.0 * spec.z_cl, 8.0 * spec.z_cl / (T * T), T, T * T
+
+
+def _reference_rows(terms, s: float, swx0, p_des, z):
     """Unchecked kernel of virtual_constraint_derivatives: the rows h_d, dh_d/dt
-    and d2h_d/dt2 at phase s from the step-start swing-x output swx0, the
-    target p_des (for N lanes, (N,) arrays, as the swing-x entries then are)
-    and (z, dz/dt, d2z/dt2) = z in the height row."""
+    and d2h_d/dt2 at phase s from _reference_terms, the step-start swing-x
+    output swx0, the target p_des (for N lanes, (N,) arrays, as the swing-x
+    entries then are) and (z, dz/dt, d2z/dt2) = z in the height row."""
+    z4, z_mid, z8, z8_TT, T, TT = terms
     mid = 0.5 * (swx0 + p_des)
     half = 0.5 * (swx0 - p_des)
     cpi = math.cos(math.pi * s)
     spi = math.sin(math.pi * s)
     return (
-        (0.0, z[0], mid + half * cpi, 4.0 * spec.z_cl * (s - 0.5) ** 2 + (spec.H - spec.z_cl)),
-        (0.0, z[1], -half * math.pi * spi / T, 8.0 * spec.z_cl * (s - 0.5) / T),
-        (0.0, z[2], -half * math.pi * math.pi * cpi / (T * T), 8.0 * spec.z_cl / (T * T)),
+        (0.0, z[0], mid + half * cpi, z4 * (s - 0.5) ** 2 + z_mid),
+        (0.0, z[1], -half * math.pi * spi / T, z8 * (s - 0.5) / T),
+        (0.0, z[2], -half * math.pi * math.pi * cpi / TT, z8_TT),
     )
-
-
-def _lane_rows(rows, n: int) -> np.ndarray:
-    """The (3, n, 4) stack of _reference_rows' rows for n lanes."""
-    out = np.empty((3, n, 4))
-    for k, row in enumerate(rows):
-        for j, value in enumerate(row):
-            out[k, :, j] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +459,34 @@ def _io_torque_core(dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a=0.0, with_u=True):
     y = h0 - h_d
     r = rows[:, _R].copy()  # [-(C dq + G)_0; -Jdot dq]
     r[:, 1:] += ddh_d - Kd * ((J @ dq[..., None])[..., 0] - dh_d) - Kp * y
-    ddq = _checked_solve(rows[:, :25].reshape(-1, 5, 5), r, _DECOUPLING)
+    A = rows[:, :25].reshape(-1, 5, 5)
+    ddq = _solve1(A, r, signature="dd->d")
+    res = abs(np.matmul(A, ddq[..., None])[..., 0] - r)  # _checked_solve's first bound
+    if not all((res <= 1e-8 * np.maximum.reduce(abs(r), -1, keepdims=True)).ravel().tolist()):
+        ddq = _checked_solve(A, r, _DECOUPLING)  # a failing stack: passes, or raises its error
     u = (D_q[:, 1:, :] @ ddq[..., None])[..., 0] + rows[:, _H][:, 1:] if with_u else None
     return u, ddq, y
 
 
 def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
-    """_io_torque_core of one state, on floats: numpy only solves, through
-    the LAPACK gufuncs np.linalg.solve calls, for the same bits without its
-    wrapper.  Each system must meet max |A x - b| <= 1e-8 max |b|, checked
-    on floats; a solve that fails it (a singular or non-finite system gives
-    NaN) is redone by _checked_solve, which passes it on the full scale or
-    raises its error: with an ankle torque, the decoupling system first,
-    then the mass matrix, one call each.  A singular system raises numpy's
-    invalid flag: callers hold np.errstate(invalid="ignore")."""
+    """_io_torque_core of one state, on floats: numpy only solves, in one call
+    of the LAPACK gufunc np.linalg.solve calls (its bits, without its wrapper),
+    on the decoupling system, or with an ankle torque on the (2, 5, 5) stack of
+    it and the mass matrix.  Each system must meet max |A x - b| <= 1e-8 max
+    |b|, checked on floats; a failing solve (a singular or non-finite system
+    gives NaN) is redone by _checked_solve, which passes it on the full scale
+    or raises its error: the decoupling system first, then the mass matrix.
+    A singular system raises numpy's invalid flag: callers hold np.errstate."""
     K, rows = terms
     d0, d1, d2, d3, d4 = dq
     y = [a - b for a, b in zip(rows[_H0], h_d)]
     r = rows[_R]  # [-(C dq + G)_0; -Jdot dq], with v added to the last four
-    for i, j in enumerate(range(_J.start, _J.stop, 5)):
+    for i, j in _J_ROWS:
         jdq = rows[j] * d0 + rows[j + 1] * d1 + rows[j + 2] * d2 + rows[j + 3] * d3
         r[i + 1] += ddh_d[i] - Kd[i] * (jdq + rows[j + 4] * d4 - dh_d[i]) - Kp[i] * y[i]
     if u_a:
         A = K[:50].reshape(2, 5, 5)
-        x = _solve(A, np.array(r + _E0).reshape(2, 5, 1), signature="dd->d").ravel().tolist()
+        x = _solve1(A, (r, _E0), signature="dd->d").ravel().tolist()
         if not (_meets_bound(rows, 0, x, r) and _meets_bound(rows, 25, x[5:], _E0)):
             x = [*_checked_solve(A[0], np.array(r), _DECOUPLING).tolist(),
                  *_checked_solve(A[1], np.array(_E0), _MASS).tolist()]
@@ -494,14 +500,16 @@ def _io_torque_floats(terms, dq, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u):
         ddq0 = ddq = x
     if not with_u:
         return None, ddq, y
-    u = [_dot(rows, j, ddq0) + h for j, h in zip(range(_D.start + 5, _D.stop, 5), rows[_H][1:])]
+    u = [_dot(rows, j, ddq0) + rows[h] for j, h in _U_ROWS]
     return u, ddq, y
 
 
 _E0 = [1.0, 0.0, 0.0, 0.0, 0.0]
-# The gufuncs behind np.linalg.solve: A x = b for b of shape (m,), and for
-# b of shape (..., m, n).
-_solve1, _solve = _umath_linalg.solve1, _umath_linalg.solve
+# (output i, start of its row of J) and (start of joint i's row of D, its h entry)
+_J_ROWS = tuple(enumerate(range(_J.start, _J.stop, 5)))
+_U_ROWS = tuple(zip(range(_D.start + 5, _D.stop, 5), range(_H.start + 1, _H.stop)))
+# The gufunc np.linalg.solve calls for b of shape (m,), broadcast over stacks.
+_solve1 = _umath_linalg.solve1
 
 
 def _meets_bound(a: list, i: int, x: list, b: list) -> bool:

@@ -47,12 +47,12 @@ from .biped import BipedState, PlanarBiped
 from .control import (
     GaitCommand,
     VirtualConstraintSpec,
-    _check_placement_finite,
     _finite,
     _io_torque_core,
-    _lane_rows,
-    _placement_law,
+    _placement_from,
+    _placement_terms,
     _reference_rows,
+    _reference_terms,
     foot_placement_asymptotic,
     foot_placement_velocity,
 )
@@ -275,8 +275,9 @@ class WalkingController:
     four-output virtual-constraint tracker.
 
     Holds the per-step context only (step-start outputs, the placement
-    committed under "step_start", per-step L_des), which no derivative writes;
-    one instance belongs to exactly one rollout.  One state runs on floats; for
+    committed under "step_start", per-step L_des and the law's and reference's
+    constants formed from it), which no derivative writes; one instance
+    belongs to exactly one rollout.  One state runs on floats; for
     a stack of N states stepping in lockstep (lanes, which take no ankle
     torque) the context is per lane: `_h0_start` is (N, 4) and `p_des` (N,).
     """
@@ -300,8 +301,7 @@ class WalkingController:
         self.ankle_fn = ankle_fn
         self.placement_source = placement_source
         self.placement_update = placement_update
-        self.L_des = gait.L_des
-        self._gains = constraints.Kp.tolist(), constraints.Kd.tolist()  # lists serve lanes too
+        self._gains = constraints.Kp.tolist(), constraints.Kd.tolist()  # lanes take vc's arrays
         self._h0_start = [0.0] * 4
         self.p_des = None
         # Kinematic workspace clamp on the placement target: the swing foot
@@ -312,9 +312,17 @@ class WalkingController:
         leg_reach = 0.97 * (model.thigh.length + model.shin.length)
         hip_z = constraints.H + 0.08
         self._p_max = math.sqrt(max(leg_reach * leg_reach - hip_z * hip_z, 1e-6))
+        self.set_target(gait.L_des)
 
     def set_target(self, L_des: float) -> None:
+        """Set L_des, and form the step's constants (on_step_start does too)."""
         self.L_des = float(L_des)
+        p, T, v = self.params, self.gait.T, self.placement_source == "v"
+        gain = 1.0 if v else p.m * p.H  # the law on the CoM x-velocity, or on L
+        des = self.L_des / (p.m * p.H) if v else self.L_des
+        self._law = _placement_terms(gain, p.ell, des, T, self.gait.alpha)
+        self._hat_gain, self._rate_row = gain * p.ell, (bp._JC if v else bp._D0).start
+        self._ref, self._z = _reference_terms(self.vc, T), (self.vc.H, 0.0, 0.0)
 
     def on_step_start(self, state) -> None:
         """Start a step from a BipedState, or from an (N, 10) stack of
@@ -332,6 +340,7 @@ class WalkingController:
         else:  # the one check of the shape _reference relies on
             shape = np.shape(state)
             raise ValidationError(f"on_step_start: expected a BipedState or (N, 10), got {shape}")
+        self.set_target(self.L_des)
         step_start = self.placement_update == "step_start"  # placed once, from this state
         self.p_des = self._placement(rows, dq, 0.0) if step_start else None
 
@@ -354,28 +363,25 @@ class WalkingController:
     def _placement(self, rows, dq, tau: float):
         """The target at in-step time tau from term rows and dq: one state's
         floats, or lanes' arrays."""
-        p, T, one = self.params, self.gait.T, type(dq) is list
-        ell, remaining = p.ell, (T - tau if tau < T else 0.0)
+        T, ell, one = self.gait.T, self.params.ell, type(dq) is list
+        remaining = T - tau if tau < T else 0.0
         sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
-        i, j = bp._PC.start, bp._JC.start if self.placement_source == "v" else bp._D0.start
+        i, j = bp._PC.start, self._rate_row  # rate: L about the contact, or the CoM x-velocity
         if one:
             x_c, rate = rows[i], bp._dot(rows, j, dq)
         else:
             x_c, rate = rows[:, i], np.einsum("ni,ni->n", rows[:, j : j + 5], dq)
-        if self.placement_source == "v":
-            # rate = the CoM x-velocity, from the CoM Jacobian's x row
-            law, gain, des = "foot_placement_velocity", 1.0, self.L_des / (p.m * p.H)
-            hat = ell * sh * x_c + ch * rate
-        else:
-            # rate = L about the contact, the momentum conjugate to q0
-            law, gain, des = "foot_placement_asymptotic", p.m * p.H, self.L_des
-            hat = p.m * p.H * ell * sh * x_c + ch * rate
-        _check_placement_finite(law, des)  # the target; T and alpha are GaitCommand's to check
-        if not _finite(hat):
-            raise GaitFailureError(
-                f"{law}: predicted end-of-step value is not finite at tau = {tau:.4f} s"
-            )
-        p_raw = _placement_law(gain, ell, hat, des, T, self.gait.alpha)
+        hat = self._hat_gain * sh * x_c + ch * rate
+        p_raw = _placement_from(self._law, hat)
+        if not _finite(p_raw):  # name a non-finite target, else a non-finite prediction
+            v = self.placement_source == "v"
+            law = "foot_placement_velocity" if v else "foot_placement_asymptotic"
+            if not math.isfinite(self._law[0]):  # (1 - alpha) des: finite with the target
+                raise ValidationError(f"{law}: non-finite input")
+            if not _finite(hat):
+                raise GaitFailureError(
+                    f"{law}: predicted end-of-step value is not finite at tau = {tau:.4f} s"
+                )
         if one:
             return self._clamp(p_raw)
         return np.minimum(np.maximum(p_raw, -self._p_max), self._p_max)  # _clamp's bits
@@ -387,12 +393,13 @@ class WalkingController:
         # on_step_start gave _h0_start its shape, s_phase lies in [0, 1], and
         # p_des is finite: _placement raises on a non-finite prediction and
         # clamps every other target.
-        T = self.gait.T
-        z = (self.vc.H, 0.0, 0.0) if self.z_profile is None else self.z_profile(min(tau, T))
+        z = self._z if self.z_profile is None else self.z_profile(min(tau, self.gait.T))
         if type(p_des) is float:
-            return _reference_rows(self.vc, T, s_phase, self._h0_start[2], p_des, z)
-        rows = _reference_rows(self.vc, T, s_phase, self._h0_start[:, 2], p_des, z)
-        return _lane_rows(rows, len(p_des))
+            return _reference_rows(self._ref, s_phase, self._h0_start[2], p_des, z)
+        rows = _reference_rows(self._ref, s_phase, self._h0_start[:, 2], p_des, z)
+        out = np.array([(a, b, 0.0, d) for a, b, _, d in rows])[..., None].repeat(len(p_des), -1)
+        out[:, 2] = [row[2] for row in rows]  # the swing-x arrays
+        return out.transpose(0, 2, 1)  # the (3, N, 4) stack of the lanes' rows
 
     def ankle(self, tau: float) -> float:
         return float(self.ankle_fn(tau)) if self.ankle_fn is not None else 0.0
@@ -506,9 +513,9 @@ def _five_link_rhs(model, controller, tau, y, with_u=True):
     terms = (bp._state_rows if one else bp._dyn_terms)(model, q, dq)
     p_des = controller.placement(terms[-1], dq, tau)
     s_phase = min(tau / controller.gait.T, 1.0)
-    h_d, dh_d, ddh_d = controller._reference(s_phase, tau, p_des)
-    (Kp, Kd), u_a = controller._gains, controller.ankle(tau)
-    u, ddq, y_out = _io_torque_core(dq, terms, h_d, dh_d, ddh_d, Kp, Kd, u_a, with_u)
+    refs = controller._reference(s_phase, tau, p_des)  # h_d, dh_d and ddh_d
+    Kp, Kd = controller._gains if one else (controller.vc.Kp, controller.vc.Kd)
+    u, ddq, y_out = _io_torque_core(dq, terms, *refs, Kp, Kd, controller.ankle(tau), with_u)
     ydot = dq + ddq if one else np.concatenate([dq, ddq], axis=-1)
     return ydot, u, y_out, terms[-1]  # the rows: a list of floats, or an array
 
@@ -551,10 +558,10 @@ def _swing_z(model, y):
         return math.nan
 
 
-def _bisect(model, controller, tau, y, k1, h, y_hi, tol):
-    """(t_event, y_event, the derivative there) of one state's floats: the
-    RK4 sub-step from (tau, y) that ends on the guard, h (ending at y_hi)
-    bisected until the crossing time is pinned."""
+def _bisect(model, controller, tau, y, k1, h, y_hi, tol, with_u):
+    """(t_event, y_event, the derivative there, with u only if with_u) of
+    one state's floats: the RK4 sub-step from (tau, y) that ends on the
+    guard, h (ending at y_hi) bisected until the crossing time is pinned."""
     lo, hi = 0.0, h
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -565,7 +572,7 @@ def _bisect(model, controller, tau, y, k1, h, y_hi, tol):
             hi, y_hi = mid, y_mid
         else:
             lo = mid
-    return tau + hi, y_hi, _five_link_rhs(model, controller, tau + hi, y_hi)
+    return tau + hi, y_hi, _five_link_rhs(model, controller, tau + hi, y_hi, with_u)
 
 
 def integrate_step(model, controller, state, T, integrator: IntegratorConfig, recorder=None):
@@ -615,7 +622,7 @@ def _no_impact(T: float) -> GaitFailureError:
 
 
 def _integrate_step_one(model, controller, state, T, cfg, recorder):
-    h, tol, tau = cfg.step_size, cfg.event_tolerance, 0.0
+    h, tol, tau, with_u = cfg.step_size, cfg.event_tolerance, 0.0, recorder is not None
     y = state.q.tolist() + state.dq.tolist()
     samples, cents = [], []  # the recorder's (tau, y, u, y_out), and centroidal terms
 
@@ -625,7 +632,7 @@ def _integrate_step_one(model, controller, state, T, cfg, recorder):
             cents.append(bp._centroidal_terms(model, out[3], y[5:], out[0][5:]))
         return out[0]
 
-    rhs = record(tau, y, _five_link_rhs(model, controller, tau, y))
+    rhs = record(tau, y, _five_link_rhs(model, controller, tau, y, with_u))
     pz_prev = _swing_z(model, y)
     while tau < 2.0 * T - 1e-12:
         y_next = _rk4_advance(model, controller, tau, y, h, rhs)
@@ -633,12 +640,12 @@ def _integrate_step_one(model, controller, state, T, cfg, recorder):
             raise GaitFailureError(f"integrate_step: state diverged at tau = {tau + h:.4f} s")
         tau_next, pz_next = tau + h, _swing_z(model, y_next)
         if tau_next >= 0.5 * T and pz_prev > 0.0 and pz_next <= 0.0:
-            t_event, y_hi, out = _bisect(model, controller, tau, y, rhs, h, y_next, tol)
+            t_event, y_hi, out = _bisect(model, controller, tau, y, rhs, h, y_next, tol, with_u)
             record(t_event, y_hi, out)
             if recorder is not None:
                 recorder(*map(np.array, zip(*samples)), centroidal=cents)
             return BipedState(y_hi[:5], y_hi[5:]), t_event
-        rhs = record(tau_next, y_next, _five_link_rhs(model, controller, tau_next, y_next))
+        rhs = record(tau_next, y_next, _five_link_rhs(model, controller, tau_next, y_next, with_u))
         tau, y, pz_prev = tau_next, y_next, pz_next
     raise _no_impact(T)
 
@@ -665,7 +672,7 @@ def _integrate_step_lanes(model, controller, state, T, cfg, recorder):
             for i in np.flatnonzero(hit).tolist():
                 t_sw[lanes[i]], y_sw[lanes[i]], _ = _bisect(
                     model, controller._lanes(i), tau, y[i].tolist(), rhs[i].tolist(), h,
-                    y_next[i].tolist(), cfg.event_tolerance,
+                    y_next[i].tolist(), cfg.event_tolerance, False,
                 )
             keep = ~hit
             if not keep.any():

@@ -598,9 +598,11 @@ WELL_POSED = st.lists(st.floats(-1.0, 1.0), min_size=25, max_size=25).map(
 
 def _np_solve(A, b, signature):
     """np.linalg.solve in place of the gufunc, its LinAlgError as the
-    gufunc's NaN: the float law as np.linalg.solve's wrapper gave it."""
+    gufunc's NaN: the float law as np.linalg.solve's wrapper gave it.  A
+    stack of systems hands it each vector as a column."""
+    b = np.asarray(b)
     try:
-        return np.linalg.solve(A, b)
+        return np.linalg.solve(A, b) if b.ndim == 1 else np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return np.full(np.shape(b), math.nan)
 
@@ -620,8 +622,7 @@ def _law_outcome(A, D, b, u_a):
 
 
 def _wrapper_outcome(A, D, b, u_a):
-    with mock.patch.object(control, "_solve1", _np_solve), \
-            mock.patch.object(control, "_solve", _np_solve):
+    with mock.patch.object(control, "_solve1", _np_solve):
         return _law_outcome(A, D, b, u_a)
 
 
@@ -679,6 +680,67 @@ def test_io_float_law_fails_as_through_numpy_solve(A, D, b, system, fault, k, u_
     if fault == "zeros" and (u_a or system == "decoupling"):
         assert outcome == (f"io_linearizing_torque ({system} matrix): singular matrix"
                            " (condition estimate inf)", math.inf)
+
+
+def _stack_outcome(A, b, solve):
+    """solve(A, b) as bytes, or (message, cond) of the SingularMatrixError it raises."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return solve(A, b).tobytes()
+    except SingularMatrixError as exc:
+        return str(exc), exc.cond
+
+
+def _no_solve(A, b, signature):
+    """A gufunc whose every solve fails the bound, as the parent's stacked
+    law, which gave every stack to _checked_solve."""
+    return np.full(np.shape(b), math.nan)
+
+
+def _stacked_law(A, b):
+    """ddq of the stacked law on term rows that are zero but for [D_0; J]
+    and the _R entries b, with dq, references and gains zero: it solves
+    [D_0; J] ddq = b lane by lane (a non-finite J makes J dq, so b, NaN)."""
+    K = np.zeros((len(A), MODEL.term_map.shape[1]))
+    K[:, :25], K[:, _R] = A.reshape(len(A), 25), b
+    refs_and_gains = [np.zeros((len(A), 4))] * 3 + [np.zeros(4)] * 2
+    return control._io_torque_core(np.zeros((len(A), 5)), (None, None, None, K),
+                                   *refs_and_gains, 0.0, False)[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    A=st.lists(WELL_POSED, min_size=3, max_size=3).map(np.array),
+    b=st.lists(st.floats(-100.0, 100.0), min_size=15, max_size=15).map(
+        lambda v: np.reshape(v, (3, 5))
+    ),
+    lane=st.integers(0, 2),
+    fault=st.sampled_from(["none", "zeros", "copied row", "nan", "inf", "-inf"]),
+    k=st.integers(0, 24),
+)
+@example(np.array([np.eye(5)] * 3), np.zeros((3, 5)), 1, "zeros", 0)
+def test_stacked_law_fails_as_through_checked_solve(A, b, lane, fault, k):
+    # A stack's decoupling systems go through the gufunc and a bound lane by
+    # lane; a failing stack reaches _checked_solve, so one singular or
+    # non-finite lane raises the text, lane index and cond of the parent's
+    # path, which gave every stack to _checked_solve, and a passing stack
+    # has its bits.
+    i, j = divmod(k, 5)
+    if fault == "zeros":
+        A[lane] = 0.0
+    elif fault == "copied row":
+        A[lane, i] = A[lane, (i + 1) % 5]
+    elif fault != "none":
+        A[lane, i, j] = float(fault)
+    outcome = _stack_outcome(A, b, _stacked_law)
+    with mock.patch.object(control, "_solve1", _no_solve):  # every stack to _checked_solve
+        assert outcome == _stack_outcome(A, b, _stacked_law)
+    if fault == "none":
+        assert type(outcome) is bytes
+    elif fault != "copied row":  # a rounded LU may solve that within the bound
+        assert outcome[0].startswith("io_linearizing_torque (decoupling matrix): ")
+        assert f" in lane {lane} of 3 (condition estimate inf)" in outcome[0]
+        assert outcome[1] == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ from stridelab import (
 )
 from stridelab import analysis, cli, control, simlab
 from stridelab.biped import (
+    _D0,
+    _JC,
+    _PC,
     _centroidal_terms,
     _impact_solution,
     _state_rows,
@@ -621,7 +624,7 @@ def test_lanes_clamp_each_placement_as_one_state_does(p_raw):
     assert 0.2 < controller._p_max < 0.5
     Y = np.tile(np.concatenate([state.q, state.dq]), (len(p_raw), 1))
     rows = _term_rows(controller.model, Y[:, :5], Y[:, 5:])
-    with mock.patch.object(simlab, "_placement_law", lambda *args: np.array(p_raw)):
+    with mock.patch.object(simlab, "_placement_from", lambda *args: np.array(p_raw)):
         clamped = controller._placement(rows, Y[:, 5:], 0.1)
     expected = np.array([controller._clamp(v) for v in p_raw])
     assert clamped.tobytes() == expected.tobytes()
@@ -1317,8 +1320,9 @@ def test_five_link_rhs_satisfies_the_closed_loop_equations(kws, tau, ankle, z_am
 def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
     # The tracking law and the plant share one solve: for one state with the
     # ankle torque off or on, and for a stack of lanes, which takes none.
-    # One state solves through control's LAPACK gufuncs, a stack through
-    # np.linalg.solve (in _checked_solve): every solve is counted.
+    # Each solves through control's LAPACK gufunc, which np.linalg.solve (in
+    # _checked_solve) would call again for a failing solve: every solve is
+    # counted.
     calls = []
 
     def counted(solve):
@@ -1330,7 +1334,7 @@ def test_five_link_rhs_makes_one_checked_solve(monkeypatch):
 
     state = assemble_posture(PlanarBiped.default(), 0.02, 0.6, -0.2, 0.02, (0.7, 0.0))
     y = np.concatenate([state.q, state.dq])
-    for owner, name in ((np.linalg, "solve"), (control, "_solve1"), (control, "_solve")):
+    for owner, name in ((np.linalg, "solve"), (control, "_solve1")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     for ankle, Y, shape in (
         (0.0, y.tolist(), (5, 5)),
@@ -1515,6 +1519,70 @@ def test_event_placement_is_the_law_at_the_event(update, source, ankle, z_amplit
         else:
             want = placement_oracle(controller, ev.t - t_start, ev.state_minus)
         assert abs(ev.placement - want) <= 1e-12 * abs(want)
+
+
+def lanes_placement_oracle(controller, tau, Y):
+    """placement_oracle on a stack of lanes Y: each lane's end-of-step
+    prediction from its term rows, its rate summed by einsum as the lanes'
+    law sums it, through the public law on the array, clamped lane by lane."""
+    params, gait, v = controller.params, controller.gait, controller.placement_source == "v"
+    rows, dq = _term_rows(controller.model, Y[:, :5], Y[:, 5:]), Y[:, 5:]
+    ell, mH, remaining = params.ell, params.m * params.H, max(gait.T - tau, 0.0)
+    sh, ch = math.sinh(ell * remaining), math.cosh(ell * remaining)
+    j = (_JC if v else _D0).start  # CoM x-velocity, or L about the contact
+    x_c, rate = rows[:, _PC.start], np.einsum("ni,ni->n", rows[:, j : j + 5], dq)
+    if v:
+        p = foot_placement_velocity(params, ell * sh * x_c + ch * rate, controller.L_des / mH,
+                                    gait.T, gait.alpha)
+    else:
+        p = foot_placement_asymptotic(params, mH * ell * sh * x_c + ch * rate, controller.L_des,
+                                      gait.T, gait.alpha)
+    return np.minimum(np.maximum(p, -controller._p_max), controller._p_max)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    T=st.floats(0.25, 0.5),
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    L_des=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+    source=st.sampled_from(["L", "v"]),
+    update=st.sampled_from(["continuous", "step_start"]),
+    tau=st.floats(0.0, 0.6),
+)
+def test_placement_follows_each_steps_target_bit_for_bit(T, alpha, L_des, source, update, tau):
+    # The law's constants are formed per step, not per derivative: with the
+    # source and update set before on_step_start and set_target changing L_des
+    # between two steps, the placement on one state and on a 3-lane stack is
+    # the public law on the same prediction, clamped, bit for bit.  Under
+    # "step_start" it is the law at the step's start state and time 0, with
+    # the L_des of that start, until the next step starts.
+    model = PlanarBiped.default()
+    kws = [dict(com_x=x, com_z=0.6, swing_foot_x=-0.2, com_velocity=(vx, 0.0))
+           for x, vx in ((0.02, 0.7), (-0.03, 0.8), (0.05, 0.6))]
+    states = [assemble_posture(model, **kw) for kw in kws]
+    Y = np.array([np.concatenate([s.q, s.dq]) for s in states])
+    starts = (states[0], Y)  # the one state's step starts where lane 0's does
+    one, lanes = (WalkingController(model, GaitCommand(L_des=1.0, T=T, alpha=alpha), VC)
+                  for _ in range(2))
+    for k, L in enumerate(L_des):
+        for controller, start in zip((one, lanes), starts):
+            controller.set_target(L)
+            controller.placement_source, controller.placement_update = source, update
+            controller.on_step_start(start)
+        committed = (placement_oracle(one, 0.0, states[0]), lanes_placement_oracle(lanes, 0.0, Y))
+        for retarget in (False, True):
+            if retarget:  # set_target between steps; a committed target stays
+                for controller in (one, lanes):
+                    controller.set_target(L_des[1 - k])
+            if update == "step_start":
+                want_one, want_lanes = committed
+            else:
+                want_one = placement_oracle(one, tau, states[1])
+                want_lanes = lanes_placement_oracle(lanes, tau, Y)
+            rows, dq = _state_rows(model, states[1].q, states[1].dq)[1], states[1].dq.tolist()
+            got = lanes.placement(_term_rows(model, Y[:, :5], Y[:, 5:]), Y[:, 5:], tau)
+            assert float(one.placement(rows, dq, tau)).hex() == float(want_one).hex()
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want_lanes.tolist()]
 
 
 @pytest.mark.parametrize("workload", ["simulate-five-link", "poincare-five-link"])

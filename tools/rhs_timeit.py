@@ -6,18 +6,25 @@ and the CSV writer, for two stridelab source trees side by side.
 Each SRC is a directory that holds the `stridelab` package (a checkout's
 `src/`).  Both trees are imported into this one process under names of their
 own, and every repeat times each case on the parent and then on the change,
-so slow drift of the machine falls on both alike.  The first eight cases run
-on the start state of the seed-0 `simulate-five-link` benchmark scenario,
-the next two on the seed-0 `simulate-alip` scenario and the last on the
-whole seed-0 `simulate-five-link` rollout (perfbench/scenarios.py, read
-only):
+so slow drift of the machine falls on both alike.  The `rhs 21 lanes` case
+runs on the end state of the seed-0 `poincare-five-link` warm-up, the others
+up to `five-link step` on the start state of the seed-0 `simulate-five-link`
+benchmark scenario, the next two on the seed-0 `simulate-alip` scenario and
+the last on the whole seed-0 `simulate-five-link` rollout
+(perfbench/scenarios.py, read only):
 
     rhs ankle off     `_five_link_rhs` on one state, ankle torque zero
     rhs ankle on      `_five_link_rhs` on one state, ankle torque non-zero
+    placement         `WalkingController._placement` on that state's term
+                      rows (a list) and dq
+    reference         `WalkingController._reference` at that state's
+                      placement target
     rhs 20 lanes      `_five_link_rhs` on a stack of 20 states, per lane,
                       with the ankle torque zero (`ankle_amplitude=0.0`):
                       a stack takes none
-    placement 20 lanes  `WalkingController._placement` on the same 20 states'
+    rhs 21 lanes      `_five_link_rhs` on the Jacobian's stack, x and
+                      x +- 0.1 e_i, at the warm-up's end state x, per lane
+    placement 20 lanes  `WalkingController._placement` on the 20 states'
                       term rows, per lane
     term rows         `biped._state_rows` on one state, q and dq lists of 5
     term rows 20 lanes  `biped._term_rows` on the same 20 states, per lane
@@ -83,7 +90,7 @@ def scenario_doc(workload: str = "simulate-five-link") -> dict:
     return scenarios.draw(workload, 0)
 
 
-def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
+def cases(package, doc: dict, alip_doc: dict, poincare_doc: dict, out_dir: Path) -> dict:
     """Zero-argument callables, one per case, each with its lanes per call and
     its weight (a case runs `--number` // weight calls per timing)."""
     simlab = package.simlab
@@ -102,6 +109,12 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
         if label == "rhs ankle on" and controller.ankle(TAU_ANKLE) == 0.0:
             raise SystemExit("rhs_timeit: the scenario's ankle torque is zero")
         out[label] = (lambda m=model, c=controller, y=y: rhs(m, c, TAU_ANKLE, y), 1, 1)
+    # The placement and reference inside the last derivative.
+    one_rows, one_dq = package.biped._state_rows(model, y[:5], y[5:])[1], y[5:]
+    p_des = controller._placement(one_rows, one_dq, TAU_ANKLE)
+    s_phase = TAU_ANKLE / config.gait.T
+    out["placement"] = (lambda c=controller: c._placement(one_rows, one_dq, TAU_ANKLE), 1, 1)
+    out["reference"] = (lambda c=controller: c._reference(s_phase, TAU_ANKLE, p_des), 1, 1)
     # The stack: the start state and 19 small, fixed perturbations of it,
     # without the ankle torque, which a stack of lanes does not take.
     plant = simlab._FiveLinkPlant(replace(config, ankle_amplitude=0.0))
@@ -114,6 +127,14 @@ def cases(package, doc: dict, alip_doc: dict, out_dir: Path) -> dict:
     plant.controller.on_step_start(Y)
     lanes = plant.controller
     out[f"rhs {LANES} lanes"] = (lambda: rhs(plant.model, lanes, TAU_ANKLE, Y), LANES, LANES)
+    # The Jacobian's central differences, as numeric_poincare_jacobian stacks them.
+    warm = simlab.ScenarioConfig.from_json(poincare_doc)
+    plus = simlab.run_scenario(warm).events[-1].state_plus
+    x = np.concatenate([plus.q, plus.dq])
+    X = np.vstack([x, x + 0.1 * np.eye(10), x - 0.1 * np.eye(10)])
+    jac = simlab.WalkingController(warm.build_model(), warm.gait, warm.constraints)
+    jac.on_step_start(X)
+    out["rhs 21 lanes"] = (lambda: rhs(jac.model, jac, TAU_ANKLE, X), len(X), len(X))
     biped, q, dq = package.biped, state.q.tolist(), state.dq.tolist()
     Q, DQ = Y[:, :5], Y[:, 5:]  # the views the derivative hands it
     rows = biped._term_rows(plant.model, Q, DQ)
@@ -163,10 +184,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 2 or args.number < 1:
         parser.error("--repeats must be >= 2 and --number >= 1")
-    doc, alip_doc = scenario_doc(), scenario_doc("simulate-alip")
+    docs = scenario_doc(), scenario_doc("simulate-alip"), scenario_doc("poincare-five-link")
     with tempfile.TemporaryDirectory() as tmp:
         sides = {
-            side: cases(load_tree(src.resolve(), f"stridelab_{side}"), doc, alip_doc, Path(tmp))
+            side: cases(load_tree(src.resolve(), f"stridelab_{side}"), *docs, Path(tmp))
             for side, src in (("parent", args.parent), ("change", args.change))
         }
         times = {side: {label: [] for label in sides[side]} for side in sides}
