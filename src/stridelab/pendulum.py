@@ -144,20 +144,15 @@ class PolarPendulumState:
             raise ValidationError(f"PolarPendulumState: R must be > 0 (got {self.R})")
 
 
-def _alip_field(
-    mH: float, mg: float, x_c: float, L: float, u_a: float
+def _point_mass_field(
+    c1: float, c2: float, d: float, x: float, v: float, u: float
 ) -> tuple[float, float]:
-    """The ALIP vector field on plain floats (mH = m H, mg = m g): the one
-    place it is written, for alip_derivative and simlab's RK4."""
-    return L / mH, mg * x_c + u_a
-
-
-def _lip_field(
-    g_H: float, mH: float, x_c: float, v_c: float, u_a: float
-) -> tuple[float, float]:
-    """The LIP vector field on plain floats (g_H = g / H, mH = m H): the one
-    place it is written, for lip_derivative and simlab's RK4."""
-    return v_c, g_H * x_c + u_a / mH
+    """The ALIP and LIP vector field on plain floats, (x, v)' = (v / c1,
+    c2 x + u / d): ALIP (c1, c2, d) = (m H, m g, 1.0), LIP (1.0, g / H, m H);
+    division by 1.0 is exact, so each keeps its own bits.  The one place it
+    is written, for alip_derivative and lip_derivative; simlab's RK4 inlines
+    it, in this operation order."""
+    return v / c1, c2 * x + u / d
 
 
 def alip_derivative(
@@ -169,7 +164,7 @@ def alip_derivative(
     through the contact point, so only gravity and the ankle torque u_a move L.
     """
     _require_finite("alip_derivative", u_a)
-    return _alip_field(params.m * params.H, params.m * params.g, s.x_c, s.L, u_a)
+    return _point_mass_field(params.m * params.H, params.m * params.g, 1.0, s.x_c, s.L, u_a)
 
 
 def lip_derivative(
@@ -179,7 +174,7 @@ def lip_derivative(
     velocity coordinates: dx_c/dt = v_c; dv_c/dt = (g/H) x_c + u_a/(m H).
     """
     _require_finite("lip_derivative", u_a)
-    return _lip_field(params.g / params.H, params.m * params.H, s.x_c, s.v_c, u_a)
+    return _point_mass_field(1.0, params.g / params.H, params.m * params.H, s.x_c, s.v_c, u_a)
 
 
 def alip_transition(params: PendulumParams, s: AlipState, dt: float) -> AlipState:

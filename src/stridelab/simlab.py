@@ -11,12 +11,12 @@ the step's sample columns and the exchange.
 Determinism contract: fixed-step RK4 (default 1e-4 s) with bisection event
 refinement (default 1e-9 s), hand-rolled so step placement and event times
 are bit-reproducible across runs and platforms.  Reduced plants (ALIP / LIP)
-switch steps on the clock at exactly T; they step on Python floats through
-pendulum's field cores, in _rk4's operation order (the same bits).  The
-five-link plant switches on the touchdown guard, armed from mid-step onward
-so liftoff never retriggers it.  Every plant hands the recorder each whole
-step at once, after the switch; samples are kept in one float array per
-column.
+switch steps on the clock at exactly T; they step on Python floats in one
+straight-line RK4 loop that inlines pendulum's point-mass field, in _rk4's
+operation order (the same bits).  The five-link plant switches on the
+touchdown guard, armed from mid-step onward so liftoff never retriggers it.
+Every plant hands the recorder each whole step at once, after the switch;
+samples are kept in one float array per column.
 
 Artifacts: trace.csv (per-sample, the columns of HybridTrace.samples),
 per_step.csv (the fields of StepRecord), events.csv, and a scenario.json
@@ -58,7 +58,6 @@ from .control import (
 )
 from .errors import GaitFailureError, NumericalError, ValidationError
 from .pendulum import AlipState, LipState, PendulumParams, alip_reset, wedge
-from .pendulum import _alip_field, _lip_field
 
 __all__ = [
     "IntegratorConfig",
@@ -592,7 +591,10 @@ def integrate_step(model, controller, state, T, integrator: IntegratorConfig, re
     call writes to the controller.  Reduced plants (pass
     PendulumParams as `model`, AlipState/LipState as `state`) switch at
     exactly tau = T; `controller` may provide `ankle(tau)` for a disturbance
-    torque.  `recorder(taus, y, us, y_out, centroidal=None)` is called once
+    torque.  Both step the one point-mass field of alip_derivative and
+    lip_derivative, (x, v)' = (v / c1, c2 x + u / d), inlined in an RK4 loop
+    body with no per-stage call, with _rk4's bits.
+    `recorder(taus, y, us, y_out, centroidal=None)` is called once
     per step, after the switch, with the whole step: `taus` is the float64
     ndarray of grid times from 0 to the switch time (included) and `y` the
     states there.  Five-link: `y` is the (n, 10) float64 stack of [q; dq],
@@ -686,10 +688,10 @@ def _integrate_step_lanes(model, controller, state, T, cfg, recorder):
 
 def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
     m, H, g = params.m, params.H, params.g
-    if isinstance(state, AlipState):
-        field, c1, c2, x, v = _alip_field, m * H, m * g, state.x_c, state.L
+    if isinstance(state, AlipState):  # pendulum._point_mass_field's (c1, c2, d)
+        c1, c2, d, x, v = m * H, m * g, 1.0, state.x_c, state.L
     elif isinstance(state, LipState):
-        field, c1, c2, x, v = _lip_field, g / H, m * H, state.x_c, state.v_c
+        c1, c2, d, x, v = 1.0, g / H, m * H, state.x_c, state.v_c
     else:
         raise ValidationError(
             f"integrate_step: reduced state must be AlipState or LipState "
@@ -706,21 +708,23 @@ def _integrate_step_reduced(params, controller, state, T, cfg, recorder):
         taus = np.append(taus, T)
     ankle = controller.ankle if controller is not None else None
     xs, vs = array("d", [x]), array("d", [v])
+    x_out, v_out = xs.append, vs.append
     for dt, starts in passes:
-        # _rk4 on Python floats, operation for operation: the same bits
+        # _rk4 on Python floats with (x, v)' = (v / c1, c2 x + u / d) inlined,
+        # operation for operation: the same bits
         h2, h6 = dt / 2.0, dt / 6.0
         stage_u = [(0.0, 0.0, 0.0)] * len(starts) if ankle is None else [
-            (ankle(tau), ankle(tau + h2), ankle(tau + dt)) for tau in starts
+            (ankle(tau) / d, ankle(tau + h2) / d, ankle(tau + dt) / d) for tau in starts
         ]
         for u1, u2, u4 in stage_u:
-            a1, b1 = field(c1, c2, x, v, u1)
-            a2, b2 = field(c1, c2, x + h2 * a1, v + h2 * b1, u2)
-            a3, b3 = field(c1, c2, x + h2 * a2, v + h2 * b2, u2)
-            a4, b4 = field(c1, c2, x + dt * a3, v + dt * b3, u4)
+            a1, b1 = v / c1, c2 * x + u1
+            a2, b2 = (v + h2 * b1) / c1, c2 * (x + h2 * a1) + u2
+            a3, b3 = (v + h2 * b2) / c1, c2 * (x + h2 * a2) + u2
+            a4, b4 = (v + dt * b3) / c1, c2 * (x + dt * a3) + u4
             x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             v = v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            xs.append(x)
-            vs.append(v)
+            x_out(x)
+            v_out(v)
     if recorder is not None:
         recorder(taus, (xs, vs), None, None)
     if not (math.isfinite(x) and math.isfinite(v)):

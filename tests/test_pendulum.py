@@ -9,10 +9,11 @@ they do not share code with.
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stridelab import (
@@ -111,6 +112,38 @@ def test_derivatives_reject_non_finite_ankle_torque():
         alip_derivative(PARAMS, AlipState(x_c=0.0, L=0.0), u_a=math.nan)
     with pytest.raises(ValidationError, match="lip_derivative"):
         lip_derivative(PARAMS, LipState(x_c=0.0, v_c=0.0), u_a=math.inf)
+
+
+def _outcome(f, *args):
+    """The bits of each float f returns, or the type of the error it raises."""
+    try:
+        return [struct.pack("<d", v) for v in f(*args)]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)  # subnormals too
+_REAL = st.floats(min_value=-1e150, max_value=1e150)  # +-0.0 and subnormals too
+_TORQUE = st.one_of(st.none(), st.sampled_from([0.0, -0.0]), _REAL.filter(bool))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(m=_POSITIVE, H=_POSITIVE, g=_POSITIVE, x_c=_REAL, w=_REAL, u_a=_TORQUE)
+@example(m=32.0, H=0.6, g=9.81, x_c=-0.0, w=0.0, u_a=None)
+@example(m=32.0, H=0.6, g=9.81, x_c=5e-324, w=-5e-324, u_a=-0.0)
+@example(m=5e-324, H=5e-324, g=1.0, x_c=1.0, w=1.0, u_a=1.0)  # m H underflows to 0
+@example(m=1e150, H=1e-150, g=1e150, x_c=1e150, w=-1e150, u_a=-1e150)
+def test_derivatives_are_their_formulas_bit_for_bit(m, H, g, x_c, w, u_a):
+    # w is L for the ALIP and v_c for the LIP; u_a None takes the default.
+    params = PendulumParams(m=m, H=H, g=g)
+    u = () if u_a is None else (u_a,)
+    u_a = 0.0 if u_a is None else u_a
+    assert _outcome(alip_derivative, params, AlipState(x_c=x_c, L=w), *u) == _outcome(
+        lambda: (w / (m * H), m * g * x_c + u_a)
+    )
+    assert _outcome(lip_derivative, params, LipState(x_c=x_c, v_c=w), *u) == _outcome(
+        lambda: (w, (g / H) * x_c + u_a / (m * H))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ own, and every repeat times each case on the parent and then on the change,
 so slow drift of the machine falls on both alike.  The `rhs 21 lanes` case
 runs on the end state of the seed-0 `poincare-five-link` warm-up, the others
 up to `five-link step` on the start state of the seed-0 `simulate-five-link`
-benchmark scenario, the next two on the seed-0 `simulate-alip` scenario and
+benchmark scenario, the next three on the seed-0 `simulate-alip` scenario and
 the last on the whole seed-0 `simulate-five-link` rollout
 (perfbench/scenarios.py, read only):
 
@@ -34,6 +34,8 @@ the last on the whole seed-0 `simulate-five-link` rollout
     five-link step    one whole `integrate_step` of the start state, through
                       `_FiveLinkPlant.row` as run_scenario's recorder calls it
     alip step         `run_scenario` of one ALIP step, through its recorder
+    alip rollout      `run_scenario` of the whole 100-step ALIP scenario,
+                      the operation of `simulate-alip` without its artifacts
     write_csv alip    `write_csv(path, columns)` of the whole 100-step ALIP
                       trace
     write_csv five-link  `write_csv(path, columns)` of the whole 14-step
@@ -165,6 +167,7 @@ def cases(package, doc: dict, alip_doc: dict, poincare_doc: dict, out_dir: Path)
     alip = simlab.ScenarioConfig.from_json(alip_doc)
     one_step = replace(alip, duration=1)
     out["alip step"] = (lambda: simlab.run_scenario(one_step), 1, 400)
+    out["alip rollout"] = (lambda: simlab.run_scenario(alip), 1, 10**9)
     trace = simlab.run_scenario(alip)
     csv_path = out_dir / f"{package.__name__}.csv"
     out["write_csv alip"] = (lambda: simlab.write_csv(csv_path, trace.samples), 1, 10**9)
